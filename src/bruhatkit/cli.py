@@ -88,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
     p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized spot checks")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers for per-class scans (defaults to the "
-                        "machine's parallelism; output is identical either way)")
     p.add_argument("--out", type=Path, default=None, help="also write the report to a file")
 
     p = sub.add_parser("order", parents=[shared], help="Chevalley group order over GF(q)")
@@ -323,7 +320,7 @@ def _cmd_verify(args) -> int:
             section = fflab.verify_theorem_a(
                 kind, q, allow_bad_prime=args.allow_bad_prime,
                 budget=args.budget, cell_budget=args.cell_budget,
-                rank_cap=args.rank_cap, seed=args.seed, workers=args.workers,
+                rank_cap=args.rank_cap, seed=args.seed,
             )
             report["theorem_a"].append(section)
             ok = ok and section["ok"]
@@ -332,7 +329,7 @@ def _cmd_verify(args) -> int:
     if run_d:
         section = fflab.verify_property_d(
             kind, qs, allow_bad_prime=args.allow_bad_prime,
-            cell_budget=args.cell_budget, rank_cap=args.rank_cap, workers=args.workers,
+            cell_budget=args.cell_budget, rank_cap=args.rank_cap,
         )
         report["property_d"] = section
         ok = ok and section["ok"]

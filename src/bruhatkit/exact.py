@@ -345,9 +345,19 @@ def matrix_from_json(obj) -> ExactMatrix:
         field = PrimeField(field_spec["p"])
     else:
         raise ValueError(f"unknown field spec {field_spec!r}")
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValueError("matrix JSON entries must be a list of rows")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entries do not match the declared shape")
-    return ExactMatrix(field, entries)
+    for row in entries:
+        for x in row:
+            # JSON true/false arrive as bool, a subclass of int
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise ValueError(f"matrix entry {x!r} is neither an integer nor a string")
+    try:
+        return ExactMatrix(field, entries)
+    except ZeroDivisionError:
+        raise ValueError("a matrix entry has denominator 0") from None
 
 
 # ---------------------------------------------------------------------------

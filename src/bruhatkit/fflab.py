@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
@@ -45,6 +44,7 @@ from math import log2
 import numpy as np
 
 from .cells import (
+    DEFAULT_CELL_BUDGET,
     borel_order,
     c_positive_roots,
     c_root_element,
@@ -70,7 +70,6 @@ from .weyl import (
 )
 
 DEFAULT_ENUM_BUDGET = 10**8
-DEFAULT_CELL_BUDGET = 10**7
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
 
 KIND_NAMES = ("GL", "SL", "Sp")
@@ -182,29 +181,51 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens
 
 
+def _closure(seeds: np.ndarray, moves, seen: dict[bytes, int] | None = None,
+             limit: int | None = None, phase: str = "closure") -> dict[bytes, int]:
+    """Breadth-first closure of a (k, n, n) stack of seeds under the moves.
+
+    Each move maps a (k, n, n) stack to its images mod p.  Keys are the entry
+    bytes of each element, values the order in which the BFS found them; pass
+    ``seen`` to grow one dict over several calls.  With ``limit``, holding
+    more elements than that raises a BudgetError naming the phase.
+    """
+    seen = {} if seen is None else seen
+    shape = seeds.shape[1:]
+    step = seeds.dtype.itemsize * math.prod(shape)
+    stacks = [seeds]
+    while True:
+        frontier = []
+        for stack in stacks:
+            buf = stack.tobytes()
+            for start in range(0, len(buf), step):
+                key = buf[start:start + step]
+                if key not in seen:
+                    seen[key] = len(seen)
+                    frontier.append(key)
+        if limit is not None and len(seen) > limit:
+            raise BudgetError(f"{phase} passed {limit} elements", required=len(seen), budget=limit)
+        if not frontier:
+            return seen
+        batch = _from_keys(frontier, shape)
+        stacks = (move(batch) for move in moves)
+
+
+def _from_keys(keys, shape) -> np.ndarray:
+    """The (k, *shape) int64 stack whose rows have these entry bytes."""
+    return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, *shape)
+
+
+def _conjugation_moves(gens: list[np.ndarray], p: int):
+    """Moves conjugating a stack by each generator: x -> g x g^-1 mod p."""
+    return [lambda batch, g=g, ginv=_inv_mod_p(g, p): (g @ batch % p) @ ginv % p for g in gens]
+
+
 def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> tuple[np.ndarray, dict[bytes, int]]:
     n = gens[0].shape[0]
-    identity = np.eye(n, dtype=np.int64)
-    mats = [identity]
-    index = {identity.tobytes(): 0}
-    frontier = [identity]
-    while frontier:
-        batch = np.stack(frontier)
-        frontier = []
-        for g in gens:
-            prods = batch @ g % p
-            for row in prods:
-                key = row.tobytes()
-                if key not in index:
-                    row = row.copy()
-                    index[key] = len(mats)
-                    mats.append(row)
-                    frontier.append(row)
-        if len(mats) > limit:
-            raise BudgetError(
-                f"group closure passed {limit} elements", required=len(mats), budget=limit
-            )
-    return np.stack(mats), index
+    moves = [lambda batch, g=g: batch @ g % p for g in gens]
+    index = _closure(np.eye(n, dtype=np.int64)[None], moves, limit=limit, phase="group closure")
+    return _from_keys(index, (n, n)).copy(), index
 
 
 class FiniteGroupTable:
@@ -262,19 +283,9 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
             window = signed
         cell_windows.append(window)
     unipotent_types = {}
-    for i in _unipotent_indices(mats, q):
+    for i in np.nonzero(_unipotent_mask(mats, q))[0].tolist():
         unipotent_types[i] = _jordan_type_mod_p(mats[i], q)
     return FiniteGroupTable(kind, q, mats, index, cell_windows, unipotent_types)
-
-
-def _unipotent_indices(mats: np.ndarray, p: int) -> list[int]:
-    n = mats.shape[1]
-    power = (mats - np.eye(n, dtype=np.int64)) % p
-    steps = max(1, int(log2(n - 1)) + 1) if n > 1 else 1
-    for _ in range(steps):
-        power = power @ power % p
-    mask = (power == 0).all(axis=(1, 2))
-    return [int(i) for i in np.nonzero(mask)[0]]
 
 
 def _rank_mod_p_np(mat: np.ndarray, p: int) -> int:
@@ -535,30 +546,15 @@ def _inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
-                      limit: int | None = None) -> dict[bytes, np.ndarray]:
+                      limit: int | None = None) -> dict[bytes, int]:
     """The orbit of a matrix under conjugation by the group the generators
-    produce (closure under the generators alone suffices in a finite group)."""
-    pairs = [(g, _inv_mod_p(g, p)) for g in gens]
-    start = start % p
-    orbit = {start.tobytes(): start}
-    frontier = [start]
-    while frontier:
-        batch = np.stack(frontier)
-        frontier = []
-        for g, ginv in pairs:
-            prods = (g @ batch % p) @ ginv % p
-            for row in prods:
-                key = row.tobytes()
-                if key not in orbit:
-                    row = row.copy()
-                    orbit[key] = row
-                    frontier.append(row)
-        if limit is not None and len(orbit) > limit:
-            raise BudgetError(f"conjugation orbit passed {limit}", required=len(orbit), budget=limit)
-    return orbit
+    produce (closure under the generators alone suffices in a finite group),
+    as entry-bytes keys."""
+    return _closure((start % p)[None], _conjugation_moves(gens, p), limit=limit,
+                    phase="conjugation orbit")
 
 
-def centralizer_order(kind: GroupKind, q: int, orbit: dict[bytes, np.ndarray]) -> int:
+def centralizer_order(kind: GroupKind, q: int, orbit: dict[bytes, int]) -> int:
     """|Z_G(g)(F_q)| by orbit-stabilizer, from the conjugation orbit of g:
     group order over class size."""
     order = kind.order(q)
@@ -611,31 +607,21 @@ def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens
 
 
-def _partition_into_orbits(members: dict[bytes, np.ndarray], gens: list[np.ndarray], p: int
-                           ) -> list[dict[bytes, np.ndarray]]:
-    """Split a conjugation-stable set into orbits under the generated group."""
-    pairs = [(g, _inv_mod_p(g, p)) for g in gens]
-    unseen = dict(members)
+def _partition_into_orbits(members: set[bytes], gens: list[np.ndarray], p: int
+                           ) -> list[dict[bytes, int]]:
+    """Split a conjugation-stable set of entry-bytes keys into orbits under
+    the generated group.  Each orbit is grown from the least key not yet
+    placed, so the orbits come in order of their least key, which is also
+    the first key of each."""
+    moves = _conjugation_moves(gens, p)
+    shape = gens[0].shape
+    unseen = set(members)
     orbits = []
     while unseen:
-        seed_key = min(unseen)
-        seed = unseen.pop(seed_key)
-        orbit = {seed_key: seed}
-        frontier = [seed]
-        while frontier:
-            batch = np.stack(frontier)
-            frontier = []
-            for g, ginv in pairs:
-                prods = (g @ batch % p) @ ginv % p
-                for row in prods:
-                    key = row.tobytes()
-                    if key not in orbit:
-                        if key not in members:
-                            raise IntegrityError("conjugation left the scanned set")
-                        row = row.copy()
-                        orbit[key] = row
-                        unseen.pop(key, None)
-                        frontier.append(row)
+        orbit = _closure(_from_keys([min(unseen)], shape), moves)
+        if not orbit.keys() <= members:
+            raise IntegrityError("conjugation left the scanned set")
+        unseen.difference_update(orbit)
         orbits.append(orbit)
     return orbits
 
@@ -650,8 +636,7 @@ _TABLE_THRESHOLD = 10**6
 def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
                      budget: int = DEFAULT_ENUM_BUDGET, cell_budget: int = DEFAULT_CELL_BUDGET,
                      rank_cap: int = DEFAULT_RANK_CAP, seed: int | None = None,
-                     table: FiniteGroupTable | None = None, method: str = "auto",
-                     workers: int = 1) -> dict:
+                     table: FiniteGroupTable | None = None, method: str = "auto") -> dict:
     """Exhaustively check the minimal-type statement for every class.
 
     For each class C and each minimal-length w: among the Jordan types of
@@ -697,14 +682,10 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
             {w for cls in classes for w in cls.min_elements}, key=lambda w: w.window
         )
 
-        def scan_one(w):
-            return {jt for _, jt in _cell_unipotents_np(kind, w, q, cell_budget=cell_budget)}
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                type_sets = dict(zip((w.window for w in needed), pool.map(scan_one, needed)))
-        else:
-            type_sets = {w.window: scan_one(w) for w in needed}
+        type_sets = {
+            w.window: {jt for _, jt in _cell_unipotents_np(kind, w, q, cell_budget=cell_budget)}
+            for w in needed
+        }
 
         def types_met(w):
             return type_sets[w.window]
@@ -891,14 +872,14 @@ def _classes_met(kind: GroupKind, q: int, reps: list[np.ndarray]) -> tuple[list[
         for j in range(i, len(reps)):
             if zg[j] is None and reps[j].tobytes() in orbit:
                 zg[j] = order
-        # free it before the next is built: one class of Sp_4(F_5) holds 187,200 matrices
+        # free it before the next is built: one class of Sp_4(F_5) holds 187,200 keys
         del orbit
     return zg, sizes
 
 
 def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool = False,
-                    cell_budget: int = DEFAULT_CELL_BUDGET, rank_cap: int = DEFAULT_RANK_CAP,
-                    workers: int = 1) -> PropertyDScan:
+                    cell_budget: int = DEFAULT_CELL_BUDGET, rank_cap: int = DEFAULT_RANK_CAP
+                    ) -> PropertyDScan:
     """Scan gamma ∩ BwB for every elliptic class and minimal-length w at each
     prime: its B(F_q)-orbits, their centralizer orders in G and in B, and the
     G(F_q)-classes it meets.  One prime suffices here; the report compares
@@ -917,46 +898,31 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
             raise ValueError(f"q = {q} is a bad prime for {kind}; pass allow_bad_prime to explore anyway")
     advisory = any(q in kind.bad_primes for q in qs)
     classes = [c for c in conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap) if c.elliptic]
-    tasks = []
+    shape = (kind.n, kind.n)
+    cells = []
     for cls in classes:
         target = phi(cls).jordan_type
         for w in sorted(cls.min_elements, key=lambda w: w.window):
+            per_q, class_sizes = [], []
             for q in qs:
-                tasks.append((cls, target, w, q))
-
-    def run(task):
-        cls, target, w, q = task
-        members = {}
-        for batch in scan_cell(kind, w, q, cell_budget=cell_budget):
-            mask = _unipotent_mask(batch, q)
-            for mat in batch[mask]:
-                if _jordan_type_mod_p(mat, q) == target:
-                    members[mat.tobytes()] = mat
-        orbits = _partition_into_orbits(members, borel_generators(kind, q), q)
-        orbits.sort(key=lambda orbit: min(orbit))
-        reps = [orbit[min(orbit)] for orbit in orbits]
-        zg, class_sizes = _classes_met(kind, q, reps)
-        record = {
-            "q": q,
-            "intersection_size": len(members),
-            "orbit_count": len(orbits),
-            "orbit_sizes": sorted(len(o) for o in orbits),
-            "zg": sorted(zg),
-            "zb": sorted(borel_centralizer_order(kind, q, rep) for rep in reps),
-        }
-        return record, class_sizes
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    cells = []
-    for start in range(0, len(tasks), len(qs)):
-        cls, target, w, _ = tasks[start]
-        per_q, class_sizes = zip(*results[start:start + len(qs)])
-        cells.append(EllipticCellScan(cls, target, w, list(per_q), list(class_sizes)))
+                members = set()
+                for batch in scan_cell(kind, w, q, cell_budget=cell_budget):
+                    for mat in batch[_unipotent_mask(batch, q)]:
+                        if _jordan_type_mod_p(mat, q) == target:
+                            members.add(mat.tobytes())
+                orbits = _partition_into_orbits(members, borel_generators(kind, q), q)
+                reps = [_from_keys([next(iter(orbit))], shape)[0] for orbit in orbits]
+                zg, sizes = _classes_met(kind, q, reps)
+                per_q.append({
+                    "q": q,
+                    "intersection_size": len(members),
+                    "orbit_count": len(orbits),
+                    "orbit_sizes": sorted(len(o) for o in orbits),
+                    "zg": sorted(zg),
+                    "zb": sorted(borel_centralizer_order(kind, q, rep) for rep in reps),
+                })
+                class_sizes.append(sizes)
+            cells.append(EllipticCellScan(cls, target, w, per_q, class_sizes))
     return PropertyDScan(kind, qs, advisory, cells)
 
 
@@ -1018,12 +984,12 @@ def property_d_report(scan: PropertyDScan, exponent_tolerance: float = 0.25) -> 
 
 def verify_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool = False,
                       cell_budget: int = DEFAULT_CELL_BUDGET, rank_cap: int = DEFAULT_RANK_CAP,
-                      exponent_tolerance: float = 0.25, workers: int = 1) -> dict:
+                      exponent_tolerance: float = 0.25) -> dict:
     """Two-prime proxies for the Borel-orbit and centralizer statements on
     elliptic classes; see the module docstring for what is actually checked."""
     _check_two_primes(q_list)
     scan = scan_property_d(kind, q_list, allow_bad_prime=allow_bad_prime, cell_budget=cell_budget,
-                           rank_cap=rank_cap, workers=workers)
+                           rank_cap=rank_cap)
     return property_d_report(scan, exponent_tolerance)
 
 
@@ -1043,30 +1009,11 @@ def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET)
             required=expected_bound,
             budget=budget,
         )
-    seeds = _full_unipotent_grid(kind, q)
-    gens = group_generators(kind, q)
-    pairs = [(g, _inv_mod_p(g, q)) for g in gens]
-    seen: set[bytes] = set()
-    total = 0
-    for seed in seeds:
-        key = seed.tobytes()
-        if key in seen:
-            continue
-        frontier = [seed]
-        seen.add(key)
-        total += 1
-        while frontier:
-            batch = np.stack(frontier)
-            frontier = []
-            for g, ginv in pairs:
-                prods = (g @ batch % q) @ ginv % q
-                for row in prods:
-                    k = row.tobytes()
-                    if k not in seen:
-                        seen.add(k)
-                        total += 1
-                        frontier.append(row.copy())
-    return total
+    moves = _conjugation_moves(group_generators(kind, q), q)
+    seen: dict[bytes, int] = {}
+    for seed in _full_unipotent_grid(kind, q):
+        _closure(seed[None], moves, seen=seen)
+    return len(seen)
 
 
 def _full_unipotent_grid(kind: GroupKind, q: int) -> np.ndarray:

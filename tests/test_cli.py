@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from bruhatkit.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, args):
@@ -107,6 +115,23 @@ def test_decompose_errors(capsys):
     assert "parse error" in err and "line 1" in err
 
 
+@pytest.mark.parametrize("field, entries", [
+    ("Q", 5),                     # not a list of rows
+    ("Q", [[1.5, 0], [0, 1]]),    # float entry
+    ("Q", [["1/0", 0], [0, 1]]),  # zero denominator
+    ({"p": 5}, [[True, 0], [0, 1]]),  # JSON true is not the integer 1
+    ({"p": 5}, [[1.0, 0], [0, 1]]),
+], ids=["not-rows", "float-q", "zero-denominator", "bool", "float-gf"])
+def test_decompose_rejects_malformed_entries(field, entries):
+    matrix = json.dumps({"field": field, "rows": 2, "cols": 2, "entries": entries})
+    proc = subprocess.run([sys.executable, "-m", "bruhatkit", "decompose", matrix],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_decompose_from_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"field": "Q", "rows": 3, "cols": 3,
@@ -192,7 +217,7 @@ def test_verify_seed_reproducibility(capsys):
 
 def test_verify_multi_prime_runs_property_d(capsys):
     rc, payload, _ = run_json(
-        capsys, ["verify", "sl", "2", "--q", "3", "--q", "5", "--workers", "2"])
+        capsys, ["verify", "sl", "2", "--q", "3", "--q", "5"])
     assert rc == 0
     assert payload["property_d"] is not None
     assert payload["property_d"]["all_match"]

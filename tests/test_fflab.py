@@ -5,15 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bruhatkit.errors import BudgetError
+from bruhatkit.errors import BudgetError, IntegrityError
 from bruhatkit.exact import GF, ExactMatrix
 from bruhatkit.fflab import (
     GroupKind,
     _jordan_type_mod_p,
+    _partition_into_orbits,
+    borel_generators,
     borel_grid,
     cell_unipotents,
+    conjugation_orbit,
     count_unipotents,
     enumerate_group,
+    group_generators,
     jordan_type,
     parse_kind,
     property_d_report,
@@ -281,7 +285,30 @@ def test_property_d_classes_met_cover_gamma_sp4_f3():
     }
 
 
-def test_property_d_workers_deterministic():
-    one = verify_property_d(parse_kind("sl", 2), [3, 5], workers=1)
-    four = verify_property_d(parse_kind("sl", 2), [3, 5], workers=4)
-    assert one == four
+def test_table_index_matches_rows():
+    table = enumerate_group(parse_kind("sl", 2), 5)
+    assert len(table.index) == len(table) == 120
+    assert all(table.index[table.mats[i].tobytes()] == i for i in range(len(table)))
+
+
+def test_partition_into_orbits_rejects_an_unstable_set():
+    kind = parse_kind("sl", 2)
+    u = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    # the B-orbit of u in SL_2(F_5) is u and [[1, 4], [0, 1]]; G moves it further
+    b_orbit = set(conjugation_orbit(u, borel_generators(kind, 5), 5))
+    assert len(b_orbit) == 2
+    assert [set(o) for o in _partition_into_orbits(b_orbit, borel_generators(kind, 5), 5)] == [b_orbit]
+    with pytest.raises(IntegrityError):
+        _partition_into_orbits(b_orbit, group_generators(kind, 5), 5)
+
+
+def test_conjugation_orbit_limit():
+    kind = parse_kind("sl", 2)
+    gens = group_generators(kind, 5)
+    u = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    # a regular unipotent class of SL_2(F_5) has 12 elements
+    assert len(conjugation_orbit(u, gens, 5, limit=12)) == 12
+    with pytest.raises(BudgetError) as info:
+        conjugation_orbit(u, gens, 5, limit=5)
+    assert info.value.budget == 5 and info.value.required > 5
+    assert "conjugation orbit" in str(info.value)
