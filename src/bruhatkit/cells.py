@@ -111,8 +111,6 @@ def bruhat_cell_window(g: ExactMatrix) -> tuple[int, ...]:
     if not g.is_square():
         raise ValueError("Bruhat cell needs a square matrix")
     f = g.field
-    if isinstance(f, PrimeField):
-        return cell_window_mod_p([list(row) for row in g.entries], f.p)
     n = g.rows
     cols = [[g.entries[i][j] for i in range(n)] for j in range(n)]
     used = [False] * n
@@ -138,36 +136,6 @@ def bruhat_cell_window(g: ExactMatrix) -> tuple[int, ...]:
             if c != f.zero:
                 for i in range(n):
                     col2[i] = f.sub(col2[i], f.mul(c, col[i]))
-    return tuple(window)
-
-
-def cell_window_mod_p(rows: list[list[int]], p: int) -> tuple[int, ...]:
-    """Cell window of an invertible matrix mod p (hot path for bulk scans)."""
-    n = len(rows)
-    cols = [[rows[i][j] % p for i in range(n)] for j in range(n)]
-    used = [False] * n
-    window = [0] * n
-    for j in range(n):
-        col = cols[j]
-        piv = None
-        for i in range(n - 1, -1, -1):
-            if not used[i] and col[i]:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError(
-                f"matrix is singular: no unused nonzero pivot in column {j + 1}",
-                column=j + 1,
-            )
-        used[piv] = True
-        window[j] = piv + 1
-        inv = pow(col[piv], -1, p)
-        for j2 in range(j + 1, n):
-            col2 = cols[j2]
-            c = col2[piv] * inv % p
-            if c:
-                for i in range(n):
-                    col2[i] = (col2[i] - c * col[i]) % p
     return tuple(window)
 
 

@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="run elliptic-class proxies (default: when >= 2 primes)")
     p.add_argument("--allow-bad-prime", action="store_true",
                    help="run Sp at q = 2 anyway; results reported but not asserted")
-    p.add_argument("--budget", type=int, default=_default_budget(),
+    p.add_argument("--budget", default=None,
                    help="whole-group enumeration budget (env BRUHATKIT_BUDGET)")
-    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
+    p.add_argument("--cell-budget", default=str(DEFAULT_CELL_BUDGET))
     p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized spot checks")
     p.add_argument("--out", type=Path, default=None, help="also write the report to a file")
@@ -116,18 +116,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--enumerate", dest="do_enumerate", action="store_true",
                    help="also enumerate the cell and check the count")
-    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
+    p.add_argument("--cell-budget", default=str(DEFAULT_CELL_BUDGET))
 
     return parser
 
 
-def _default_budget() -> int:
+def _positive_int(text: str, source: str) -> int:
+    """A budget: an integer of at least 1, else a ValueError naming its source."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return value
+
+
+def _enum_budget(args) -> int:
+    """--budget, else BRUHATKIT_BUDGET when set and not empty, else the default."""
+    if args.budget is not None:
+        return _positive_int(args.budget, "--budget")
     env = os.environ.get("BRUHATKIT_BUDGET")
     if env:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"ignoring unparsable BRUHATKIT_BUDGET={env!r}", file=sys.stderr)
+        return _positive_int(env, "BRUHATKIT_BUDGET")
     return fflab.DEFAULT_ENUM_BUDGET
 
 
@@ -306,6 +317,8 @@ def _cmd_classes(args) -> int:
 
 def _cmd_verify(args) -> int:
     kind = fflab.parse_kind(args.kind, args.n)
+    budget = _enum_budget(args)
+    cell_budget = _positive_int(args.cell_budget, "--cell-budget")
     qs = list(dict.fromkeys(args.q))
     run_d = args.property_d if args.property_d is not None else len(qs) >= 2
     report = {
@@ -319,7 +332,7 @@ def _cmd_verify(args) -> int:
         for q in qs:
             section = fflab.verify_theorem_a(
                 kind, q, allow_bad_prime=args.allow_bad_prime,
-                budget=args.budget, cell_budget=args.cell_budget,
+                budget=budget, cell_budget=cell_budget,
                 rank_cap=args.rank_cap, seed=args.seed,
             )
             report["theorem_a"].append(section)
@@ -329,7 +342,7 @@ def _cmd_verify(args) -> int:
     if run_d:
         section = fflab.verify_property_d(
             kind, qs, allow_bad_prime=args.allow_bad_prime,
-            cell_budget=args.cell_budget, rank_cap=args.rank_cap,
+            cell_budget=cell_budget, rank_cap=args.rank_cap,
         )
         report["property_d"] = section
         ok = ok and section["ok"]
@@ -402,6 +415,7 @@ def _cmd_hecke(args) -> int:
 
 def _cmd_cell_count(args) -> int:
     spec = GroupSpec(args.family, args.rank)
+    cell_budget = _positive_int(args.cell_budget, "--cell-budget")
     if (args.w is None) == (args.word is None):
         raise ValueError("give exactly one of --w or --word")
     if args.w:
@@ -421,7 +435,7 @@ def _cmd_cell_count(args) -> int:
         "cell_order": size,
     }
     if args.do_enumerate:
-        count = sum(1 for _ in enumerate_cell(w, args.q, budget=args.cell_budget))
+        count = sum(1 for _ in enumerate_cell(w, args.q, budget=cell_budget))
         payload["enumerated"] = count
         payload["enumeration_matches"] = count == size
         if count != size:

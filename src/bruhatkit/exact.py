@@ -281,13 +281,13 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
         if isinstance(self.field, PrimeField):
-            return _det_mod_p([list(r) for r in self.entries], self.field.p)
+            return _echelon_mod_p(self.entries, self.field.p)[1]
         int_rows, scale = _clear_denominators(self.entries)
         return Fraction(int_det(int_rows), scale)
 
     def rank(self) -> int:
         if isinstance(self.field, PrimeField):
-            return _rank_mod_p([list(r) for r in self.entries], self.field.p)
+            return _echelon_mod_p(self.entries, self.field.p)[0]
         int_rows, _ = _clear_denominators(self.entries)
         return int_rank(int_rows)
 
@@ -440,42 +440,21 @@ def _gcd(a, b):
     return a
 
 
-def _det_mod_p(m: list[list[int]], p: int) -> int:
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pivot = m[col][col] % p
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        for i in range(col + 1, n):
-            factor = m[i][col] * inv % p
-            if factor:
-                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[col])]
-    return det % p
-
-
-def _rank_mod_p(m: list[list[int]], p: int) -> int:
+def _echelon_mod_p(entries, p: int) -> tuple[int, int]:
+    """Row echelon form mod p: (rank, det), where det is 0 unless the matrix
+    is square and of full rank."""
+    m = [list(r) for r in entries]
     nr, nc = len(m), len(m[0])
     r = 0
+    det = 1
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] % p:
-                piv = i
-                break
+        piv = next((i for i in range(r, nr) if m[i][c] % p), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det = det * m[r][c] % p
         inv = pow(m[r][c], -1, p)
         for i in range(r + 1, nr):
             factor = m[i][c] * inv % p
@@ -484,7 +463,7 @@ def _rank_mod_p(m: list[list[int]], p: int) -> int:
         r += 1
         if r == nr:
             break
-    return r
+    return r, det if r == nr == nc else 0
 
 
 def random_invertible(field, n: int, rng, entry_pool=None) -> ExactMatrix:

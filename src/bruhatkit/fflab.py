@@ -29,7 +29,12 @@ PropertyDScan.mass_exponents gives log(M(q)/M(q')) / log(q'/q); the masses
 stay out of the verify report, whose format is fixed.
 
 Bulk scans run on int64 numpy arrays with explicit reductions mod p; bytes
-of the reduced array are the hash keys.  Everything stays exact.
+of the reduced array are the hash keys.  Everything stays exact.  One
+batched pivot kernel, _column_pivots, eliminates whole (B, n, n) stacks at
+once: its pivot rows are the Bruhat cell windows, and its pivot counts on
+the powers of g - 1 are the ranks that give Jordan types.  The ExactMatrix
+paths (bruhat_cell_window, jordan_type, ExactMatrix.rank) share no code
+with it and serve as its oracles in the tests.
 """
 
 from __future__ import annotations
@@ -49,12 +54,11 @@ from .cells import (
     c_positive_roots,
     c_root_element,
     c_root_negate,
-    cell_window_mod_p,
     gl_free_positions,
     inverted_roots,
     sp_weyl_matrix,
 )
-from .errors import BudgetError, IntegrityError
+from .errors import BudgetError, IntegrityError, SingularMatrixError
 from .exact import ExactMatrix, GF, is_prime
 from .partitions import Partition, dominance_leq
 from .phimap import phi
@@ -71,6 +75,9 @@ from .weyl import (
 
 DEFAULT_ENUM_BUDGET = 10**8
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
+# matrices per numpy batch in cell scans and in the window pass; it keeps
+# the temporaries of a whole-group run (372,000 elements of SL_3(F_5)) small
+_CHUNK = 200_000
 
 KIND_NAMES = ("GL", "SL", "Sp")
 
@@ -192,14 +199,11 @@ def _closure(seeds: np.ndarray, moves, seen: dict[bytes, int] | None = None,
     """
     seen = {} if seen is None else seen
     shape = seeds.shape[1:]
-    step = seeds.dtype.itemsize * math.prod(shape)
     stacks = [seeds]
     while True:
         frontier = []
         for stack in stacks:
-            buf = stack.tobytes()
-            for start in range(0, len(buf), step):
-                key = buf[start:start + step]
+            for key in _keys(stack):
                 if key not in seen:
                     seen[key] = len(seen)
                     frontier.append(key)
@@ -209,6 +213,13 @@ def _closure(seeds: np.ndarray, moves, seen: dict[bytes, int] | None = None,
             return seen
         batch = _from_keys(frontier, shape)
         stacks = (move(batch) for move in moves)
+
+
+def _keys(stack: np.ndarray):
+    """The entry bytes of each matrix in a stack, one at a time, as hash keys."""
+    buf = stack.tobytes()
+    step = stack.itemsize * math.prod(stack.shape[1:])
+    return (buf[start:start + step] for start in range(0, len(buf), step))
 
 
 def _from_keys(keys, shape) -> np.ndarray:
@@ -273,57 +284,79 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     if len(mats) != expected:
         raise IntegrityError(f"enumerated {len(mats)} elements of {kind}/GF({q}), formula gives {expected}")
     cell_windows = []
-    sp = kind.family == "Sp"
-    for m in mats:
-        window = cell_window_mod_p(m.tolist(), q)
-        if sp:
-            signed = signed_window_from_symmetric(window)
-            if signed is None:
-                raise IntegrityError(f"symplectic element in GL cell {window}, outside the embedded group")
-            window = signed
-        cell_windows.append(window)
-    unipotent_types = {}
-    for i in np.nonzero(_unipotent_mask(mats, q))[0].tolist():
-        unipotent_types[i] = _jordan_type_mod_p(mats[i], q)
-    return FiniteGroupTable(kind, q, mats, index, cell_windows, unipotent_types)
+    for start in range(0, len(mats), _CHUNK):
+        cell_windows += _cell_windows(kind, mats[start:start + _CHUNK], q)
+    unipotent = np.nonzero(_unipotent_mask(mats, q))[0]
+    types = _jordan_types_mod_p(mats[unipotent], q)
+    return FiniteGroupTable(kind, q, mats, index, cell_windows, dict(zip(unipotent.tolist(), types)))
 
 
-def _rank_mod_p_np(mat: np.ndarray, p: int) -> int:
-    m = [[int(x) for x in row] for row in mat]
-    nr = len(m)
-    r = 0
-    for c in range(nr):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        for i in range(r + 1, nr):
-            factor = m[i][c] * inv % p
-            if factor:
-                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
+    """The pivot row of each column of each matrix in a (B, n, n) stack mod p.
+
+    Columns are reduced left to right; the pivot of a column is its lowest
+    nonzero entry in a row no earlier column used, or -1 where there is none.
+    The pivot row is then cleared to the right by col' = pivot * col' -
+    col'[r] * col: a column operation of B times a nonzero column scaling,
+    which leaves the pivot pattern alone and needs no inverse.  Entries stay
+    below p^2, exact in int64 for p < _MAX_NUMPY_PRIME.  For an invertible
+    matrix pivots + 1 is its Bruhat cell window; the number of pivots is the
+    rank of any matrix.
+    """
+    a = stack % p
+    count, n = a.shape[:2]
+    rows = np.arange(count)
+    used = np.zeros((count, n), dtype=bool)
+    pivots = np.full((count, n), -1, dtype=np.int64)
+    for j in range(n):
+        col = a[:, :, j]
+        free = (col != 0) & ~used
+        found = free.any(axis=1)
+        r = n - 1 - np.argmax(free[:, ::-1], axis=1)
+        pivots[found, j] = r[found]
+        used[rows[found], r[found]] = True
+        # a column without a pivot is zero outside used rows: leave the rest alone
+        pivot = np.where(found, col[rows, r], 1)
+        factor = np.where(found[:, None], a[rows, r, j + 1:], 0)
+        right = a[:, :, j + 1:]
+        right *= pivot[:, None, None]
+        right -= col[:, :, None] * factor[:, None, :]
+        right %= p
+    return pivots
 
 
-def _jordan_type_mod_p(mat: np.ndarray, p: int) -> Partition:
-    n = mat.shape[0]
-    nil = (mat - np.eye(n, dtype=np.int64)) % p
-    ranks = [n]
-    power = np.eye(n, dtype=np.int64)
-    for _ in range(n):
-        if ranks[-1] == 0:
-            break
-        power = power @ nil % p
-        ranks.append(_rank_mod_p_np(power, p))
-    if ranks[-1] != 0:
+def _cell_windows(kind: GroupKind, stack: np.ndarray, q: int) -> list[tuple[int, ...]]:
+    """The Bruhat cell window of each matrix in the stack (signed for Sp)."""
+    pivots = _column_pivots(stack, q)
+    if (pivots < 0).any():
+        raise SingularMatrixError("a singular matrix: some column has no unused nonzero pivot")
+    distinct, inverse = np.unique(pivots + 1, axis=0, return_inverse=True)
+    windows = [tuple(w) for w in distinct.tolist()]
+    if kind.family == "Sp":
+        signed = [signed_window_from_symmetric(w) for w in windows]
+        if None in signed:
+            outside = windows[signed.index(None)]
+            raise IntegrityError(f"symplectic element in GL cell {outside}, outside the embedded group")
+        windows = signed
+    return [windows[i] for i in inverse.reshape(-1).tolist()]
+
+
+def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
+    """The Jordan type of each unipotent matrix in a (B, n, n) stack mod p,
+    read off the ranks of (g - 1)^k for k = 1..n, all from one kernel call;
+    one Partition is built per distinct rank sequence."""
+    count, n = stack.shape[:2]
+    nil = (stack - np.eye(n, dtype=np.int64)) % p
+    powers = [nil]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ nil % p)
+    ranks = (_column_pivots(np.concatenate(powers), p) >= 0).sum(axis=1).reshape(n, count).T
+    if ranks[:, -1].any():
         raise ValueError("matrix is not unipotent mod p")
-    diffs = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    return Partition(d for d in diffs if d).conjugate()
+    distinct, inverse = np.unique(ranks, axis=0, return_inverse=True)
+    types = [Partition(a - b for a, b in zip([n] + row, row) if a != b).conjugate()
+             for row in distinct.tolist()]
+    return [types[i] for i in inverse.reshape(-1).tolist()]
 
 
 def jordan_type(g: ExactMatrix) -> Partition:
@@ -441,8 +474,7 @@ def _cell_unipotent_prefix(kind: GroupKind, w, q: int) -> np.ndarray:
     return grid
 
 
-def scan_cell(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET,
-              chunk: int = 200_000):
+def scan_cell(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
     """Stream the cell of w in this group as numpy batches.
 
     Uses the normal form u * w_rep * b, so every group element of the cell
@@ -481,7 +513,7 @@ def scan_cell(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET
         raise IntegrityError(
             f"cell grid of {w} has {len(uw) * len(borel)} elements, formula gives {total}"
         )
-    per = max(1, chunk // max(1, len(borel)))
+    per = max(1, _CHUNK // max(1, len(borel)))
     for start in range(0, len(uw), per):
         block = uw[start:start + per]
         prods = (block[:, None] @ borel[None, :]) % q
@@ -507,23 +539,21 @@ def _triangular_dets(grid: np.ndarray, p: int) -> np.ndarray:
 
 def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
     n = batch.shape[1]
-    power = (batch - np.eye(n, dtype=np.int64)) % p
+    # reduced in place: two batch-sized arrays alive at a time, not three
+    power = batch - np.eye(n, dtype=np.int64)
+    power %= p
     steps = max(1, int(log2(n - 1)) + 1) if n > 1 else 1
     for _ in range(steps):
-        power = power @ power % p
+        power = power @ power
+        power %= p
     return (power == 0).all(axis=(1, 2))
 
 
-def _cell_unipotents_np(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET,
-                        jordan_filter: Partition | None = None) -> list[tuple[np.ndarray, Partition]]:
-    out = []
+def _cell_unipotent_batches(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
+    """Per batch of the cell scan: its unipotent elements and their Jordan types."""
     for batch in scan_cell(kind, w, q, cell_budget=cell_budget):
-        mask = _unipotent_mask(batch, q)
-        for mat in batch[mask]:
-            jt = _jordan_type_mod_p(mat, q)
-            if jordan_filter is None or jt == jordan_filter:
-                out.append((mat, jt))
-    return out
+        hits = batch[_unipotent_mask(batch, q)]
+        yield hits, _jordan_types_mod_p(hits, q)
 
 
 def cell_unipotents(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET
@@ -533,7 +563,8 @@ def cell_unipotents(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_
     field = GF(q)
     return [
         (ExactMatrix(field, mat.tolist()), jt)
-        for mat, jt in _cell_unipotents_np(kind, w, q, cell_budget=cell_budget)
+        for hits, types in _cell_unipotent_batches(kind, w, q, cell_budget=cell_budget)
+        for mat, jt in zip(hits, types)
     ]
 
 
@@ -683,7 +714,8 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         )
 
         type_sets = {
-            w.window: {jt for _, jt in _cell_unipotents_np(kind, w, q, cell_budget=cell_budget)}
+            w.window: {jt for _, types in _cell_unipotent_batches(kind, w, q, cell_budget=cell_budget)
+                       for jt in types}
             for w in needed
         }
 
@@ -774,7 +806,7 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
         u = uni[rng.randrange(len(uni))]
         h = table.mats[rng.randrange(len(table))]
         conj = (h @ table.mats[u] % q) @ _inv_mod_p(h, q) % q
-        jt_ok = _jordan_type_mod_p(conj, q) == table.unipotent_types[u]
+        jt_ok = _jordan_types_mod_p(conj[None], q)[0] == table.unipotent_types[u]
         records.append({"element": i, "cell_stable": bool(cell_ok), "unipotent": u, "type_stable": bool(jt_ok)})
     return {"seed": seed, "count": count, "records": records, "ok": all(r["cell_stable"] and r["type_stable"] for r in records)}
 
@@ -785,7 +817,6 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, seed: int,
     under two-sided Borel moves and Jordan types under Borel conjugation."""
     rng = random.Random(seed)
     borel = borel_grid(kind, q)
-    sp = kind.family == "Sp"
     samples = []
     for cls in classes:
         for w in sorted(cls.min_elements, key=lambda w: w.window):
@@ -801,13 +832,11 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, seed: int,
         b1 = borel[rng.randrange(len(borel))]
         b2 = borel[rng.randrange(len(borel))]
         moved = (b1 @ g % q) @ b2 % q
-        cell = cell_window_mod_p(moved.tolist(), q)
-        if sp:
-            cell = signed_window_from_symmetric(cell)
-        cell_ok = cell == window
+        cell_ok = _cell_windows(kind, moved[None], q)[0] == window
         h = borel[rng.randrange(len(borel))]
         conj = (h @ g % q) @ _inv_mod_p(h, q) % q
-        jt_ok = _jordan_type_mod_p(conj, q) == _jordan_type_mod_p(g, q)
+        before, after = _jordan_types_mod_p(np.stack([g, conj]), q)
+        jt_ok = before == after
         records.append({"w": list(window), "cell_stable": bool(cell_ok), "type_stable": bool(jt_ok)})
     return {"seed": seed, "count": count, "conjugators": "borel", "records": records,
             "ok": all(r["cell_stable"] and r["type_stable"] for r in records)}
@@ -906,10 +935,8 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
             per_q, class_sizes = [], []
             for q in qs:
                 members = set()
-                for batch in scan_cell(kind, w, q, cell_budget=cell_budget):
-                    for mat in batch[_unipotent_mask(batch, q)]:
-                        if _jordan_type_mod_p(mat, q) == target:
-                            members.add(mat.tobytes())
+                for hits, types in _cell_unipotent_batches(kind, w, q, cell_budget=cell_budget):
+                    members.update(_keys(hits[[t == target for t in types]]))
                 orbits = _partition_into_orbits(members, borel_generators(kind, q), q)
                 reps = [_from_keys([next(iter(orbit))], shape)[0] for orbit in orbits]
                 zg, sizes = _classes_met(kind, q, reps)

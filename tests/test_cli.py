@@ -208,6 +208,28 @@ def test_verify_budget_message(capsys, monkeypatch):
     assert rc == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("env,args,source", [
+    ("abc", ["verify", "sl", "2", "--q", "3"], "BRUHATKIT_BUDGET"),
+    ("-5", ["verify", "sl", "2", "--q", "3"], "BRUHATKIT_BUDGET"),
+    ("0", ["verify", "sl", "2", "--q", "3"], "BRUHATKIT_BUDGET"),
+    (None, ["verify", "sl", "2", "--q", "3", "--budget", "0"], "--budget"),
+    (None, ["verify", "sl", "2", "--q", "3", "--budget", "1e6"], "--budget"),
+    ("100", ["verify", "sl", "2", "--q", "3", "--budget", "-5"], "--budget"),
+    (None, ["verify", "sl", "2", "--q", "3", "--cell-budget", "-1"], "--cell-budget"),
+    (None, ["verify", "sl", "2", "--q", "3", "--cell-budget", "many"], "--cell-budget"),
+    (None, ["cell-count", "A", "1", "--w", "2,1", "--q", "3", "--cell-budget", "0"],
+     "--cell-budget"),
+])
+def test_bad_budgets_exit_2_naming_the_source(capsys, monkeypatch, env, args, source):
+    if env is None:
+        monkeypatch.delenv("BRUHATKIT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("BRUHATKIT_BUDGET", env)
+    rc, out, err = run(capsys, args)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {source} must be a positive integer")
+
+
 def test_verify_seed_reproducibility(capsys):
     rc1, out1, _ = run(capsys, ["verify", "sl", "2", "--q", "3", "--seed", "9"])
     rc2, out2, _ = run(capsys, ["verify", "sl", "2", "--q", "3", "--seed", "9"])

@@ -9,6 +9,7 @@ from bruhatkit.exact import (
     QQ,
     ExactMatrix,
     PrimeField,
+    enumerate_matrices,
     int_det,
     int_rank,
     is_prime,
@@ -134,6 +135,18 @@ def test_int_det_and_rank():
             m = ExactMatrix(QQ, rows)
             assert int_det(rows) == _fraction_det(m)
             assert int_rank(rows) == m.rank()
+
+
+def test_gf3_2x2_det_and_rank_exhaustive():
+    field = GF(3)
+    seen = 0
+    for m in enumerate_matrices(field, 2):
+        (a, b), (c, d) = m.entries
+        det = (a * d - b * c) % 3
+        assert m.det() == det
+        assert m.rank() == (2 if det else 1 if any((a, b, c, d)) else 0)
+        seen += 1
+    assert seen == 81
 
 
 def test_triangularity_predicate():

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bruhatkit.errors import BudgetError, IntegrityError
+from bruhatkit.errors import BudgetError, IntegrityError, SingularMatrixError
 from bruhatkit.exact import GF, ExactMatrix
 from bruhatkit.fflab import (
     GroupKind,
-    _jordan_type_mod_p,
+    _cell_windows,
+    _column_pivots,
+    _jordan_types_mod_p,
     _partition_into_orbits,
     borel_generators,
     borel_grid,
@@ -27,8 +29,8 @@ from bruhatkit.fflab import (
     verify_theorem_a,
 )
 from bruhatkit.partitions import Partition
-from bruhatkit.weyl import GroupSpec
-from bruhatkit.cells import c_root_element, cell_order, enumerate_cell
+from bruhatkit.weyl import GroupSpec, signed_window_from_symmetric
+from bruhatkit.cells import bruhat_cell_window, c_root_element, cell_order, enumerate_cell
 
 
 def test_kind_parsing_and_validation():
@@ -62,14 +64,58 @@ def test_enumerate_group_budget():
 
 
 def test_table_matrices_and_cells():
-    kind = parse_kind("gl", 2)
-    table = enumerate_group(kind, 3)
-    for i in range(len(table)):
-        m = table.matrix(i)
-        assert isinstance(m, ExactMatrix)
-        from bruhatkit.cells import bruhat_cell_window
+    # oracle: the field-generic column reduction on ExactMatrix, not the kernel
+    for name, n, q in [("gl", 2, 3), ("gl", 3, 3), ("sp", 4, 3)]:
+        table = enumerate_group(parse_kind(name, n), q)
+        for i in range(len(table)):
+            m = table.matrix(i)
+            assert isinstance(m, ExactMatrix)
+            window = bruhat_cell_window(m)
+            if name == "sp":
+                window = signed_window_from_symmetric(window)
+            assert window == table.cell_windows[i]
 
-        assert bruhat_cell_window(m) == table.cell_windows[i]
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sp", 4, 3)])
+def test_table_jordan_types_match_exact_oracle(name, n, q):
+    table = enumerate_group(parse_kind(name, n), q)
+    assert table.unipotent_count() == q ** (2 * table.kind.num_positive_roots())
+    for i, jt in table.unipotent_types.items():
+        assert jordan_type(table.matrix(i)) == jt
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_kernel_ranks_match_exact_rank(p, n):
+    rng = np.random.default_rng(1000 * n + p % 1000)
+    stack = rng.integers(0, p, size=(120, n, n))
+    # make most of them singular: a row becomes a combination of two others,
+    # or zero, in some matrices more than once
+    for _ in range(3):
+        picks = rng.random(len(stack)) < 0.6
+        i, a, b = rng.integers(0, n, size=(3, len(stack)))
+        ca, cb = rng.integers(0, p, size=(2, len(stack)))
+        combo = (ca[:, None] * stack[np.arange(len(stack)), a]
+                 + cb[:, None] * stack[np.arange(len(stack)), b]) % p
+        stack[picks, i[picks]] = combo[picks]
+    stack[0] = 0
+    ranks = (_column_pivots(stack, p) >= 0).sum(axis=1)
+    expected = [ExactMatrix(GF(p), m.tolist()).rank() for m in stack]
+    assert ranks.tolist() == expected
+    assert min(expected) == 0 and max(expected) == n and len(set(expected)) > 2
+
+
+def test_kernel_rejects_singular_windows_and_non_unipotent_types():
+    kind = parse_kind("gl", 3)
+    good = np.eye(3, dtype=np.int64)[::-1]
+    singular = np.array([[1, 2, 0], [2, 4, 0], [0, 0, 1]], dtype=np.int64)
+    assert _cell_windows(kind, good[None], 5) == [(3, 2, 1)]
+    with pytest.raises(SingularMatrixError):
+        _cell_windows(kind, np.stack([good, singular]), 5)
+    unipotent = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
+    assert _jordan_types_mod_p(unipotent[None], 5) == [Partition([3])]
+    with pytest.raises(ValueError):
+        _jordan_types_mod_p(np.stack([unipotent, np.diag([2, 1, 1])]), 5)
 
 
 def test_jordan_type_examples():
@@ -96,14 +142,17 @@ def test_jordan_type_is_conjugation_invariant():
     rng = random.Random(9)
     table = enumerate_group(parse_kind("gl", 3), 3)
     unipotent = sorted(table.unipotent_types)
+    picked, conjugates = [], []
     for _ in range(50):
         i = unipotent[rng.randrange(len(unipotent))]
         h = table.mats[rng.randrange(len(table))]
         h_inv = ExactMatrix(GF(3), h.tolist()).inverse()
-        conj = (h @ table.mats[i] % 3) @ np.array(
+        picked.append(i)
+        conjugates.append((h @ table.mats[i] % 3) @ np.array(
             [[int(x) for x in row] for row in h_inv.entries], dtype=np.int64
-        ) % 3
-        assert _jordan_type_mod_p(conj, 3) == table.unipotent_types[i]
+        ) % 3)
+    types = _jordan_types_mod_p(np.stack(conjugates), 3)
+    assert types == [table.unipotent_types[i] for i in picked]
 
 
 def test_steinberg_unipotent_counts():
