@@ -264,17 +264,10 @@ def c_positive_roots(n: int) -> list[tuple]:
     return roots
 
 
-def c_root_negate(root: tuple) -> tuple:
-    return ("n",) + root
-
-
 def _root_coeffs(window: tuple[int, ...], root: tuple) -> list[int]:
     # coefficients of w(root) in the e-basis
     n = len(window)
     coeffs = [0] * (n + 1)
-    if root[0] == "n":
-        inner = _root_coeffs(window, root[1:])
-        return [-c for c in inner]
     if root[0] == "l":
         v = window[root[1] - 1]
         coeffs[abs(v)] = 2 if v > 0 else -2
@@ -311,8 +304,6 @@ def c_root_positions(root: tuple, n: int) -> list[tuple[int, int, int]]:
     """Entry positions (row, col, coefficient) of the nilpotent part of the
     one-parameter subgroup of Sp_2n attached to the root (0-based)."""
     big = 2 * n
-    if root[0] == "n":
-        return [(c, r, v) for (r, c, v) in c_root_positions(root[1:], n)]
     if root[0] == "l":
         i = root[1]
         return [(i - 1, big - i, 1)]

@@ -20,18 +20,25 @@ from .errors import SingularMatrixError
 _MAX_PRIME = 2**31
 
 
+# the first 12 primes as Miller-Rabin witnesses; the least composite that
+# passes all of them is 318_665_857_834_031_151_167_461 (OEIS A014233)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_BOUND = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3_215_031_751 (covers 2^31)."""
+    """Deterministic Miller-Rabin on the first 12 primes, exact for
+    n < PRIME_TEST_BOUND (about 3.2e23)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7):
+    for small in _WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in (2, 3, 5, 7):
+    for base in _WITNESSES:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue
@@ -42,6 +49,19 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, in exact integer arithmetic."""
+    if n < 2 or k == 1:
+        return n
+    # Newton's iteration from above, starting at a power of two >= the root
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 class RationalField:

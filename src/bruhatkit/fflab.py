@@ -34,7 +34,10 @@ batched pivot kernel, _column_pivots, eliminates whole (B, n, n) stacks at
 once: its pivot rows are the Bruhat cell windows, and its pivot counts on
 the powers of g - 1 are the ranks that give Jordan types.  The ExactMatrix
 paths (bruhat_cell_window, jordan_type, ExactMatrix.rank) share no code
-with it and serve as its oracles in the tests.
+with it and serve as its oracles in the tests.  Every group is built from
+one-parameter root subgroups by one set of helpers (_roots, _root_family,
+_root_grid, _torus): the generators, B(F_q), the unipotent census seeds and
+the free part of each cell.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from .cells import (
     DEFAULT_CELL_BUDGET,
     borel_order,
     c_positive_roots,
-    c_root_element,
-    c_root_negate,
+    c_root_positions,
     gl_free_positions,
     inverted_roots,
     sp_weyl_matrix,
@@ -160,29 +162,13 @@ def _np(m: ExactMatrix) -> np.ndarray:
 
 
 def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
-    """Generating matrices over GF(q): simple transvections both ways for
-    SL, plus one torus generator for GL; one-parameter elements of the
-    simple roots and their negatives for Sp."""
-    n = kind.n
-    if kind.family == "Sp":
-        field = GF(q)
-        m = n // 2
-        simples = [("d", i, i + 1) for i in range(1, m)] + [("l", m)]
-        gens = []
-        for root in simples:
-            gens.append(_np(c_root_element(field, m, root, 1)))
-            gens.append(_np(c_root_element(field, m, c_root_negate(root), 1)))
-        return gens
+    """Generating matrices over GF(q): the root elements x_a(1) and x_-a(1)
+    of each simple root a, plus one torus generator for GL."""
     gens = []
-    for i in range(n - 1):
-        x = np.eye(n, dtype=np.int64)
-        x[i, i + 1] = 1
-        gens.append(x)
-        y = np.eye(n, dtype=np.int64)
-        y[i + 1, i] = 1
-        gens.append(y)
+    for root in _simple_roots(kind):
+        gens += [_root_family(kind.n, root, q)[1], _root_family(kind.n, _negative(root), q)[1]]
     if kind.family == "GL" and q > 2:
-        h = np.eye(n, dtype=np.int64)
+        h = np.eye(kind.n, dtype=np.int64)
         h[0, 0] = _primitive_root(q)
         gens.append(h)
     return gens
@@ -232,27 +218,26 @@ def _conjugation_moves(gens: list[np.ndarray], p: int):
     return [lambda batch, g=g, ginv=_inv_mod_p(g, p): (g @ batch % p) @ ginv % p for g in gens]
 
 
-def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> tuple[np.ndarray, dict[bytes, int]]:
+def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
     n = gens[0].shape[0]
     moves = [lambda batch, g=g: batch @ g % p for g in gens]
-    index = _closure(np.eye(n, dtype=np.int64)[None], moves, limit=limit, phase="group closure")
-    return _from_keys(index, (n, n)).copy(), index
+    seen = _closure(np.eye(n, dtype=np.int64)[None], moves, limit=limit, phase="group closure")
+    return _from_keys(seen, (n, n)).copy()
 
 
 class FiniteGroupTable:
     """The fully enumerated group with per-element cell and unipotent data.
 
-    ``mats`` is an (N, n, n) int64 array of residues; ``index`` maps entry
-    bytes to row numbers; ``cell_windows[i]`` is the (signed, for Sp) window
-    of the Bruhat cell of element i; ``unipotent_types`` maps the indices of
-    unipotent elements to their Jordan types.
+    ``mats`` is an (N, n, n) int64 array of residues; ``cell_windows[i]`` is
+    the (signed, for Sp) window of the Bruhat cell of element i;
+    ``unipotent_types`` maps the indices of unipotent elements to their
+    Jordan types.
     """
 
-    def __init__(self, kind: GroupKind, q: int, mats, index, cell_windows, unipotent_types):
+    def __init__(self, kind: GroupKind, q: int, mats, cell_windows, unipotent_types):
         self.kind = kind
         self.q = q
         self.mats = mats
-        self.index = index
         self.cell_windows = cell_windows
         self.unipotent_types = unipotent_types
 
@@ -280,7 +265,7 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
             required=expected,
             budget=budget,
         )
-    mats, index = _mulclose(group_generators(kind, q), q, budget)
+    mats = _mulclose(group_generators(kind, q), q, budget)
     if len(mats) != expected:
         raise IntegrityError(f"enumerated {len(mats)} elements of {kind}/GF({q}), formula gives {expected}")
     cell_windows = []
@@ -288,7 +273,7 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
         cell_windows += _cell_windows(kind, mats[start:start + _CHUNK], q)
     unipotent = np.nonzero(_unipotent_mask(mats, q))[0]
     types = _jordan_types_mod_p(mats[unipotent], q)
-    return FiniteGroupTable(kind, q, mats, index, cell_windows, dict(zip(unipotent.tolist(), types)))
+    return FiniteGroupTable(kind, q, mats, cell_windows, dict(zip(unipotent.tolist(), types)))
 
 
 def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
@@ -330,7 +315,7 @@ def _cell_windows(kind: GroupKind, stack: np.ndarray, q: int) -> list[tuple[int,
     pivots = _column_pivots(stack, q)
     if (pivots < 0).any():
         raise SingularMatrixError("a singular matrix: some column has no unused nonzero pivot")
-    distinct, inverse = np.unique(pivots + 1, axis=0, return_inverse=True)
+    distinct, inverse = _distinct_rows(pivots + 1)
     windows = [tuple(w) for w in distinct.tolist()]
     if kind.family == "Sp":
         signed = [signed_window_from_symmetric(w) for w in windows]
@@ -338,7 +323,7 @@ def _cell_windows(kind: GroupKind, stack: np.ndarray, q: int) -> list[tuple[int,
             outside = windows[signed.index(None)]
             raise IntegrityError(f"symplectic element in GL cell {outside}, outside the embedded group")
         windows = signed
-    return [windows[i] for i in inverse.reshape(-1).tolist()]
+    return [windows[i] for i in inverse.tolist()]
 
 
 def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
@@ -353,10 +338,24 @@ def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
     ranks = (_column_pivots(np.concatenate(powers), p) >= 0).sum(axis=1).reshape(n, count).T
     if ranks[:, -1].any():
         raise ValueError("matrix is not unipotent mod p")
-    distinct, inverse = np.unique(ranks, axis=0, return_inverse=True)
+    distinct, inverse = _distinct_rows(ranks)
     types = [Partition(a - b for a, b in zip([n] + row, row) if a != b).conjugate()
              for row in distinct.tolist()]
-    return [types[i] for i in inverse.reshape(-1).tolist()]
+    return [types[i] for i in inverse.tolist()]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (B, n) array with entries in 0..n, in
+    lexicographic order, and for each row the index of its distinct row.
+
+    Each row is read as one base-(n + 1) integer, so a 1-D np.unique does the
+    work.  The code is exact in int64 for every n the budgets admit:
+    (n + 1)^n < 2^63 holds up to n = 15.
+    """
+    n = rows.shape[1]
+    codes = rows @ (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 def jordan_type(g: ExactMatrix) -> Partition:
@@ -388,62 +387,77 @@ def _check_prime(q: int):
 
 
 # ---------------------------------------------------------------------------
-# Borel and cell grids (numpy, built by batched expansion)
+# Root subgroups, Borel and cell grids (numpy)
+#
+# A root is a tuple of entry positions (row, col, coeff), 0-based: x_a(t) is
+# the identity plus t * coeff at each of them.  GL and SL use one position
+# per root, Sp the positions of cells.c_root_positions; a negative root is
+# the same positions transposed.
 
 _BOREL_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _expand(grid: np.ndarray, factors: list[np.ndarray], p: int) -> np.ndarray:
-    stack = np.stack(factors)
-    out = grid[:, None] @ stack[None, :]
+def _roots(kind: GroupKind) -> list[tuple]:
+    """The positive roots of the group, in the order the grids multiply them."""
+    if kind.family == "Sp":
+        m = kind.n // 2
+        return [tuple(c_root_positions(root, m)) for root in c_positive_roots(m)]
+    return [((i, j, 1),) for i in range(kind.n) for j in range(i + 1, kind.n)]
+
+
+def _simple_roots(kind: GroupKind) -> list[tuple]:
+    if kind.family == "Sp":
+        m = kind.n // 2
+        simples = [("d", i, i + 1) for i in range(1, m)] + [("l", m)]
+        return [tuple(c_root_positions(root, m)) for root in simples]
+    return [((i, i + 1, 1),) for i in range(kind.n - 1)]
+
+
+def _negative(root: tuple) -> tuple:
+    return tuple((c, r, v) for r, c, v in root)
+
+
+def _root_family(n: int, root: tuple, q: int) -> np.ndarray:
+    """The (q, n, n) stack of x_root(t) for t = 0..q-1."""
+    family = np.tile(np.eye(n, dtype=np.int64), (q, 1, 1))
+    t = np.arange(q, dtype=np.int64)
+    for r, c, v in root:
+        family[:, r, c] = t * v % q
+    return family
+
+
+def _root_grid(grid: np.ndarray, roots: list[tuple], q: int) -> np.ndarray:
+    """Every product g * x_1(t_1) * ... * x_k(t_k) of a grid element and one
+    element of each root subgroup in turn, g outermost and t_k innermost."""
     n = grid.shape[1]
-    return (out % p).reshape(-1, n, n)
+    for root in roots:
+        grid = (grid[:, None] @ _root_family(n, root, q)[None]).reshape(-1, n, n) % q
+    return grid
 
 
-def _transvection_family(n: int, i: int, j: int, q: int) -> list[np.ndarray]:
-    mats = []
-    for t in range(q):
-        x = np.eye(n, dtype=np.int64)
-        x[i, j] = t
-        mats.append(x)
-    return mats
+def _torus(kind: GroupKind, q: int) -> np.ndarray:
+    """The diagonal elements of the group: all of them for GL, those of det 1
+    for SL, and diag(d, reversed(d)^-1) for Sp."""
+    n = kind.n
+    if kind.family == "Sp":
+        diags = [d + tuple(pow(x, -1, q) for x in reversed(d))
+                 for d in itertools.product(range(1, q), repeat=n // 2)]
+    else:
+        diags = [d for d in itertools.product(range(1, q), repeat=n)
+                 if kind.family == "GL" or math.prod(d) % q == 1]
+    torus = np.zeros((len(diags), n, n), dtype=np.int64)
+    torus[:, np.arange(n), np.arange(n)] = diags
+    return torus
 
 
 def borel_grid(kind: GroupKind, q: int) -> np.ndarray:
-    """Every element of B(F_q) for this group, each exactly once."""
+    """Every element of B(F_q) for this group, each exactly once: the torus
+    times the product of the positive root subgroups."""
     key = (kind.family, kind.n, q)
     cached = _BOREL_CACHE.get(key)
     if cached is not None:
         return cached
-    n = kind.n
-    if kind.family in ("GL", "SL"):
-        diags = []
-        for diag in itertools.product(range(1, q), repeat=n):
-            if kind.family == "SL":
-                det = 1
-                for d in diag:
-                    det = det * d % q
-                if det != 1:
-                    continue
-            diags.append(np.diag(np.array(diag, dtype=np.int64)))
-        grid = np.stack(diags)
-        for i in range(n):
-            for j in range(i + 1, n):
-                grid = _expand(grid, _transvection_family(n, i, j, q), q)
-    else:
-        m = n // 2
-        field = GF(q)
-        toruses = []
-        for diag in itertools.product(range(1, q), repeat=m):
-            t = np.zeros((n, n), dtype=np.int64)
-            for i, d in enumerate(diag):
-                t[i, i] = d
-                t[n - 1 - i, n - 1 - i] = pow(d, -1, q)
-            toruses.append(t)
-        grid = np.stack(toruses)
-        for root in c_positive_roots(m):
-            family = [_np(c_root_element(field, m, root, t)) for t in range(q)]
-            grid = _expand(grid, family, q)
+    grid = _root_grid(_torus(kind, q), _roots(kind), q)
     expected = kind.borel_order(q)
     if len(grid) != expected:
         raise IntegrityError(f"Borel grid of {kind}/GF({q}) has {len(grid)} != {expected} elements")
@@ -452,33 +466,28 @@ def borel_grid(kind: GroupKind, q: int) -> np.ndarray:
 
 
 def _cell_unipotent_prefix(kind: GroupKind, w, q: int) -> np.ndarray:
-    """The q^length(w) products u * w_rep parametrizing the cell's free part."""
+    """The q^length(w) products u * w_rep parametrizing the cell's free part,
+    u running over the product of the root subgroups that w inverts.  For SL
+    the representative is made det 1, so the SL Borel completes the cell."""
     n = kind.n
     if kind.family == "Sp":
-        field = GF(q)
-        m = n // 2
-        w_rep = _np(sp_weyl_matrix(w, field))
-        grid = w_rep[None, :]
-        for root in reversed(inverted_roots(w)):
-            family = [_np(c_root_element(field, m, root, t)) for t in range(q)]
-            grid = (np.stack(family)[None, :] @ grid[:, None]).reshape(-1, n, n) % q
-        return grid
-    window = w.window
-    w_rep = np.zeros((n, n), dtype=np.int64)
-    for j, image in enumerate(window):
-        w_rep[image - 1, j] = 1
-    grid = w_rep[None, :]
-    for i, j in reversed(gl_free_positions(window)):
-        family = _transvection_family(n, i, j, q)
-        grid = (np.stack(family)[None, :] @ grid[:, None]).reshape(-1, n, n) % q
-    return grid
+        inverted = [tuple(c_root_positions(root, n // 2)) for root in inverted_roots(w)]
+        w_rep = _np(sp_weyl_matrix(w, GF(q)))
+    else:
+        inverted = [((i, j, 1),) for i, j in gl_free_positions(w.window)]
+        w_rep = np.zeros((n, n), dtype=np.int64)
+        w_rep[np.array(w.window) - 1, np.arange(n)] = 1
+        if kind.family == "SL" and w.length() % 2:
+            # det(w_rep) = sign(w) = -1: negate column 0
+            w_rep[w.window[0] - 1, 0] = q - 1
+    return _root_grid(np.eye(n, dtype=np.int64)[None], inverted, q) @ w_rep % q
 
 
 def scan_cell(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
     """Stream the cell of w in this group as numpy batches.
 
     Uses the normal form u * w_rep * b, so every group element of the cell
-    appears exactly once; for SL the Borel grid is already det-filtered.
+    appears exactly once.
     """
     _check_prime(q)
     if w.spec != kind.weyl_spec:
@@ -492,23 +501,7 @@ def scan_cell(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET
             budget=cell_budget,
         )
     uw = _cell_unipotent_prefix(kind, w, q)
-    if kind.family == "SL":
-        # the SL cell is the GL cell cut by det = 1: u * w_rep has
-        # determinant sign(w), so keep GL Borel elements cancelling it
-        gl_kind = GroupKind("GL", kind.n)
-        if gl_kind.borel_order(q) > cell_budget:
-            raise BudgetError(
-                f"the GL Borel grid behind this SL scan holds {gl_kind.borel_order(q)} "
-                f"elements, over budget {cell_budget}",
-                required=gl_kind.borel_order(q),
-                budget=cell_budget,
-            )
-        borel = borel_grid(gl_kind, q)
-        sign = _perm_sign(w.window)
-        dets = _triangular_dets(borel, q)
-        borel = borel[dets == sign % q]
-    else:
-        borel = borel_grid(kind, q)
+    borel = borel_grid(kind, q)
     if len(uw) * len(borel) != total:
         raise IntegrityError(
             f"cell grid of {w} has {len(uw) * len(borel)} elements, formula gives {total}"
@@ -518,23 +511,6 @@ def scan_cell(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET
         block = uw[start:start + per]
         prods = (block[:, None] @ borel[None, :]) % q
         yield prods.reshape(-1, kind.n, kind.n)
-
-
-def _perm_sign(window) -> int:
-    sign = 1
-    n = len(window)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if window[i] > window[j]:
-                sign = -sign
-    return sign
-
-
-def _triangular_dets(grid: np.ndarray, p: int) -> np.ndarray:
-    dets = np.ones(len(grid), dtype=np.int64)
-    for i in range(grid.shape[1]):
-        dets = dets * grid[:, i, i] % p
-    return dets
 
 
 def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
@@ -605,37 +581,20 @@ def borel_centralizer_order(kind: GroupKind, q: int, g: np.ndarray) -> int:
 def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     """Generators of B(F_q): torus generators plus simple root elements."""
     n = kind.n
-    gamma = _primitive_root(q)
     gens = []
-    if kind.family == "Sp":
-        m = n // 2
-        field = GF(q)
-        if q > 2:
-            for i in range(m):
-                t = np.eye(n, dtype=np.int64)
-                t[i, i] = gamma
-                t[n - 1 - i, n - 1 - i] = pow(gamma, -1, q)
-                gens.append(t)
-        for root in [("d", i, i + 1) for i in range(1, m)] + [("l", m)]:
-            gens.append(_np(c_root_element(field, m, root, 1)))
-        return gens
     if q > 2:
-        if kind.family == "GL":
-            for i in range(n):
-                t = np.eye(n, dtype=np.int64)
-                t[i, i] = gamma
-                gens.append(t)
-        else:
-            for i in range(n - 1):
-                t = np.eye(n, dtype=np.int64)
-                t[i, i] = gamma
-                t[i + 1, i + 1] = pow(gamma, -1, q)
-                gens.append(t)
-    for i in range(n - 1):
-        x = np.eye(n, dtype=np.int64)
-        x[i, i + 1] = 1
-        gens.append(x)
-    return gens
+        gamma = _primitive_root(q)
+        # gamma at i, and gamma^-1 at j where the group needs it
+        slots = {"GL": [(i, None) for i in range(n)],
+                 "SL": [(i, i + 1) for i in range(n - 1)],
+                 "Sp": [(i, n - 1 - i) for i in range(n // 2)]}[kind.family]
+        for i, j in slots:
+            t = np.eye(n, dtype=np.int64)
+            t[i, i] = gamma
+            if j is not None:
+                t[j, j] = pow(gamma, -1, q)
+            gens.append(t)
+    return gens + [_root_family(n, root, q)[1] for root in _simple_roots(kind)]
 
 
 def _partition_into_orbits(members: set[bytes], gens: list[np.ndarray], p: int
@@ -802,7 +761,7 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
         b2 = borel[rng.randrange(len(borel))]
         g = table.mats[i]
         moved = (b1 @ g % q) @ b2 % q
-        cell_ok = table.cell_windows[table.index[moved.tobytes()]] == table.cell_windows[i]
+        cell_ok = _cell_windows(kind, moved[None], q)[0] == table.cell_windows[i]
         u = uni[rng.randrange(len(uni))]
         h = table.mats[rng.randrange(len(table))]
         conj = (h @ table.mats[u] % q) @ _inv_mod_p(h, q) % q
@@ -1038,23 +997,6 @@ def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET)
         )
     moves = _conjugation_moves(group_generators(kind, q), q)
     seen: dict[bytes, int] = {}
-    for seed in _full_unipotent_grid(kind, q):
+    for seed in _root_grid(np.eye(kind.n, dtype=np.int64)[None], _roots(kind), q):
         _closure(seed[None], moves, seen=seen)
     return len(seen)
-
-
-def _full_unipotent_grid(kind: GroupKind, q: int) -> np.ndarray:
-    n = kind.n
-    if kind.family == "Sp":
-        m = n // 2
-        field = GF(q)
-        grid = np.eye(n, dtype=np.int64)[None, :]
-        for root in c_positive_roots(m):
-            family = [_np(c_root_element(field, m, root, t)) for t in range(q)]
-            grid = _expand(grid, family, q)
-        return grid
-    grid = np.eye(n, dtype=np.int64)[None, :]
-    for i in range(n):
-        for j in range(i + 1, n):
-            grid = _expand(grid, _transvection_family(n, i, j, q), q)
-    return grid

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import IntegrityError
-from .exact import int_det
+from .exact import PRIME_TEST_BOUND, int_det, integer_root, is_prime
 from .partitions import Partition
 from .polynomial import Poly
 
@@ -524,15 +524,13 @@ def _validate_window(spec: GroupSpec, window: tuple[int, ...]):
 def _check_prime_power(q: int):
     if q < 2:
         raise ValueError("q must be at least 2")
-    p = q
-    for cand in range(2, q):
-        if cand * cand > q:
+    # q = p^k exactly when the root of q of the largest exact degree is prime
+    for k in range(q.bit_length(), 0, -1):
+        root = integer_root(q, k)
+        if root**k == q:
             break
-        if q % cand == 0:
-            p = cand
-            break
-    m = q
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    if root >= PRIME_TEST_BOUND:
+        raise ValueError(f"q = {q}: its root {root} is beyond the exact primality test "
+                         f"(below {PRIME_TEST_BOUND})")
+    if not is_prime(root):
         raise ValueError(f"q = {q} is not a prime power")

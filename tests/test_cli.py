@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,23 @@ def test_order_command(capsys):
     assert rc == 2 and "family A" in err
     rc, _, err = run(capsys, ["order", "A", "2", "--q", "6"])
     assert rc == 2 and "prime power" in err
+
+
+M61 = 2**61 - 1  # a Mersenne prime
+
+
+@pytest.mark.parametrize("q,rc", [
+    (4, 0), (8, 0), (9, 0), (3**20, 0), (M61, 0), (M61**2, 0),
+    (1, 2), (6, 2), (12, 2), (6 * M61, 2),
+    (2**89 - 1, 2),  # prime, but beyond the range is_prime certifies
+])
+def test_order_prime_power_check_is_fast(capsys, q, rc):
+    # trial division took minutes on 2^61 - 1
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["order", "A", "1", "--q", str(q)])
+    assert time.perf_counter() - start < 1.0
+    assert code == rc
+    assert (err == "") == (rc == 0)
 
 
 def test_poincare_command(capsys):

@@ -12,6 +12,7 @@ from bruhatkit.exact import (
     enumerate_matrices,
     int_det,
     int_rank,
+    integer_root,
     is_prime,
     matrix_from_json,
     random_invertible,
@@ -19,10 +20,18 @@ from bruhatkit.exact import (
 
 
 def test_is_prime():
-    primes = [2, 3, 5, 7, 11, 101, 7919, 2**31 - 1]
-    composites = [1, 0, 4, 9, 91, 561, 1105, 2**20]
+    primes = [2, 3, 5, 7, 11, 101, 7919, 2**31 - 1, 2**61 - 1]
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    composites = [1, 0, 4, 9, 91, 561, 1105, 2**20, 3215031751, 3825123056546413051]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_integer_root():
+    for n in list(range(300)) + [3**40 - 1, 3**40, 3**40 + 1, (2**61 - 1) ** 3]:
+        for k in range(1, 8):
+            r = integer_root(n, k)
+            assert r**k <= n < (r + 1) ** k
 
 
 def test_prime_field_validation():

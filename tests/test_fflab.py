@@ -30,7 +30,14 @@ from bruhatkit.fflab import (
 )
 from bruhatkit.partitions import Partition
 from bruhatkit.weyl import GroupSpec, signed_window_from_symmetric
-from bruhatkit.cells import bruhat_cell_window, c_root_element, cell_order, enumerate_cell
+from bruhatkit.cells import (
+    bruhat_cell_window,
+    c_root_element,
+    cell_order,
+    enumerate_cell,
+    gl_borel_matrices,
+    sp_borel_matrices,
+)
 
 
 def test_kind_parsing_and_validation():
@@ -180,6 +187,34 @@ def test_borel_grid_sizes():
         assert len({g.tobytes() for g in grid}) == len(grid)
 
 
+@pytest.mark.parametrize("name,n,oracle", [
+    ("gl", 3, lambda f: gl_borel_matrices(f, 3)),
+    ("sl", 3, lambda f: (b for b in gl_borel_matrices(f, 3) if b.det() == 1)),
+    ("sp", 4, lambda f: sp_borel_matrices(f, 2)),
+])
+def test_borel_grid_matches_exact_borel(name, n, oracle):
+    grid = borel_grid(parse_kind(name, n), 3)
+    expected = {np.array(b.entries, dtype=np.int64).tobytes() for b in oracle(GF(3))}
+    assert len(grid) == len(expected)
+    assert {g.tobytes() for g in grid} == expected
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_sp_root_elements_match_exact_root_elements(n):
+    m = n // 2
+    kind = parse_kind("sp", n)
+    simples = [("d", i, i + 1) for i in range(1, m)] + [("l", m)]
+    for q in (3, 5):
+        field = GF(q)
+        exact = [np.array(c_root_element(field, m, root, 1).entries, dtype=np.int64)
+                 for root in simples]
+        gens = group_generators(kind, q)
+        assert len(gens) == 2 * m
+        for x, pos, neg in zip(exact, gens[::2], gens[1::2]):
+            assert np.array_equal(pos, x) and np.array_equal(neg, x.T)
+        assert all(np.array_equal(g, x) for g, x in zip(borel_generators(kind, q)[-m:], exact))
+
+
 def test_scan_cell_matches_exact_enumeration():
     # the numpy scanner and the exact generator parametrize cells identically
     spec = GroupSpec("A", 2)
@@ -196,21 +231,26 @@ def test_scan_cell_matches_exact_enumeration():
     sp_spec = GroupSpec("BC", 2)
     sp_kind = parse_kind("sp", 4)
     for w in sp_spec.elements():
+        exact_keys = {np.array(g.entries, dtype=np.int64).tobytes() for g in enumerate_cell(w, 2)}
+        numpy_keys = [mat.tobytes() for batch in scan_cell(sp_kind, w, 2) for mat in batch]
+        assert len(numpy_keys) == len(exact_keys) and set(numpy_keys) == exact_keys
         count = sum(len(batch) for batch in scan_cell(sp_kind, w, 3))
         assert count == cell_order(w, 3)
 
 
 def test_scan_cell_sl_det_filter():
-    kind = parse_kind("sl", 2)
-    table = enumerate_group(kind, 3)
-    by_cell = Counter(table.cell_windows)
-    spec = GroupSpec("A", 1)
-    for w in spec.elements():
-        scanned = [mat for batch in scan_cell(kind, w, 3) for mat in batch]
-        assert len(scanned) == by_cell[w.window]
-        keys = {m.tobytes() for m in scanned}
-        assert all(m.tobytes() in table.index for m in scanned)
-        assert len(keys) == len(scanned)
+    # each SL cell, as a set, is the closure's elements with that window;
+    # odd-length cells need the det-1 representative
+    for n, q in [(2, 3), (3, 3)]:
+        kind = parse_kind("sl", n)
+        table = enumerate_group(kind, q)
+        by_cell = {}
+        for mat, window in zip(table.mats, table.cell_windows):
+            by_cell.setdefault(window, set()).add(mat.tobytes())
+        for w in kind.weyl_spec.elements():
+            scanned = [mat.tobytes() for batch in scan_cell(kind, w, q) for mat in batch]
+            assert len(scanned) == len(by_cell[w.window])
+            assert set(scanned) == by_cell[w.window]
 
 
 def test_cell_unipotents_agree_with_table():
@@ -332,12 +372,6 @@ def test_property_d_classes_met_cover_gamma_sp4_f3():
         (2, -1): ((4,), [2880, 2880], Fraction(1, 9)),
         (-1, -2): ((2, 2), [240, 480], Fraction(1, 72)),
     }
-
-
-def test_table_index_matches_rows():
-    table = enumerate_group(parse_kind("sl", 2), 5)
-    assert len(table.index) == len(table) == 120
-    assert all(table.index[table.mats[i].tobytes()] == i for i in range(len(table)))
 
 
 def test_partition_into_orbits_rejects_an_unstable_set():
