@@ -18,7 +18,6 @@ from .exact import GF, QQ, ExactMatrix, matrix_from_json
 from .fflab import (
     FiniteGroupTable,
     GroupKind,
-    cell_unipotents,
     count_unipotents,
     enumerate_group,
     jordan_type,
@@ -59,7 +58,6 @@ __all__ = [
     "WeylElement",
     "bruhat_cell_rank_profile",
     "bruhat_decompose",
-    "cell_unipotents",
     "chevalley_order",
     "conjugacy_classes",
     "count_unipotents",

@@ -413,7 +413,8 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
 
     Type A yields GL matrices, type BC symplectic ones.  Elements come out
     as u * w_rep * b with u running over the free unipotent coordinates
-    (one per positive root inverted by w) and b over the whole Borel.
+    (one per positive root inverted by w) and b over the whole Borel, which
+    is streamed once: the q^length(w) <= sqrt(budget) prefixes are kept.
     """
     field = PrimeField(q)
     size = cell_order(w, q)
@@ -429,24 +430,27 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
         free = gl_free_positions(w.window)
         if len(free) != w.length():
             raise IntegrityError(f"{w}: {len(free)} free positions for length {w.length()}")
+        prefixes = []
         for params in itertools.product(range(q), repeat=len(free)):
             mat = [list(row) for row in ExactMatrix.identity(field, n).entries]
             for (i, j), t in zip(free, params):
                 mat[i][j] = t
-            uw = ExactMatrix(field, mat) * w_rep
-            for b in gl_borel_matrices(field, n):
-                yield uw * b
+            prefixes.append(ExactMatrix(field, mat) * w_rep)
+        borel = gl_borel_matrices(field, n)
     elif w.spec.family == "BC":
         n = w.spec.rank
         w_rep = sp_weyl_matrix(w, field)
         free = inverted_roots(w)
+        prefixes = []
         for params in itertools.product(range(q), repeat=len(free)):
             u = ExactMatrix.identity(field, 2 * n)
             for root, t in zip(free, params):
                 if t:
                     u = u * c_root_element(field, n, root, t)
-            uw = u * w_rep
-            for b in sp_borel_matrices(field, n):
-                yield uw * b
+            prefixes.append(u * w_rep)
+        borel = sp_borel_matrices(field, n)
     else:
         raise ValueError("no matrix group wired for family D")
+    for b in borel:
+        for uw in prefixes:
+            yield uw * b

@@ -179,15 +179,23 @@ def _dispatch(args) -> int:
 
 
 def _load_matrix(text: str):
-    if text == "-":
-        return matrix_from_json(json.load(sys.stdin))
-    if text.lstrip().startswith("{"):
-        return matrix_from_json(json.loads(text))
-    path = Path(text)
-    if path.is_file():
-        with path.open() as fh:
-            return matrix_from_json(json.load(fh))
-    raise ValueError(f"matrix argument {text!r} is neither inline JSON nor an existing file")
+    """The matrix an argument names: - for stdin, inline JSON or a file path."""
+    try:
+        if text == "-":
+            obj = json.load(sys.stdin)
+        elif text.lstrip().startswith(("{", "[")):
+            obj = json.loads(text)
+        elif os.path.isfile(text):
+            with open(text) as fh:
+                obj = json.load(fh)
+        else:
+            raise ValueError(f"matrix argument {text!r} is neither inline JSON nor an existing file")
+    except RecursionError:
+        raise ValueError("matrix JSON is nested too deeply") from None
+    g = matrix_from_json(obj)
+    if min(g.rows, g.cols) < 2:
+        raise ValueError(f"the Bruhat commands need a matrix of size at least 2, got {g.rows}x{g.cols}")
+    return g
 
 
 def _parse_window(text: str) -> tuple[int, ...]:

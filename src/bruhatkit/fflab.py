@@ -36,8 +36,17 @@ the powers of g - 1 are the ranks that give Jordan types.  The ExactMatrix
 paths (bruhat_cell_window, jordan_type, ExactMatrix.rank) share no code
 with it and serve as its oracles in the tests.  Every group is built from
 one-parameter root subgroups by one set of helpers (_roots, _root_family,
-_root_grid, _torus): the generators, B(F_q), the unipotent census seeds and
-the free part of each cell.
+_torus): the generators of G, B and B_w, and B(F_q) itself.
+
+No cell is built whole.  Each g in BwB is u w_rep b for one u in U_w (the
+product of the root subgroups that w inverts) and one b in B, and u^-1 g u =
+w_rep (b u).  So (u, x) -> u x u^-1 is a bijection from U_w x w_rep B onto
+BwB: each Jordan type occurs q^length(w) times as often in the cell as in
+the slice w_rep * B.  For property (d), let B_w = B ∩ w_rep B w_rep^-1, of
+order |B| / q^length(w).  By the uniqueness of u, slice elements that are
+B-conjugate are B_w-conjugate and Z_B(x) = Z_{B_w}(x) on the slice, so each
+B-orbit of gamma ∩ BwB meets the slice in one B_w-orbit, q^length(w) times
+smaller, with the same centralizers in B and in G.
 """
 
 from __future__ import annotations
@@ -56,8 +65,6 @@ from .cells import (
     borel_order,
     c_positive_roots,
     c_root_positions,
-    gl_free_positions,
-    inverted_roots,
     sp_weyl_matrix,
 )
 from .errors import BudgetError, IntegrityError, SingularMatrixError
@@ -174,16 +181,16 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens
 
 
-def _closure(seeds: np.ndarray, moves, seen: dict[bytes, int] | None = None,
-             limit: int | None = None, phase: str = "closure") -> dict[bytes, int]:
+def _closure(seeds: np.ndarray, moves, limit: int | None = None,
+             phase: str = "closure") -> dict[bytes, int]:
     """Breadth-first closure of a (k, n, n) stack of seeds under the moves.
 
     Each move maps a (k, n, n) stack to its images mod p.  Keys are the entry
-    bytes of each element, values the order in which the BFS found them; pass
-    ``seen`` to grow one dict over several calls.  With ``limit``, holding
-    more elements than that raises a BudgetError naming the phase.
+    bytes of each element, values the order in which the BFS found them.
+    With ``limit``, holding more elements than that raises a BudgetError
+    naming the phase.
     """
-    seen = {} if seen is None else seen
+    seen: dict[bytes, int] = {}
     shape = seeds.shape[1:]
     stacks = [seeds]
     while True:
@@ -426,15 +433,6 @@ def _root_family(n: int, root: tuple, q: int) -> np.ndarray:
     return family
 
 
-def _root_grid(grid: np.ndarray, roots: list[tuple], q: int) -> np.ndarray:
-    """Every product g * x_1(t_1) * ... * x_k(t_k) of a grid element and one
-    element of each root subgroup in turn, g outermost and t_k innermost."""
-    n = grid.shape[1]
-    for root in roots:
-        grid = (grid[:, None] @ _root_family(n, root, q)[None]).reshape(-1, n, n) % q
-    return grid
-
-
 def _torus(kind: GroupKind, q: int) -> np.ndarray:
     """The diagonal elements of the group: all of them for GL, those of det 1
     for SL, and diag(d, reversed(d)^-1) for Sp."""
@@ -457,7 +455,10 @@ def borel_grid(kind: GroupKind, q: int) -> np.ndarray:
     cached = _BOREL_CACHE.get(key)
     if cached is not None:
         return cached
-    grid = _root_grid(_torus(kind, q), _roots(kind), q)
+    n = kind.n
+    grid = _torus(kind, q)
+    for root in _roots(kind):
+        grid = (grid[:, None] @ _root_family(n, root, q)[None]).reshape(-1, n, n) % q
     expected = kind.borel_order(q)
     if len(grid) != expected:
         raise IntegrityError(f"Borel grid of {kind}/GF({q}) has {len(grid)} != {expected} elements")
@@ -465,52 +466,21 @@ def borel_grid(kind: GroupKind, q: int) -> np.ndarray:
     return grid
 
 
-def _cell_unipotent_prefix(kind: GroupKind, w, q: int) -> np.ndarray:
-    """The q^length(w) products u * w_rep parametrizing the cell's free part,
-    u running over the product of the root subgroups that w inverts.  For SL
-    the representative is made det 1, so the SL Borel completes the cell."""
-    n = kind.n
-    if kind.family == "Sp":
-        inverted = [tuple(c_root_positions(root, n // 2)) for root in inverted_roots(w)]
-        w_rep = _np(sp_weyl_matrix(w, GF(q)))
-    else:
-        inverted = [((i, j, 1),) for i, j in gl_free_positions(w.window)]
-        w_rep = np.zeros((n, n), dtype=np.int64)
-        w_rep[np.array(w.window) - 1, np.arange(n)] = 1
-        if kind.family == "SL" and w.length() % 2:
-            # det(w_rep) = sign(w) = -1: negate column 0
-            w_rep[w.window[0] - 1, 0] = q - 1
-    return _root_grid(np.eye(n, dtype=np.int64)[None], inverted, q) @ w_rep % q
-
-
-def scan_cell(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
-    """Stream the cell of w in this group as numpy batches.
-
-    Uses the normal form u * w_rep * b, so every group element of the cell
-    appears exactly once.
-    """
-    _check_prime(q)
+def _weyl_rep(kind: GroupKind, w, q: int) -> np.ndarray:
+    """The representative of w in the group: the 0/1 permutation matrix for
+    GL, the same with column 0 negated for odd length in SL (det 1), and the
+    J-compatible signed monomial matrix for Sp."""
     if w.spec != kind.weyl_spec:
         raise ValueError(f"{w} indexes cells of {w.spec}, not of {kind}")
-    # closed-form size check before any grid is materialized
-    total = q ** w.length() * kind.borel_order(q)
-    if total > cell_budget:
-        raise BudgetError(
-            f"cell of {w} in {kind}/GF({q}) has {total} elements, over budget {cell_budget}",
-            required=total,
-            budget=cell_budget,
-        )
-    uw = _cell_unipotent_prefix(kind, w, q)
-    borel = borel_grid(kind, q)
-    if len(uw) * len(borel) != total:
-        raise IntegrityError(
-            f"cell grid of {w} has {len(uw) * len(borel)} elements, formula gives {total}"
-        )
-    per = max(1, _CHUNK // max(1, len(borel)))
-    for start in range(0, len(uw), per):
-        block = uw[start:start + per]
-        prods = (block[:, None] @ borel[None, :]) % q
-        yield prods.reshape(-1, kind.n, kind.n)
+    n = kind.n
+    if kind.family == "Sp":
+        return _np(sp_weyl_matrix(w, GF(q)))
+    rep = np.zeros((n, n), dtype=np.int64)
+    rep[np.array(w.window) - 1, np.arange(n)] = 1
+    if kind.family == "SL" and w.length() % 2:
+        # det(rep) = sign(w) = -1: negate column 0
+        rep[w.window[0] - 1, 0] = q - 1
+    return rep
 
 
 def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
@@ -525,23 +495,23 @@ def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
     return (power == 0).all(axis=(1, 2))
 
 
-def _cell_unipotent_batches(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
-    """Per batch of the cell scan: its unipotent elements and their Jordan types."""
-    for batch in scan_cell(kind, w, q, cell_budget=cell_budget):
-        hits = batch[_unipotent_mask(batch, q)]
-        yield hits, _jordan_types_mod_p(hits, q)
-
-
-def cell_unipotents(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET
-                    ) -> list[tuple[ExactMatrix, Partition]]:
-    """All unipotent elements of the cell of w with their Jordan types, via
-    the cell parametrization (no whole-group scan)."""
-    field = GF(q)
-    return [
-        (ExactMatrix(field, mat.tolist()), jt)
-        for hits, types in _cell_unipotent_batches(kind, w, q, cell_budget=cell_budget)
-        for mat, jt in zip(hits, types)
-    ]
+def _slice_unipotents(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
+    """Per _CHUNK batch of the slice w_rep * B of the cell of w: its
+    unipotent elements.  The cell budget bounds the |B| matrices built."""
+    _check_prime(q)
+    rep = _weyl_rep(kind, w, q)
+    size = kind.borel_order(q)
+    if size > cell_budget:
+        raise BudgetError(
+            f"cell scan of {w} in {kind}/GF({q}) builds |B| = {size} matrices, "
+            f"over budget {cell_budget}",
+            required=size,
+            budget=cell_budget,
+        )
+    borel = borel_grid(kind, q)
+    for start in range(0, len(borel), _CHUNK):
+        batch = rep @ borel[start:start + _CHUNK] % q
+        yield batch[_unipotent_mask(batch, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +567,23 @@ def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens + [_root_family(n, root, q)[1] for root in _simple_roots(kind)]
 
 
-def _partition_into_orbits(members: set[bytes], gens: list[np.ndarray], p: int
-                           ) -> list[dict[bytes, int]]:
+def _slice_borel_generators(kind: GroupKind, w, q: int) -> list[np.ndarray]:
+    """Generators of B_w = B ∩ w_rep B w_rep^-1: the torus generators of B and
+    x_b(1) for each positive root b with w_rep^-1 x_b(1) w_rep = w_rep^T x_b(1)
+    w_rep upper triangular."""
+    rep = _weyl_rep(kind, w, q)
+    torus = [g for g in borel_generators(kind, q) if not np.triu(g, 1).any()]
+    return torus + [x for x in (_root_family(kind.n, root, q)[1] for root in _roots(kind))
+                    if not np.tril(rep.T @ x @ rep % q, -1).any()]
+
+
+def _partition_into_orbits(members: set[bytes], gens: list[np.ndarray], p: int,
+                           shape: tuple[int, int]) -> list[dict[bytes, int]]:
     """Split a conjugation-stable set of entry-bytes keys into orbits under
     the generated group.  Each orbit is grown from the least key not yet
     placed, so the orbits come in order of their least key, which is also
-    the first key of each."""
+    the first key of each.  With no generators every key is its own orbit."""
     moves = _conjugation_moves(gens, p)
-    shape = gens[0].shape
     unseen = set(members)
     orbits = []
     while unseen:
@@ -635,10 +614,10 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     is the same for every w in C_min.
 
     Small groups are enumerated outright (method "table"); larger ones are
-    checked through the cell parametrization of the minimal cells alone
-    (method "cells"), which keeps runs like Sp_4 over GF(5) feasible.  The
-    unipotent census then comes from the Sylow-orbit count; the whole-group
-    order check is reported as skipped rather than pretended.
+    checked on the slices w_rep * B of the minimal cells alone (method
+    "cells"), which keeps runs like Sp_4 over GF(5) feasible.  The unipotent
+    census then comes from the slices of all of W; the whole-group order
+    check is reported as skipped rather than pretended.
     """
     _check_prime(q)
     if method not in ("auto", "table", "cells"):
@@ -673,8 +652,8 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         )
 
         type_sets = {
-            w.window: {jt for _, types in _cell_unipotent_batches(kind, w, q, cell_budget=cell_budget)
-                       for jt in types}
+            w.window: {jt for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget)
+                       for jt in _jordan_types_mod_p(hits, q)}
             for w in needed
         }
 
@@ -779,9 +758,7 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, seed: int,
     samples = []
     for cls in classes:
         for w in sorted(cls.min_elements, key=lambda w: w.window):
-            for batch in scan_cell(kind, w, q, cell_budget=cell_budget):
-                mask = _unipotent_mask(batch, q)
-                hits = batch[mask]
+            for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
                 if len(hits):
                     samples.append((w.window, hits[0]))
                     break
@@ -871,7 +848,8 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
     """Scan gamma ∩ BwB for every elliptic class and minimal-length w at each
     prime: its B(F_q)-orbits, their centralizer orders in G and in B, and the
     G(F_q)-classes it meets.  One prime suffices here; the report compares
-    two or more."""
+    two or more.  Only gamma ∩ w_rep B is built, split into B_w-orbits (see
+    the module docstring)."""
     if kind.family == "GL":
         raise ValueError(
             "the centralizer-dimension statement is about semisimple groups; "
@@ -894,16 +872,19 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
             per_q, class_sizes = [], []
             for q in qs:
                 members = set()
-                for hits, types in _cell_unipotent_batches(kind, w, q, cell_budget=cell_budget):
+                for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
+                    types = _jordan_types_mod_p(hits, q)
                     members.update(_keys(hits[[t == target for t in types]]))
-                orbits = _partition_into_orbits(members, borel_generators(kind, q), q)
+                orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q,
+                                                shape)
                 reps = [_from_keys([next(iter(orbit))], shape)[0] for orbit in orbits]
                 zg, sizes = _classes_met(kind, q, reps)
+                scale = q ** w.length()
                 per_q.append({
                     "q": q,
-                    "intersection_size": len(members),
+                    "intersection_size": scale * len(members),
                     "orbit_count": len(orbits),
-                    "orbit_sizes": sorted(len(o) for o in orbits),
+                    "orbit_sizes": sorted(scale * len(o) for o in orbits),
                     "zg": sorted(zg),
                     "zb": sorted(borel_centralizer_order(kind, q, rep) for rep in reps),
                 })
@@ -982,21 +963,18 @@ def verify_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bo
 def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Exact number of unipotent elements of G(F_q), without enumerating G.
 
-    Every unipotent lies in a conjugate of the full unipotent upper
-    triangular subgroup (Sylow), so the union of the conjugation orbits of
-    that subgroup's elements is the whole unipotent set.
+    G is the disjoint union of its cells, and the cell of w holds
+    q^length(w) conjugates of each unipotent element of its slice w_rep * B,
+    so the census scans |W| * |B| matrices; the budget bounds that number.
     """
     _check_prime(q)
-    expected_bound = q ** (2 * kind.num_positive_roots())
-    if expected_bound > budget:
+    scanned = kind.weyl_spec.order() * kind.borel_order(q)
+    if scanned > budget:
         raise BudgetError(
-            f"unipotent census of {kind}/GF({q}) holds {expected_bound} elements, "
+            f"unipotent census of {kind}/GF({q}) scans |W| * |B| = {scanned} matrices, "
             f"over budget {budget}",
-            required=expected_bound,
+            required=scanned,
             budget=budget,
         )
-    moves = _conjugation_moves(group_generators(kind, q), q)
-    seen: dict[bytes, int] = {}
-    for seed in _root_grid(np.eye(kind.n, dtype=np.int64)[None], _roots(kind), q):
-        _closure(seed[None], moves, seen=seen)
-    return len(seen)
+    return sum(q ** w.length() * len(hits) for w in kind.weyl_spec.elements()
+               for hits in _slice_unipotents(kind, w, q, cell_budget=budget))

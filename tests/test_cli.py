@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -150,6 +151,38 @@ def test_decompose_rejects_malformed_entries(field, entries):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+ONE_BY_ONE = json.dumps({"field": "Q", "rows": 1, "cols": 1, "entries": [[2]]})
+
+
+@pytest.mark.parametrize("args,message", [
+    (["decompose", "[[1,0],[0,1]]"], "matrix JSON must be an object"),
+    (["decompose", ONE_BY_ONE], "need a matrix of size at least 2, got 1x1"),
+    (["relpos", ONE_BY_ONE, ONE_BY_ONE], "need a matrix of size at least 2, got 1x1"),
+    # a name too long for the file system is no file either
+    (["decompose", "a" * 300], "neither inline JSON nor an existing file"),
+], ids=["inline-array", "decompose-1x1", "relpos-1x1", "long-name"])
+def test_matrix_input_messages(capsys, args, message):
+    rc, out, err = run(capsys, args)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_deeply_nested_matrix_json_exits_2(tmp_path, capsys, monkeypatch, source):
+    depth = 100_000
+    text = '{"field": "Q", "rows": 2, "cols": 2, "entries": ' + "[" * depth + "]" * depth + "}"
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        arg = str(path)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        arg = "-"
+    rc, out, err = run(capsys, ["decompose", arg])
+    assert rc == 2 and out == ""
+    assert err == "error: matrix JSON is nested too deeply\n"
+
+
 def test_decompose_from_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"field": "Q", "rows": 3, "cols": 3,
@@ -214,16 +247,17 @@ def test_verify_bad_prime_and_override(capsys):
 
 def test_verify_budget_message(capsys, monkeypatch):
     # a tight budget pushes the run into cell mode, whose unipotent census
-    # then refuses with the budget actually required
+    # then refuses with the size it needed: |W| * |B| = 6 * 216 matrices
     rc, _, err = run(capsys, ["verify", "gl", "3", "--q", "3", "--budget", "100"])
     assert rc == 2
-    assert "budget" in err and "729" in err
+    assert "budget" in err and "1296" in err
     monkeypatch.setenv("BRUHATKIT_BUDGET", "100")
     rc, _, err = run(capsys, ["verify", "gl", "3", "--q", "3"])
-    assert rc == 2 and "729" in err
-    # and the cell budget gates the scans themselves
+    assert rc == 2 and "1296" in err
+    # and the cell budget gates the scans themselves, each of which builds
+    # |B| = 10000 matrices of Sp_4(F_5)
     rc, _, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--cell-budget", "1000"])
-    assert rc == 2 and "budget" in err
+    assert rc == 2 and "budget" in err and "10000" in err
 
 
 @pytest.mark.parametrize("env,args,source", [

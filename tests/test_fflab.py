@@ -13,9 +13,15 @@ from bruhatkit.fflab import (
     _column_pivots,
     _jordan_types_mod_p,
     _partition_into_orbits,
+    _root_family,
+    _roots,
+    _slice_unipotents,
+    _torus,
+    _weyl_rep,
+    borel_centralizer_order,
     borel_generators,
     borel_grid,
-    cell_unipotents,
+    centralizer_order,
     conjugation_orbit,
     count_unipotents,
     enumerate_group,
@@ -23,7 +29,6 @@ from bruhatkit.fflab import (
     jordan_type,
     parse_kind,
     property_d_report,
-    scan_cell,
     scan_property_d,
     verify_property_d,
     verify_theorem_a,
@@ -215,58 +220,85 @@ def test_sp_root_elements_match_exact_root_elements(n):
         assert all(np.array_equal(g, x) for g, x in zip(borel_generators(kind, q)[-m:], exact))
 
 
-def test_scan_cell_matches_exact_enumeration():
-    # the numpy scanner and the exact generator parametrize cells identically
-    spec = GroupSpec("A", 2)
-    kind = parse_kind("gl", 3)
-    for w in spec.elements():
-        exact_keys = {
-            bytes(x % 2 for row in g.entries for x in row)
-            for g in enumerate_cell(w, 2)
-        }
-        numpy_keys = set()
-        for batch in scan_cell(kind, w, 2):
-            numpy_keys |= {bytes(int(v) for v in mat.reshape(-1)) for mat in batch}
-        assert numpy_keys == exact_keys
-    sp_spec = GroupSpec("BC", 2)
-    sp_kind = parse_kind("sp", 4)
-    for w in sp_spec.elements():
-        exact_keys = {np.array(g.entries, dtype=np.int64).tobytes() for g in enumerate_cell(w, 2)}
-        numpy_keys = [mat.tobytes() for batch in scan_cell(sp_kind, w, 2) for mat in batch]
-        assert len(numpy_keys) == len(exact_keys) and set(numpy_keys) == exact_keys
-        count = sum(len(batch) for batch in scan_cell(sp_kind, w, 3))
-        assert count == cell_order(w, 3)
+def _slice_keys(kind, w, q):
+    return {x.tobytes() for x in _weyl_rep(kind, w, q) @ borel_grid(kind, q) % q}
 
 
-def test_scan_cell_sl_det_filter():
-    # each SL cell, as a set, is the closure's elements with that window;
-    # odd-length cells need the det-1 representative
-    for n, q in [(2, 3), (3, 3)]:
-        kind = parse_kind("sl", n)
-        table = enumerate_group(kind, q)
-        by_cell = {}
-        for mat, window in zip(table.mats, table.cell_windows):
-            by_cell.setdefault(window, set()).add(mat.tobytes())
-        for w in kind.weyl_spec.elements():
-            scanned = [mat.tobytes() for batch in scan_cell(kind, w, q) for mat in batch]
-            assert len(scanned) == len(by_cell[w.window])
-            assert set(scanned) == by_cell[w.window]
+def _scaled_slice_types(kind, w, q):
+    # q^length(w) times the Jordan types of the slice w_rep * B
+    found = Counter()
+    for hits in _slice_unipotents(kind, w, q):
+        found.update(_jordan_types_mod_p(hits, q))
+    return Counter({jt: q ** w.length() * count for jt, count in found.items()})
 
 
-def test_cell_unipotents_agree_with_table():
-    # cross-check the parametrized scan against the whole-group table
-    kind = parse_kind("gl", 3)
-    q = 2
+@pytest.mark.parametrize("name,n", [("gl", 3), ("sl", 3), ("sp", 4)])
+def test_slices_match_the_table(name, n):
+    # oracle: the whole-group table, cell by cell; in SL the odd-length
+    # slices need the det-1 representative to lie in the group at all
+    kind, q = parse_kind(name, n), 3
     table = enumerate_group(kind, q)
-    per_cell = {}
+    cells, types = {}, {}
+    for mat, window in zip(table.mats, table.cell_windows):
+        cells.setdefault(window, set()).add(mat.tobytes())
     for i, jt in table.unipotent_types.items():
-        per_cell.setdefault(table.cell_windows[i], Counter())[jt] += 1
-    for w in GroupSpec("A", 2).elements():
-        found = Counter(jt for _, jt in cell_unipotents(kind, w, q))
-        assert found == per_cell.get(w.window, Counter())
-    w0 = GroupSpec("A", 2).longest_element()
-    types_in_big_cell = {jt for _, jt in cell_unipotents(kind, w0, q)}
-    assert Partition([3]) in types_in_big_cell
+        types.setdefault(table.cell_windows[i], Counter())[jt] += 1
+    census = Counter()
+    for w in kind.weyl_spec.elements():
+        keys = _slice_keys(kind, w, q)
+        assert len(keys) == kind.borel_order(q) and keys <= cells[w.window]
+        found = _scaled_slice_types(kind, w, q)
+        assert found == types.get(w.window, Counter())
+        census += found
+    # the census per Jordan type: the class sizes of G(F_3)
+    assert census == Counter(table.unipotent_types.values())
+    assert count_unipotents(kind, q) == table.unipotent_count() == q ** (2 * kind.num_positive_roots())
+
+
+@pytest.mark.parametrize("name,n", [("gl", 3), ("sp", 4)])
+def test_slices_match_exact_cells_f2(name, n):
+    # oracle: the ExactMatrix cell enumerator and jordan_type
+    kind, q = parse_kind(name, n), 2
+    for w in kind.weyl_spec.elements():
+        cell = list(enumerate_cell(w, q))
+        keys = {np.array(g.entries, dtype=np.int64).tobytes() for g in cell}
+        assert len(keys) == cell_order(w, q)
+        assert _slice_keys(kind, w, q) <= keys
+        expected = Counter()
+        for g in cell:
+            try:
+                expected[jordan_type(g)] += 1
+            except ValueError:  # not unipotent
+                pass
+        assert _scaled_slice_types(kind, w, q) == expected
+
+
+@pytest.mark.parametrize("name,n,q", [("sl", 3, 3), ("sp", 4, 3), ("sl", 2, 2), ("sp", 4, 2)])
+def test_property_d_slice_records_match_full_cell_orbits(name, n, q):
+    # oracle: gamma ∩ BwB taken whole from the table, split into B-orbits;
+    # B is generated by its torus and x_b(1) for every positive root b (at
+    # q = 2 the simple ones do not generate U of Sp_4).  At q = 2 the slice
+    # group B_w of w0 has no generators at all
+    kind = parse_kind(name, n)
+    borel_gens = list(_torus(kind, q)) + [_root_family(n, root, q)[1] for root in _roots(kind)]
+    table = enumerate_group(kind, q)
+    gens = group_generators(kind, q)
+    scan = scan_property_d(kind, [q], allow_bad_prime=True)
+    assert scan.cells
+    for cell in scan.cells:
+        members = {table.mats[i].tobytes() for i, jt in table.unipotent_types.items()
+                   if jt == cell.target and table.cell_windows[i] == cell.w.window}
+        orbits = _partition_into_orbits(members, borel_gens, q, (n, n))
+        reps = [np.frombuffer(min(orbit), dtype=np.int64).reshape(n, n) for orbit in orbits]
+        expected = {
+            "q": q,
+            "intersection_size": len(members),
+            "orbit_count": len(orbits),
+            "orbit_sizes": sorted(len(orbit) for orbit in orbits),
+            "zg": sorted(centralizer_order(kind, q, conjugation_orbit(r, gens, q)) for r in reps),
+            "zb": sorted(borel_centralizer_order(kind, q, r) for r in reps),
+        }
+        assert cell.per_q == [expected]
 
 
 def test_verify_theorem_a_gl2():
@@ -380,9 +412,13 @@ def test_partition_into_orbits_rejects_an_unstable_set():
     # the B-orbit of u in SL_2(F_5) is u and [[1, 4], [0, 1]]; G moves it further
     b_orbit = set(conjugation_orbit(u, borel_generators(kind, 5), 5))
     assert len(b_orbit) == 2
-    assert [set(o) for o in _partition_into_orbits(b_orbit, borel_generators(kind, 5), 5)] == [b_orbit]
+    assert [set(o) for o in _partition_into_orbits(b_orbit, borel_generators(kind, 5), 5, (2, 2))
+            ] == [b_orbit]
+    # no generators: every key is its own orbit
+    assert [set(o) for o in _partition_into_orbits(b_orbit, [], 5, (2, 2))] == [
+        {key} for key in sorted(b_orbit)]
     with pytest.raises(IntegrityError):
-        _partition_into_orbits(b_orbit, group_generators(kind, 5), 5)
+        _partition_into_orbits(b_orbit, group_generators(kind, 5), 5, (2, 2))
 
 
 def test_conjugation_orbit_limit():
