@@ -32,8 +32,8 @@ for row in report["classes"]:
         print(f"      cell of {list(w)}: dominance-least type {minimum}")
 
 # --- cross-prime proxies for the geometric statements ----------------------------
-# (exact Borel-orbit counts and centralizer growth between q=3 and q=5;
-#  the q=5 scan walks 6.25 million cell elements, ~half a minute)
+# (exact Borel-orbit counts and centralizer growth between q=3 and q=5,
+#  from the slices w_rep * B of the cells; a few seconds)
 
 print("\nrunning the elliptic-class proxies at q = 3 and q = 5 ...")
 d_report = verify_property_d(kind, [3, 5])

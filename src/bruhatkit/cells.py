@@ -3,9 +3,11 @@
 The Borel subgroup B is fixed once and for all as the invertible upper
 triangular matrices; every cell statement below is relative to that choice.
 Each invertible g lies in exactly one double coset B.w_rep.B, and this module
-recovers the indexing permutation w two independent ways: by elimination with
-recorded factors (bruhat_decompose) and from rank profiles of lower-left
-submatrices (bruhat_cell_rank_profile).
+recovers the indexing permutation w two independent ways: by one column pass
+(bruhat_decompose), which records b2 as it goes and reads b1 off the reduced
+columns, and from rank profiles of lower-left submatrices
+(bruhat_cell_rank_profile).  Every other window in this module comes from
+bruhat_decompose, so it arrives with a checked factorization.
 
 Symplectic conventions
 ----------------------
@@ -44,30 +46,27 @@ class BruhatFactorization:
 
 
 def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
-    """Factor an invertible matrix as b1 * w_rep * b2.
+    """Factor an invertible matrix as b1 * w_rep * b2 by one column pass.
 
     Columns are processed left to right; the pivot of each column is its
-    lowest nonzero entry in a not-yet-used row.  Clearing above the pivot is
-    a left multiplication by an upper triangular transvection, clearing the
-    pivot row to the right (and scaling the pivot to 1) are right
-    multiplications, so the accumulated factors stay in B and the matrix
-    left over is exactly the 0/1 representative of the cell.
+    lowest nonzero entry in a not-yet-used row.  Scaling the pivot to 1 and
+    clearing the pivot row to the right are right multiplications by B, each
+    recorded as its inverse in b2, so g = a * b2 holds after every step.
+    Afterwards column j of a is zero below its pivot row: the unused rows
+    below it were zero when the pivot was chosen, and each earlier pivot row
+    was cleared to its right.  So b1 = a * w_rep^-1, the columns of a put in
+    window order, is upper unitriangular.
     """
     if not g.is_square():
         raise ValueError("Bruhat decomposition needs a square matrix")
     f = g.field
     n = g.rows
-    a = [list(row) for row in g.entries]
-    u1 = [list(row) for row in ExactMatrix.identity(f, n).entries]
-    u2 = [list(row) for row in ExactMatrix.identity(f, n).entries]
+    cols = [list(col) for col in zip(*g.entries)]
+    b2 = [list(row) for row in ExactMatrix.identity(f, n).entries]
     used = [False] * n
     window = [0] * n
-    for j in range(n):
-        piv = None
-        for i in range(n - 1, -1, -1):
-            if not used[i] and a[i][j] != f.zero:
-                piv = i
-                break
+    for j, col in enumerate(cols):
+        piv = next((i for i in range(n - 1, -1, -1) if not used[i] and col[i] != f.zero), None)
         if piv is None:
             raise SingularMatrixError(
                 f"matrix is singular: no unused nonzero pivot in column {j + 1}",
@@ -75,68 +74,23 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
             )
         used[piv] = True
         window[j] = piv + 1
-        scale = f.inv(a[piv][j])
-        if scale != f.one:
-            for i in range(n):
-                a[i][j] = f.mul(a[i][j], scale)
-                u2[i][j] = f.mul(u2[i][j], scale)
-        for i in range(piv):
-            c = a[i][j]
-            if c != f.zero:
-                a[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[i], a[piv])]
-                u1[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(u1[i], u1[piv])]
+        # row j of b2 is scaled by the pivot, then gains c * (row j2) for each
+        # c = a[piv][j2] cleared below; each row j2 > j is still e_j2
+        b2[j][j:] = [cols[j2][piv] for j2 in range(j, n)]
+        inv = f.inv(col[piv])
+        cols[j] = col = [f.mul(x, inv) for x in col]
         for j2 in range(j + 1, n):
-            c = a[piv][j2]
+            c = cols[j2][piv]
             if c != f.zero:
-                for i in range(n):
-                    a[i][j2] = f.sub(a[i][j2], f.mul(c, a[i][j]))
-                    u2[i][j2] = f.sub(u2[i][j2], f.mul(c, u2[i][j]))
+                cols[j2] = [f.sub(x, f.mul(c, y)) for x, y in zip(cols[j2], col)]
     w = WeylElement(GroupSpec("A", n - 1), tuple(window))
     w_rep = ExactMatrix.permutation(f, window)
-    b1 = ExactMatrix(f, u1).inverse()
-    b2 = ExactMatrix(f, u2).inverse()
-    fact = BruhatFactorization(w, w_rep, b1, b2)
+    # b1 = a * w_rep^-1 moves column j of a to column window[j]
+    b1 = ExactMatrix(f, list(zip(*(cols[j] for j in sorted(range(n), key=window.__getitem__)))))
+    fact = BruhatFactorization(w, w_rep, b1, ExactMatrix(f, b2))
     if fact.product() != g:
         raise IntegrityError("factorization failed to reconstruct the input")
     return fact
-
-
-def bruhat_cell_window(g: ExactMatrix) -> tuple[int, ...]:
-    """Just the cell's window, by column reduction alone.
-
-    Greedy: the pivot of each column is its lowest nonzero entry in an
-    unused row; clearing the pivot row rightward by column operations is a
-    right multiplication by B, and the pivot positions are the window.
-    """
-    if not g.is_square():
-        raise ValueError("Bruhat cell needs a square matrix")
-    f = g.field
-    n = g.rows
-    cols = [[g.entries[i][j] for i in range(n)] for j in range(n)]
-    used = [False] * n
-    window = [0] * n
-    for j in range(n):
-        col = cols[j]
-        piv = None
-        for i in range(n - 1, -1, -1):
-            if not used[i] and col[i] != f.zero:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError(
-                f"matrix is singular: no unused nonzero pivot in column {j + 1}",
-                column=j + 1,
-            )
-        used[piv] = True
-        window[j] = piv + 1
-        inv = f.inv(col[piv])
-        for j2 in range(j + 1, n):
-            col2 = cols[j2]
-            c = f.mul(col2[piv], inv)
-            if c != f.zero:
-                for i in range(n):
-                    col2[i] = f.sub(col2[i], f.mul(c, col[i]))
-    return tuple(window)
 
 
 def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:
@@ -205,9 +159,7 @@ def relative_position(f1: Flag, f2: Flag) -> WeylElement:
         raise ValueError("flags live over different fields")
     if f1.dimension != f2.dimension:
         raise ValueError("flags have different dimensions")
-    rel = f1.basis.inverse() * f2.basis
-    window = bruhat_cell_window(rel)
-    return WeylElement(GroupSpec("A", len(window) - 1), window)
+    return bruhat_decompose(f1.basis.inverse() * f2.basis).w
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +192,7 @@ def sp_bruhat_decompose(g: ExactMatrix) -> WeylElement:
     """
     if not symplectic_membership(g):
         raise ValueError("matrix does not preserve the symplectic form")
-    window = bruhat_cell_window(g)
+    window = bruhat_decompose(g).w.window
     signed = signed_window_from_symmetric(window)
     if signed is None:
         raise IntegrityError(

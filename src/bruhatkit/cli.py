@@ -42,8 +42,20 @@ from .weyl import (
 )
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of printing the usage and exiting, so that
+    main reports them as one error line with exit code 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bruhatkit",
         description="Bruhat cells over exact fields, Weyl group combinatorics, "
         "and finite-field verification experiments.",
@@ -143,14 +155,13 @@ def _enum_budget(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
     except json.JSONDecodeError as exc:
         print(f"error: matrix JSON parse error at line {exc.lineno} column {exc.colno} "
               f"(char {exc.pos}): {exc.msg}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, BudgetError, IntegrityError, ValueError) as exc:
+    except (_UsageError, SingularMatrixError, BudgetError, IntegrityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

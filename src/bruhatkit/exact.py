@@ -5,9 +5,10 @@ GF(p) elements are plain residues 0..p-1 with the modulus carried by the
 field descriptor.  Nothing here ever touches floating point.
 
 Elimination over Q is fraction-free: rows are scaled to integers and
-determinants/ranks run through one-step fraction-free reduction, which keeps
-intermediate entries polynomially bounded.  Over GF(p) it is plain modular
-arithmetic.
+determinants and ranks come from one fraction-free (one-step Bareiss)
+echelon pass, int_echelon, which keeps intermediate entries polynomially
+bounded.  Over GF(p) the same pass is plain modular arithmetic
+(_echelon_mod_p).
 """
 
 from __future__ import annotations
@@ -303,13 +304,13 @@ class ExactMatrix:
         if isinstance(self.field, PrimeField):
             return _echelon_mod_p(self.entries, self.field.p)[1]
         int_rows, scale = _clear_denominators(self.entries)
-        return Fraction(int_det(int_rows), scale)
+        return Fraction(int_echelon(int_rows)[1], scale)
 
     def rank(self) -> int:
         if isinstance(self.field, PrimeField):
             return _echelon_mod_p(self.entries, self.field.p)[0]
         int_rows, _ = _clear_denominators(self.entries)
-        return int_rank(int_rows)
+        return int_echelon(int_rows)[0]
 
     def inverse(self) -> "ExactMatrix":
         """Gauss-Jordan inverse; raises SingularMatrixError on singular input."""
@@ -384,61 +385,34 @@ def matrix_from_json(obj) -> ExactMatrix:
 # integer fraction-free elimination
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by one-step fraction-free
-    elimination (all intermediate divisions are exact)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                q, r = divmod(num, prev)
-                assert r == 0
-                m[i][j] = q
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def int_rank(rows: list[list[int]]) -> int:
+def int_echelon(rows: list[list[int]]) -> tuple[int, int]:
+    """One-step fraction-free row echelon form of an integer matrix:
+    (rank, det), where det is 0 unless the matrix is square and of full
+    rank.  Every division is exact (Sylvester's identity)."""
     m = [list(r) for r in rows]
     nr, nc = len(m), len(m[0])
-    prev = 1
     r = 0
+    sign = 1
+    prev = 1
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         pivot = m[r][c]
         for i in range(r + 1, nr):
+            factor = m[i][c]
             for j in range(c + 1, nc):
-                num = m[i][j] * pivot - m[i][c] * m[r][j]
-                q, rem = divmod(num, prev)
+                q, rem = divmod(m[i][j] * pivot - factor * m[r][j], prev)
                 assert rem == 0
                 m[i][j] = q
-            m[i][c] = 0
         prev = pivot
         r += 1
         if r == nr:
             break
-    return r
+    return r, sign * prev if r == nr == nc else 0
 
 
 def _clear_denominators(entries) -> tuple[list[list[int]], int]:

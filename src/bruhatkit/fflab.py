@@ -33,10 +33,11 @@ of the reduced array are the hash keys.  Everything stays exact.  One
 batched pivot kernel, _column_pivots, eliminates whole (B, n, n) stacks at
 once: its pivot rows are the Bruhat cell windows, and its pivot counts on
 the powers of g - 1 are the ranks that give Jordan types.  The ExactMatrix
-paths (bruhat_cell_window, jordan_type, ExactMatrix.rank) share no code
-with it and serve as its oracles in the tests.  Every group is built from
-one-parameter root subgroups by one set of helpers (_roots, _root_family,
-_torus): the generators of G, B and B_w, and B(F_q) itself.
+paths (the window of bruhat_decompose, checked by its factorization;
+jordan_type; ExactMatrix.rank) share no code with it and serve as its
+oracles in the tests.  Every group is built from one-parameter root
+subgroups by one set of helpers (_roots, _root_family, _torus): the
+generators of G, B and B_w, and B(F_q) itself.
 
 No cell is built whole.  Each g in BwB is u w_rep b for one u in U_w (the
 product of the root subgroups that w inverts) and one b in B, and u^-1 g u =
@@ -549,7 +550,9 @@ def borel_centralizer_order(kind: GroupKind, q: int, g: np.ndarray) -> int:
 
 
 def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
-    """Generators of B(F_q): torus generators plus simple root elements."""
+    """Generators of B(F_q): torus generators, then x_b(1) for every positive
+    root b in _roots order.  The simple root elements alone do not suffice
+    at q = 2, where the torus is trivial: in Sp_4(F_2) they give 8 of 16."""
     n = kind.n
     gens = []
     if q > 2:
@@ -564,17 +567,15 @@ def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
             if j is not None:
                 t[j, j] = pow(gamma, -1, q)
             gens.append(t)
-    return gens + [_root_family(n, root, q)[1] for root in _simple_roots(kind)]
+    return gens + [_root_family(n, root, q)[1] for root in _roots(kind)]
 
 
 def _slice_borel_generators(kind: GroupKind, w, q: int) -> list[np.ndarray]:
-    """Generators of B_w = B ∩ w_rep B w_rep^-1: the torus generators of B and
-    x_b(1) for each positive root b with w_rep^-1 x_b(1) w_rep = w_rep^T x_b(1)
-    w_rep upper triangular."""
+    """Generators of B_w = B ∩ w_rep B w_rep^-1: the generators x of B with
+    w_rep^-1 x w_rep = w_rep^T x w_rep upper triangular, which every torus
+    generator is."""
     rep = _weyl_rep(kind, w, q)
-    torus = [g for g in borel_generators(kind, q) if not np.triu(g, 1).any()]
-    return torus + [x for x in (_root_family(kind.n, root, q)[1] for root in _roots(kind))
-                    if not np.tril(rep.T @ x @ rep % q, -1).any()]
+    return [x for x in borel_generators(kind, q) if not np.tril(rep.T @ x @ rep % q, -1).any()]
 
 
 def _partition_into_orbits(members: set[bytes], gens: list[np.ndarray], p: int,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import IntegrityError
-from .exact import PRIME_TEST_BOUND, int_det, integer_root, is_prime
+from .exact import PRIME_TEST_BOUND, int_echelon, integer_root, is_prime
 from .partitions import Partition
 from .polynomial import Poly
 
@@ -112,16 +112,8 @@ class GroupSpec:
 
     def elements(self):
         """Iterate over the whole group (use the rank-capped callers for safety)."""
-        d = self.degree
-        if self.family == "A":
-            for perm in itertools.permutations(range(1, d + 1)):
-                yield WeylElement._make(self, perm)
-            return
-        for perm in itertools.permutations(range(1, d + 1)):
-            for signs in itertools.product((1, -1), repeat=d):
-                if self.family == "D" and signs.count(-1) % 2:
-                    continue
-                yield WeylElement._make(self, tuple(s * v for s, v in zip(signs, perm)))
+        for window in _all_windows(self):
+            yield WeylElement._make(self, window)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -237,7 +229,7 @@ class WeylElement:
         rows = [list(row) for row in mat]
         for i in range(len(rows)):
             rows[i][i] -= 1
-        return int_det(rows) != 0
+        return int_echelon(rows)[1] != 0
 
     def cycle_type(self) -> Partition:
         """Cycle type of a family-A element, as a partition of the degree."""

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -8,7 +10,6 @@ from bruhatkit.cells import (
     Flag,
     borel_order,
     bruhat_cell_rank_profile,
-    bruhat_cell_window,
     bruhat_decompose,
     c_positive_roots,
     c_root_element,
@@ -55,6 +56,19 @@ def test_decompose_witnesses_are_borel():
             assert fact.product() == g
 
 
+def test_decompose_factors_are_pinned():
+    # the SHA-256 of the JSON (w, b1, b2) of 200 seeded factorizations: a
+    # rewrite of the elimination must give the same factors byte for byte
+    rng = random.Random(7)
+    records = []
+    for field, n in [(QQ, 6)] * 100 + [(GF(7), 5)] * 100:
+        fact = bruhat_decompose(random_invertible(field, n, rng))
+        records.append([list(fact.w.window), fact.b1.to_json(), fact.b2.to_json()])
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b143759447e53ee3f9526252552e88109837e202c9f053e2f78df33157bbb9a3")
+
+
 def test_decompose_rejects_singular():
     with pytest.raises(SingularMatrixError) as info:
         bruhat_decompose(ExactMatrix(QQ, [[1, 2], [2, 4]]))
@@ -74,7 +88,6 @@ def test_exhaustive_partition_small_gl():
             fact = bruhat_decompose(g)
             assert fact.product() == g
             assert bruhat_cell_rank_profile(g) == fact.w
-            assert bruhat_cell_window(g) == fact.w.window
             counts[fact.w] += 1
         spec = GroupSpec("A", n - 1)
         assert set(counts) == set(spec.elements())
@@ -88,7 +101,7 @@ def test_rank_profile_identity_and_random_agreement():
     for field in (GF(7), QQ):
         for _ in range(100):
             g = random_invertible(field, 5, rng)
-            assert bruhat_cell_rank_profile(g).window == bruhat_cell_window(g)
+            assert bruhat_cell_rank_profile(g) == bruhat_decompose(g).w
 
 
 def test_relative_position_examples():
@@ -147,7 +160,7 @@ def test_enumerate_cell_gl():
     for w in spec3.elements():
         count = 0
         for g in enumerate_cell(w, 2):
-            assert bruhat_cell_window(g) == w.window
+            assert bruhat_decompose(g).w.window == w.window
             assert g.entries not in seen
             seen.add(g.entries)
             count += 1

@@ -167,6 +167,25 @@ def test_matrix_input_messages(capsys, args, message):
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("args,message", [
+    # not a plain negative number, so argparse takes it for an option
+    (["decompose", "-1e-05"], "the following arguments are required: matrix"),
+    (["verify", "gl", "3", "--q", "3", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    (["relpos", "{}"], "the following arguments are required: flag2"),
+], ids=["dash-matrix", "unknown-option", "missing-positional"])
+def test_usage_errors_return_2_with_one_line(capsys, args, message):
+    rc, out, err = run(capsys, args)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["decompose", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bruhatkit decompose")
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_deeply_nested_matrix_json_exits_2(tmp_path, capsys, monkeypatch, source):
     depth = 100_000

@@ -10,8 +10,7 @@ from bruhatkit.exact import (
     ExactMatrix,
     PrimeField,
     enumerate_matrices,
-    int_det,
-    int_rank,
+    int_echelon,
     integer_root,
     is_prime,
     matrix_from_json,
@@ -132,18 +131,20 @@ def test_rational_det_and_rank_against_fraction_oracle():
 
 
 def test_int_det_and_rank():
-    assert int_det([[2, 0], [0, 3]]) == 6
-    assert int_det([[1, 2], [2, 4]]) == 0
-    assert int_det([[0, 1], [1, 0]]) == -1
-    assert int_rank([[1, 2], [2, 4]]) == 1
-    assert int_rank([[0, 0], [0, 0]]) == 0
+    assert int_echelon([[2, 0], [0, 3]])[1] == 6
+    assert int_echelon([[1, 2], [2, 4]])[1] == 0
+    assert int_echelon([[0, 1], [1, 0]])[1] == -1
+    assert int_echelon([[1, 2], [2, 4]])[0] == 1
+    assert int_echelon([[0, 0], [0, 0]])[0] == 0
     rng = random.Random(5)
     for n in (3, 4, 5):
         for _ in range(25):
             rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-            m = ExactMatrix(QQ, rows)
-            assert int_det(rows) == _fraction_det(m)
-            assert int_rank(rows) == m.rank()
+            rank, det = int_echelon(rows)
+            assert det == _fraction_det(ExactMatrix(QQ, rows))
+            # every minor is below (6 sqrt 5)^5 < 5 * 10^5 in absolute value,
+            # so the rank mod a larger prime is the rank over Q
+            assert rank == ExactMatrix(GF(1048573), rows).rank()
 
 
 def test_gf3_2x2_det_and_rank_exhaustive():

@@ -12,6 +12,7 @@ from bruhatkit.fflab import (
     _cell_windows,
     _column_pivots,
     _jordan_types_mod_p,
+    _mulclose,
     _partition_into_orbits,
     _root_family,
     _roots,
@@ -36,7 +37,8 @@ from bruhatkit.fflab import (
 from bruhatkit.partitions import Partition
 from bruhatkit.weyl import GroupSpec, signed_window_from_symmetric
 from bruhatkit.cells import (
-    bruhat_cell_window,
+    bruhat_decompose,
+    c_positive_roots,
     c_root_element,
     cell_order,
     enumerate_cell,
@@ -82,7 +84,7 @@ def test_table_matrices_and_cells():
         for i in range(len(table)):
             m = table.matrix(i)
             assert isinstance(m, ExactMatrix)
-            window = bruhat_cell_window(m)
+            window = bruhat_decompose(m).w.window
             if name == "sp":
                 window = signed_window_from_symmetric(window)
             assert window == table.cell_windows[i]
@@ -217,7 +219,24 @@ def test_sp_root_elements_match_exact_root_elements(n):
         assert len(gens) == 2 * m
         for x, pos, neg in zip(exact, gens[::2], gens[1::2]):
             assert np.array_equal(pos, x) and np.array_equal(neg, x.T)
-        assert all(np.array_equal(g, x) for g, x in zip(borel_generators(kind, q)[-m:], exact))
+        # B is generated by its m torus generators and x_b(1) for every
+        # positive root b, in the order of c_positive_roots
+        borel = borel_generators(kind, q)
+        roots = [np.array(c_root_element(field, m, root, 1).entries, dtype=np.int64)
+                 for root in c_positive_roots(m)]
+        assert len(borel) == m + m * m
+        assert all(np.array_equal(g, x) for g, x in zip(borel[m:], roots))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name,n", [("gl", 3), ("sl", 3), ("sp", 4), ("sp", 6)])
+def test_borel_generators_generate_the_borel(name, n, q):
+    # at q = 2 the torus is trivial, and the simple root elements alone give
+    # a proper subgroup for Sp (8 of the 16 elements of B in Sp_4(F_2))
+    kind = parse_kind(name, n)
+    grid = borel_grid(kind, q)
+    closure = _mulclose(borel_generators(kind, q), q, limit=len(grid))
+    assert {g.tobytes() for g in closure} == {g.tobytes() for g in grid}
 
 
 def _slice_keys(kind, w, q):
