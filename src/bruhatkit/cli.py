@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run Sp at q = 2 anyway; results reported but not asserted")
     p.add_argument("--budget", default=None,
                    help="whole-group enumeration budget (env BRUHATKIT_BUDGET)")
-    p.add_argument("--cell-budget", default=str(DEFAULT_CELL_BUDGET))
+    p.add_argument("--cell-budget", default=str(DEFAULT_CELL_BUDGET),
+                   help="bounds |B| per slice scan and each class property D grows by BFS")
     p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized spot checks")
     p.add_argument("--out", type=Path, default=None, help="also write the report to a file")

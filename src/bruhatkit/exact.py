@@ -8,7 +8,7 @@ Elimination over Q is fraction-free: rows are scaled to integers and
 determinants and ranks come from one fraction-free (one-step Bareiss)
 echelon pass, int_echelon, which keeps intermediate entries polynomially
 bounded.  Over GF(p) the same pass is plain modular arithmetic
-(_echelon_mod_p).
+(_echelon_mod_p), which can also return a nullspace basis.
 """
 
 from __future__ import annotations
@@ -434,13 +434,19 @@ def _gcd(a, b):
     return a
 
 
-def _echelon_mod_p(entries, p: int) -> tuple[int, int]:
+def _echelon_mod_p(entries, p: int, nullspace: bool = False):
     """Row echelon form mod p: (rank, det), where det is 0 unless the matrix
-    is square and of full rank."""
+    is square and of full rank.
+
+    With ``nullspace`` the pass goes on to the reduced form (each pivot row
+    scaled to 1 and cleared out of the rows above too) and returns (rank,
+    det, basis): one vector x with m x = 0 per free column f, x_f = 1 and
+    x_c = -m[i][f] at the pivot column c of row i, in order of f."""
     m = [list(r) for r in entries]
     nr, nc = len(m), len(m[0])
     r = 0
     det = 1
+    pivot_cols = []
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c] % p), None)
         if piv is None:
@@ -450,14 +456,28 @@ def _echelon_mod_p(entries, p: int) -> tuple[int, int]:
             det = -det
         det = det * m[r][c] % p
         inv = pow(m[r][c], -1, p)
-        for i in range(r + 1, nr):
+        if nullspace:
+            m[r] = [a * inv % p for a in m[r]]
+            inv = 1
+        for i in range(0 if nullspace else r + 1, nr):
             factor = m[i][c] * inv % p
-            if factor:
+            if factor and i != r:
                 m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[r])]
+        pivot_cols.append(c)
         r += 1
         if r == nr:
             break
-    return r, det if r == nr == nc else 0
+    det = det if r == nr == nc else 0
+    if not nullspace:
+        return r, det
+    basis = []
+    for f in sorted(set(range(nc)) - set(pivot_cols)):
+        x = [0] * nc
+        x[f] = 1
+        for i, c in enumerate(pivot_cols):
+            x[c] = -m[i][f] % p
+        basis.append(x)
+    return r, det, basis
 
 
 def random_invertible(field, n: int, rng, entry_pool=None) -> ExactMatrix:

@@ -48,6 +48,20 @@ order |B| / q^length(w).  By the uniqueness of u, slice elements that are
 B-conjugate are B_w-conjugate and Z_B(x) = Z_{B_w}(x) on the slice, so each
 B-orbit of gamma ∩ BwB meets the slice in one B_w-orbit, q^length(w) times
 smaller, with the same centralizers in B and in G.
+
+Centralizers in G take one of two routes.  Z_G(g) is the part of G in the
+commutant {X : X g = g X}, a linear space of some dimension k whose basis
+is one n^2 x n^2 nullspace mod p (exact._echelon_mod_p); its q^k members
+are enumerated in numpy batches and kept when in G (X^T J X = J for Sp, det
+1 for SL).  b is G-conjugate to g when some X in G solves X g = b X, a space
+of the same kind.  This route is taken when q^(2k) <= |G|, so that the q^k
+candidates are no more than |G| / q^k, which bounds the class size from
+below.  Otherwise the class is grown by BFS under conjugation by the
+generators (conjugation_orbit), within the cell budget, and |Z_G| =
+|G| / |class|.  k is a class invariant, so each class takes one route; the
+tests hold the two routes against each other.  In Sp_4 the Coxeter classes
+(k = 4, 187,200 elements at q = 5) go by the commutant, and the classes of
+the longest element (k = 8, 6,240 and 9,360 elements) by BFS.
 """
 
 from __future__ import annotations
@@ -67,9 +81,10 @@ from .cells import (
     c_positive_roots,
     c_root_positions,
     sp_weyl_matrix,
+    symplectic_form,
 )
 from .errors import BudgetError, IntegrityError, SingularMatrixError
-from .exact import ExactMatrix, GF, is_prime
+from .exact import ExactMatrix, GF, _echelon_mod_p, is_prime
 from .partitions import Partition, dominance_leq
 from .phimap import phi
 from .weyl import (
@@ -85,8 +100,9 @@ from .weyl import (
 
 DEFAULT_ENUM_BUDGET = 10**8
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
-# matrices per numpy batch in cell scans and in the window pass; it keeps
-# the temporaries of a whole-group run (372,000 elements of SL_3(F_5)) small
+# matrices per numpy batch in cell scans, the window pass and the commutant
+# enumeration; it keeps the temporaries of a whole-group run (372,000
+# elements of SL_3(F_5)) small
 _CHUNK = 200_000
 
 KIND_NAMES = ("GL", "SL", "Sp")
@@ -202,7 +218,8 @@ def _closure(seeds: np.ndarray, moves, limit: int | None = None,
                     seen[key] = len(seen)
                     frontier.append(key)
         if limit is not None and len(seen) > limit:
-            raise BudgetError(f"{phase} passed {limit} elements", required=len(seen), budget=limit)
+            raise BudgetError(f"{phase} reached {len(seen)} elements, over budget {limit}",
+                              required=len(seen), budget=limit)
         if not frontier:
             return seen
         batch = _from_keys(frontier, shape)
@@ -535,10 +552,82 @@ def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
 def centralizer_order(kind: GroupKind, q: int, orbit: dict[bytes, int]) -> int:
     """|Z_G(g)(F_q)| by orbit-stabilizer, from the conjugation orbit of g:
     group order over class size."""
+    return _cofactor(kind, q, len(orbit), "orbit size")
+
+
+def _cofactor(kind: GroupKind, q: int, part: int, what: str) -> int:
+    """|G(F_q)| / part; a part that does not divide the order is an
+    integrity failure."""
     order = kind.order(q)
-    if order % len(orbit):
-        raise IntegrityError(f"orbit size {len(orbit)} does not divide |{kind}(F_{q})| = {order}")
-    return order // len(orbit)
+    if order % part:
+        raise IntegrityError(f"{what} {part} does not divide |{kind}(F_{q})| = {order}")
+    return order // part
+
+
+def _commutant(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """A basis, as a (k, n, n) stack, of the X with X a = b X mod p: the
+    nullspace of X -> X a - b X, which on the entries of X read row by row
+    is kron(1, a^T) - kron(b, 1), one n^2 x n^2 matrix."""
+    n = len(a)
+    eye = np.eye(n, dtype=np.int64)
+    system = (np.kron(eye, a.T) - np.kron(b, eye)) % p
+    basis = _echelon_mod_p(system.tolist(), p, nullspace=True)[2]
+    return np.array(basis, dtype=np.int64).reshape(-1, n, n)
+
+
+def _det_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """det mod p of each matrix in a (B, n, n) stack: the Leibniz sum, with
+    a reduction after every product, so int64 stays exact."""
+    n = stack.shape[1]
+    det = np.zeros(len(stack), dtype=np.int64)
+    for perm in itertools.permutations(range(n)):
+        term = np.ones(len(stack), dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = term * stack[:, i, j] % p
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        det = (det - term if odd else det + term) % p
+    return det
+
+
+def _group_span(kind: GroupKind, q: int, basis: np.ndarray):
+    """Per _CHUNK batch of combinations of a (k, n, n) basis mod q, the ones
+    in G: X^T J X = J for Sp, det 1 for SL."""
+    k, n = basis.shape[:2]
+    flat = basis.reshape(k, n * n)
+    powers = q ** np.arange(k, dtype=np.int64)
+    form = _np(symplectic_form(GF(q), n // 2)) if kind.family == "Sp" else None
+    for start in range(0, q ** k, _CHUNK):
+        digits = np.arange(start, min(start + _CHUNK, q ** k), dtype=np.int64)[:, None]
+        batch = ((digits // powers % q) @ flat % q).reshape(-1, n, n)
+        if form is not None:
+            keep = ((batch.transpose(0, 2, 1) @ form % q) @ batch % q == form).all(axis=(1, 2))
+        else:
+            keep = _det_mod_p(batch, q) == 1
+        yield batch[keep]
+
+
+def _class_by_orbit(kind: GroupKind, q: int, rep: np.ndarray, limit: int | None = None):
+    """|Z_G(rep)| and a membership test for the G(F_q)-class of rep, from
+    the class itself, grown by BFS; the limit bounds its size."""
+    orbit = conjugation_orbit(rep, group_generators(kind, q), q, limit=limit)
+    return centralizer_order(kind, q, orbit), lambda b: b.tobytes() in orbit
+
+
+def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndarray):
+    """The same from the commutant of rep, whose basis is given: Z_G(rep)
+    is the elements of G among its q^k members.  b is in the class of rep
+    when some X in G solves X rep = b X; such b is GL-conjugate to rep, so
+    the solutions have dimension k too, and the search stops at the first
+    batch with a hit."""
+    zg = sum(len(batch) for batch in _group_span(kind, q, basis))
+    _cofactor(kind, q, zg, "centralizer order")
+
+    def same_class(b):
+        solutions = _commutant(rep, b, q)
+        return len(solutions) == len(basis) and any(
+            len(batch) for batch in _group_span(kind, q, solutions))
+
+    return zg, same_class
 
 
 def borel_centralizer_order(kind: GroupKind, q: int, g: np.ndarray) -> int:
@@ -822,24 +911,31 @@ def _growth_exponent(x, y, q: int, q2: int) -> float:
     return math.log(y / x) / math.log(q2 / q)
 
 
-def _classes_met(kind: GroupKind, q: int, reps: list[np.ndarray]) -> tuple[list[int], list[int]]:
+def _classes_met(kind: GroupKind, q: int, reps: list[np.ndarray],
+                 limit: int | None = None) -> tuple[list[int], list[int]]:
     """|Z_G(F_q)| of each representative, and the sizes of the distinct
-    G(F_q)-classes the representatives fall into; conjugate
-    representatives share one conjugation orbit."""
-    gens = group_generators(kind, q)
+    G(F_q)-classes the representatives fall into, in order of their first
+    representative.  Each class takes one route, by the dimension k of the
+    commutant of that representative: the commutant when q^(2k) <= |G|, so
+    that its q^k members are no more than |G| / q^k <= |class|; the
+    conjugation orbit, at most ``limit`` elements, otherwise."""
+    order = kind.order(q)
     zg: list[int | None] = [None] * len(reps)
     sizes = []
     for i, rep in enumerate(reps):
         if zg[i] is not None:
             continue
-        orbit = conjugation_orbit(rep, gens, q)
-        order = centralizer_order(kind, q, orbit)
-        sizes.append(len(orbit))
-        for j in range(i, len(reps)):
-            if zg[j] is None and reps[j].tobytes() in orbit:
-                zg[j] = order
-        # free it before the next is built: one class of Sp_4(F_5) holds 187,200 keys
-        del orbit
+        basis = _commutant(rep, rep, q)
+        if q ** (2 * len(basis)) <= order:
+            zg[i], same_class = _class_by_commutant(kind, q, rep, basis)
+        else:
+            zg[i], same_class = _class_by_orbit(kind, q, rep, limit)
+        sizes.append(order // zg[i])
+        for j in range(i + 1, len(reps)):
+            if zg[j] is None and same_class(reps[j]):
+                zg[j] = zg[i]
+        # free an orbit before the next class is built
+        del same_class
     return zg, sizes
 
 
@@ -850,7 +946,8 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
     prime: its B(F_q)-orbits, their centralizer orders in G and in B, and the
     G(F_q)-classes it meets.  One prime suffices here; the report compares
     two or more.  Only gamma ∩ w_rep B is built, split into B_w-orbits (see
-    the module docstring)."""
+    the module docstring).  The cell budget bounds |B| and every class that
+    is grown by BFS."""
     if kind.family == "GL":
         raise ValueError(
             "the centralizer-dimension statement is about semisimple groups; "
@@ -879,7 +976,7 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
                 orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q,
                                                 shape)
                 reps = [_from_keys([next(iter(orbit))], shape)[0] for orbit in orbits]
-                zg, sizes = _classes_met(kind, q, reps)
+                zg, sizes = _classes_met(kind, q, reps, limit=cell_budget)
                 scale = q ** w.length()
                 per_q.append({
                     "q": q,

@@ -6,8 +6,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bruhatkit import fflab
 from bruhatkit.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -277,6 +279,18 @@ def test_verify_budget_message(capsys, monkeypatch):
     # |B| = 10000 matrices of Sp_4(F_5)
     rc, _, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--cell-budget", "1000"])
     assert rc == 2 and "budget" in err and "10000" in err
+
+
+def test_class_bfs_over_the_cell_budget_exits_2(capsys, monkeypatch):
+    # a commutant too large to enumerate sends every class to the BFS, which
+    # the cell budget bounds: a Coxeter class of Sp_4(F_5) has 187,200 elements
+    monkeypatch.setattr(fflab, "_commutant",
+                        lambda a, b, p: np.zeros((99, *a.shape), dtype=np.int64))
+    rc, out, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--q", "7", "--no-theorem-a",
+                                "--cell-budget", "100000"])
+    assert rc == 2 and not out
+    assert err.count("\n") == 1 and "conjugation orbit reached" in err
+    assert "elements, over budget 100000" in err
 
 
 @pytest.mark.parametrize("env,args,source", [

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,12 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bruhatkit import fflab
 from bruhatkit.errors import BudgetError, IntegrityError, SingularMatrixError
-from bruhatkit.exact import GF, ExactMatrix
+from bruhatkit.exact import GF, ExactMatrix, _echelon_mod_p
 from bruhatkit.fflab import (
     GroupKind,
     _cell_windows,
+    _class_by_commutant,
+    _class_by_orbit,
+    _classes_met,
     _column_pivots,
+    _commutant,
+    _det_mod_p,
     _jordan_types_mod_p,
     _mulclose,
     _partition_into_orbits,
@@ -348,7 +355,7 @@ def test_verify_theorem_a_cells_mode_matches_table_mode():
 
 
 def test_verify_theorem_a_sp4_f5_via_cells():
-    # the large-prime run the cell parametrization exists for (~25s)
+    # the large-prime run the cell parametrization exists for (about 0.1 s)
     report = verify_theorem_a(parse_kind("sp", 4), 5, seed=3)
     assert report["method"] == "cells"
     assert report["all_match"] and report["ok"]
@@ -449,4 +456,112 @@ def test_conjugation_orbit_limit():
     with pytest.raises(BudgetError) as info:
         conjugation_orbit(u, gens, 5, limit=5)
     assert info.value.budget == 5 and info.value.required > 5
+    assert "conjugation orbit" in str(info.value)
+
+
+def test_echelon_nullspace_matches_brute_force_2x2_f3():
+    # oracle: every X in M_2(F_3) tried against X a = b X, for all a and b
+    q = 3
+    every = np.array(list(itertools.product(range(q), repeat=4)), dtype=np.int64).reshape(-1, 2, 2)
+    digits = np.array(list(itertools.product(range(q), repeat=4)), dtype=np.int64)
+    dims = Counter()
+    for a in every:
+        for b in every:
+            solved = {x.tobytes() for x in every[((every @ a - b @ every) % q == 0).all(axis=(1, 2))]}
+            basis = _commutant(a, b, q)
+            k = len(basis)
+            span = np.tensordot(digits[:q ** k, 4 - k:], basis, axes=1) % q if k else every[:1] * 0
+            assert {x.tobytes() for x in span} == solved and len(solved) == q ** k
+            dims[k] += 1
+    assert set(dims) == {0, 1, 2, 4}
+    # the flag leaves rank and det alone
+    rng = random.Random(5)
+    for _ in range(200):
+        rows = [[rng.randrange(q) for _ in range(4)] for _ in range(rng.choice([3, 4, 5]))]
+        rank, det, basis = _echelon_mod_p(rows, q, nullspace=True)
+        assert (rank, det) == _echelon_mod_p(rows, q)
+        assert rank + len(basis) == 4
+        assert all(sum(r * x for r, x in zip(row, vec)) % q == 0 for row in rows for vec in basis)
+
+
+def test_det_mod_p_matches_exact_det():
+    rng = np.random.default_rng(11)
+    for n, p in [(2, 3), (3, 5), (4, 7), (5, 3)]:
+        stack = rng.integers(0, p, size=(60, n, n))
+        expected = [ExactMatrix(GF(p), m.tolist()).det() for m in stack]
+        assert _det_mod_p(stack, p).tolist() == expected
+
+
+def _captured_reps(kind, q, monkeypatch):
+    # the representatives scan_property_d hands to _classes_met, per cell
+    captured = []
+
+    def spy(kind, q, reps, limit=None):
+        captured.append(reps)
+        return _classes_met(kind, q, reps, limit)
+
+    monkeypatch.setattr(fflab, "_classes_met", spy)
+    scan_property_d(kind, [q])
+    return captured
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("name,n", [("sl", 2), ("sl", 3), ("sp", 4)])
+def test_centralizer_routes_agree(name, n, q, monkeypatch):
+    # both routes forced on every representative, whatever the rule picks:
+    # |Z_G| and the class partition from the commutant equal those from the
+    # conjugation orbit, which is the orbit-stabilizer oracle
+    kind = parse_kind(name, n)
+    gens = group_generators(kind, q)
+    captured = _captured_reps(kind, q, monkeypatch)
+    assert captured
+    for reps in captured:
+        orbits = []
+        for rep in reps:
+            orbit = next((o for o in orbits if rep.tobytes() in o), None)
+            if orbit is None:
+                orbit = conjugation_orbit(rep, gens, q)
+                orbits.append(orbit)
+            expected_z = centralizer_order(kind, q, orbit)
+            basis = _commutant(rep, rep, q)
+            by_commutant = _class_by_commutant(kind, q, rep, basis)
+            by_orbit = _class_by_orbit(kind, q, rep)
+            assert by_commutant[0] == by_orbit[0] == expected_z
+            for b in reps:
+                assert by_commutant[1](b) == by_orbit[1](b) == (b.tobytes() in orbit)
+        zg, sizes = _classes_met(kind, q, reps)
+        assert sizes == [len(o) for o in orbits]
+        assert zg == [centralizer_order(kind, q, next(o for o in orbits if r.tobytes() in o))
+                      for r in reps]
+
+
+def test_property_d_sp4_at_three_primes():
+    # new reach: the commutant gives the Coxeter classes of Sp_4(F_7)
+    # (about 2.8 * 10^6 elements each) without building them
+    kind = parse_kind("sp", 4)
+    scan = scan_property_d(kind, [3, 5, 7])
+    report = property_d_report(scan)
+    assert report["all_match"] and report["ok"]
+    for cell, row in zip(scan.cells, report["classes"]):
+        assert row["orbit_count_stable"] and row["zb_stable"]
+        if cell.cls.min_length == 2:
+            # Coxeter: |Z_G| = 2q^2, per-form exponents exactly 2, M = 1/q^2
+            assert [r["zg"] for r in row["per_q"]] == [[2 * q * q] * 2 for q in (3, 5, 7)]
+            assert scan.masses(cell) == [Fraction(1, q * q) for q in (3, 5, 7)]
+        else:
+            # w0: 2q^3(q -+ 1), M = 1/(q^2(q^2 - 1))
+            assert [r["zg"] for r in row["per_q"]] == [
+                [2 * q ** 3 * (q - 1)] * 2 + [2 * q ** 3 * (q + 1)] * 2 for q in (3, 5, 7)]
+            assert scan.masses(cell) == [Fraction(1, q * q * (q * q - 1)) for q in (3, 5, 7)]
+        assert all(abs(e - cell.cls.min_length) <= 0.25 for e in scan.mass_exponents(cell))
+
+
+def test_class_bfs_is_bounded_by_the_cell_budget():
+    # the w0 classes of Sp_4(F_3) (k = 8, so by orbit) have 240 and 480
+    # elements; |B| = 324 fits the budget, the larger class does not
+    kind = parse_kind("sp", 4)
+    assert scan_property_d(kind, [3], cell_budget=480).cells
+    with pytest.raises(BudgetError) as info:
+        scan_property_d(kind, [3], cell_budget=400)
+    assert info.value.budget == 400 and info.value.required > 400
     assert "conjugation orbit" in str(info.value)
