@@ -28,8 +28,17 @@ M = 1/(q^2(q^2 - 1))).  scan_property_d records the class sizes and
 PropertyDScan.mass_exponents gives log(M(q)/M(q')) / log(q'/q); the masses
 stay out of the verify report, whose format is fixed.
 
-Bulk scans run on int64 numpy arrays with explicit reductions mod p; bytes
-of the reduced array are the hash keys.  Everything stays exact.  One
+Bulk scans run on int64 numpy arrays with explicit reductions mod p; the
+entry bytes of a reduced matrix are its key in orbit and class sets.
+Everything stays exact.  Groups and orbits are listed by one breadth-first
+closure, _closure, which takes a whole level at a time: each matrix is
+coded as one int64 number, its entries read row by row as base-p digits,
+and a level's images are deduplicated on these codes by numpy sorting and
+set operations.  New elements keep the order a BFS taking one element at a
+time would give them, so tables and orbits come out in a fixed order.  The
+codes are exact only while p^(n^2) <= 2^63, and a closure past that bound
+raises a ValueError.  Under the default budgets only Sp_8 at the bad prime
+2 (2^64) is past it; a raised cell budget also reaches Sp_4(F_17).  One
 batched pivot kernel, _column_pivots, eliminates whole (B, n, n) stacks at
 once: its pivot rows are the Bruhat cell windows, and its pivot counts on
 the powers of g - 1 are the ranks that give Jordan types.  The ExactMatrix
@@ -100,9 +109,10 @@ from .weyl import (
 
 DEFAULT_ENUM_BUDGET = 10**8
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
-# matrices per numpy batch in cell scans, the window pass and the commutant
-# enumeration; it keeps the temporaries of a whole-group run (372,000
-# elements of SL_3(F_5)) small
+# matrices per numpy batch in cell scans, the table's window and unipotent
+# pass, the Borel centralizer scan and the commutant enumeration; it keeps
+# the temporaries of a whole-group run (372,000 elements of SL_3(F_5)) or a
+# Borel grid (10^6 elements of SL_4(F_5)) small
 _CHUNK = 200_000
 
 KIND_NAMES = ("GL", "SL", "Sp")
@@ -198,32 +208,47 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens
 
 
-def _closure(seeds: np.ndarray, moves, limit: int | None = None,
-             phase: str = "closure") -> dict[bytes, int]:
-    """Breadth-first closure of a (k, n, n) stack of seeds under the moves.
+def _closure(seeds: np.ndarray, moves, p: int, limit: int | None = None,
+             phase: str = "closure") -> np.ndarray:
+    """Breadth-first closure of a (k, n, n) stack of seeds mod p under the
+    moves, as the (N, n, n) stack of its elements in the order found.
 
-    Each move maps a (k, n, n) stack to its images mod p.  Keys are the entry
-    bytes of each element, values the order in which the BFS found them.
-    With ``limit``, holding more elements than that raises a BudgetError
-    naming the phase.
+    Each move maps a (k, n, n) stack to its images mod p.  The BFS goes one
+    level at a time: the images of the last level, move by move, are coded
+    as int64 numbers (entries read row by row as base-p digits, exact while
+    p^(n^2) <= 2^63), those already seen are dropped, and the rest are kept
+    at their first occurrence.  That is the order of a BFS that takes one
+    element at a time.  With ``limit``, holding more elements than that
+    raises a BudgetError naming the phase.
     """
-    seen: dict[bytes, int] = {}
-    shape = seeds.shape[1:]
-    stacks = [seeds]
-    while True:
-        frontier = []
-        for stack in stacks:
-            for key in _keys(stack):
-                if key not in seen:
-                    seen[key] = len(seen)
-                    frontier.append(key)
+    n = seeds.shape[1]
+    if p ** (n * n) > 2 ** 63:
+        raise ValueError(f"closure of {n}x{n} matrices over GF({p}) needs {p}^{n * n} "
+                         f"int64 codes, more than 2^63")
+    weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    seen = np.empty(0, dtype=np.int64)  # sorted
+    levels = []
+    images = seeds
+    while len(images):
+        codes = images.reshape(len(images), n * n) @ weights
+        order = np.argsort(codes)
+        codes = codes[order]
+        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        # argsort is not stable: the least index of a run of equal codes is
+        # its first occurrence
+        first = np.minimum.reduceat(order, starts)
+        codes = codes[starts]
+        fresh = ~np.isin(codes, seen, assume_unique=True)
+        frontier = images[np.sort(first[fresh])]
+        seen = np.sort(np.concatenate([seen, codes[fresh]]), kind="stable")
+        levels.append(frontier)
         if limit is not None and len(seen) > limit:
             raise BudgetError(f"{phase} reached {len(seen)} elements, over budget {limit}",
                               required=len(seen), budget=limit)
-        if not frontier:
-            return seen
-        batch = _from_keys(frontier, shape)
-        stacks = (move(batch) for move in moves)
+        images = np.empty((len(moves) * len(frontier), n, n), dtype=np.int64)
+        for i, move in enumerate(moves):
+            images[i * len(frontier):(i + 1) * len(frontier)] = move(frontier)
+    return np.concatenate(levels)
 
 
 def _keys(stack: np.ndarray):
@@ -231,6 +256,11 @@ def _keys(stack: np.ndarray):
     buf = stack.tobytes()
     step = stack.itemsize * math.prod(stack.shape[1:])
     return (buf[start:start + step] for start in range(0, len(buf), step))
+
+
+def _numbered(stack: np.ndarray) -> dict[bytes, int]:
+    """The entry bytes of each matrix in a stack, numbered in stack order."""
+    return {key: i for i, key in enumerate(_keys(stack))}
 
 
 def _from_keys(keys, shape) -> np.ndarray:
@@ -246,8 +276,7 @@ def _conjugation_moves(gens: list[np.ndarray], p: int):
 def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
     n = gens[0].shape[0]
     moves = [lambda batch, g=g: batch @ g % p for g in gens]
-    seen = _closure(np.eye(n, dtype=np.int64)[None], moves, limit=limit, phase="group closure")
-    return _from_keys(seen, (n, n)).copy()
+    return _closure(np.eye(n, dtype=np.int64)[None], moves, p, limit=limit, phase="group closure")
 
 
 class FiniteGroupTable:
@@ -293,12 +322,13 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     mats = _mulclose(group_generators(kind, q), q, budget)
     if len(mats) != expected:
         raise IntegrityError(f"enumerated {len(mats)} elements of {kind}/GF({q}), formula gives {expected}")
-    cell_windows = []
+    cell_windows, unipotent = [], []
     for start in range(0, len(mats), _CHUNK):
-        cell_windows += _cell_windows(kind, mats[start:start + _CHUNK], q)
-    unipotent = np.nonzero(_unipotent_mask(mats, q))[0]
+        chunk = mats[start:start + _CHUNK]
+        cell_windows += _cell_windows(kind, chunk, q)
+        unipotent += (start + np.flatnonzero(_unipotent_mask(chunk, q))).tolist()
     types = _jordan_types_mod_p(mats[unipotent], q)
-    return FiniteGroupTable(kind, q, mats, cell_windows, dict(zip(unipotent.tolist(), types)))
+    return FiniteGroupTable(kind, q, mats, cell_windows, dict(zip(unipotent, types)))
 
 
 def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
@@ -544,9 +574,9 @@ def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
                       limit: int | None = None) -> dict[bytes, int]:
     """The orbit of a matrix under conjugation by the group the generators
     produce (closure under the generators alone suffices in a finite group),
-    as entry-bytes keys."""
-    return _closure((start % p)[None], _conjugation_moves(gens, p), limit=limit,
-                    phase="conjugation orbit")
+    as entry-bytes keys numbered in the order found."""
+    return _numbered(_closure((start % p)[None], _conjugation_moves(gens, p), p, limit=limit,
+                              phase="conjugation orbit"))
 
 
 def centralizer_order(kind: GroupKind, q: int, orbit: dict[bytes, int]) -> int:
@@ -631,11 +661,14 @@ def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndar
 
 
 def borel_centralizer_order(kind: GroupKind, q: int, g: np.ndarray) -> int:
-    """|Z_B(g)(F_q)| by a direct commuting scan over the Borel grid."""
+    """|Z_B(g)(F_q)| by a direct commuting scan over the Borel grid, one
+    _CHUNK batch at a time."""
     borel = borel_grid(kind, q)
-    left = borel @ g % q
-    right = g @ borel % q
-    return int((left == right).all(axis=(1, 2)).sum())
+    count = 0
+    for start in range(0, len(borel), _CHUNK):
+        batch = borel[start:start + _CHUNK]
+        count += int((batch @ g % q == g @ batch % q).all(axis=(1, 2)).sum())
+    return count
 
 
 def borel_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
@@ -677,7 +710,7 @@ def _partition_into_orbits(members: set[bytes], gens: list[np.ndarray], p: int,
     unseen = set(members)
     orbits = []
     while unseen:
-        orbit = _closure(_from_keys([min(unseen)], shape), moves)
+        orbit = _numbered(_closure(_from_keys([min(unseen)], shape), moves, p))
         if not orbit.keys() <= members:
             raise IntegrityError("conjugation left the scanned set")
         unseen.difference_update(orbit)

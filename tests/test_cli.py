@@ -293,6 +293,14 @@ def test_class_bfs_over_the_cell_budget_exits_2(capsys, monkeypatch):
     assert "elements, over budget 100000" in err
 
 
+def test_closure_past_int64_codes_exits_2(capsys):
+    # the orbits of Sp_8 at the bad prime 2 would need 2^64 codes
+    rc, out, err = run(capsys, ["verify", "sp", "8", "--q", "2", "--q", "3", "--no-theorem-a",
+                                "--allow-bad-prime"])
+    assert rc == 2 and not out
+    assert err.count("\n") == 1 and "8x8 matrices over GF(2)" in err
+
+
 @pytest.mark.parametrize("env,args,source", [
     ("abc", ["verify", "sl", "2", "--q", "3"], "BRUHATKIT_BUDGET"),
     ("-5", ["verify", "sl", "2", "--q", "3"], "BRUHATKIT_BUDGET"),

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -41,8 +42,8 @@ from bruhatkit.fflab import (
     verify_property_d,
     verify_theorem_a,
 )
-from bruhatkit.partitions import Partition
-from bruhatkit.weyl import GroupSpec, signed_window_from_symmetric
+from bruhatkit.partitions import Partition, partitions_of
+from bruhatkit.weyl import GroupSpec, gl_order, signed_window_from_symmetric
 from bruhatkit.cells import (
     bruhat_decompose,
     c_positive_roots,
@@ -244,6 +245,79 @@ def test_borel_generators_generate_the_borel(name, n, q):
     grid = borel_grid(kind, q)
     closure = _mulclose(borel_generators(kind, q), q, limit=len(grid))
     assert {g.tobytes() for g in closure} == {g.tobytes() for g in grid}
+
+
+def _bfs_oracle(seed, moves):
+    """The closure one element at a time, in pure Python on entry tuples: a
+    level's images are taken move by move, each over the whole level, and
+    an image joins the list the first time it is met."""
+    found, seen, level = [seed], {seed}, [seed]
+    while level:
+        new = []
+        for move in moves:
+            for x in level:
+                y = move(x)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        found += new
+        level = new
+    return found
+
+
+def _tuple_mul(a, b, n, p):
+    rows = [a[i * n:(i + 1) * n] for i in range(n)]
+    cols = [b[j::n] for j in range(n)]
+    return tuple(sum(map(operator.mul, r, c)) % p for r in rows for c in cols)
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 2, 5), ("sp", 4, 3)])
+def test_mulclose_order_matches_the_one_at_a_time_bfs(name, n, q):
+    gens = group_generators(parse_kind(name, n), q)
+    moves = [lambda x, g=tuple(g.ravel().tolist()): _tuple_mul(x, g, n, q) for g in gens]
+    expected = _bfs_oracle(tuple(np.eye(n, dtype=int).ravel().tolist()), moves)
+    assert [tuple(m.ravel().tolist()) for m in _mulclose(gens, q, limit=10**6)] == expected
+
+
+def test_conjugation_orbit_order_matches_the_one_at_a_time_bfs():
+    # the regular unipotent class of SL_3(F_3): 5616 / 9 = 624 elements
+    gens = group_generators(parse_kind("sl", 3), 3)
+    u = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
+    pairs = [(tuple(g.ravel().tolist()),
+              tuple(int(x) for row in ExactMatrix(GF(3), g.tolist()).inverse().entries for x in row))
+             for g in gens]
+    moves = [lambda x, g=g, h=h: _tuple_mul(_tuple_mul(g, x, 3, 3), h, 3, 3) for g, h in pairs]
+    expected = _bfs_oracle(tuple(u.ravel().tolist()), moves)
+    orbit = conjugation_orbit(u, gens, 3)
+    assert len(expected) == 624
+    assert list(orbit) == [np.array(x, dtype=np.int64).tobytes() for x in expected]
+    assert list(orbit.values()) == list(range(624))
+
+
+def test_closure_codes_must_fit_int64():
+    # 2^64 codes for 8x8 matrices over GF(2); 7x7 (2^49) still fits
+    with pytest.raises(ValueError, match=r"8x8 matrices over GF\(2\)"):
+        _mulclose([np.eye(8, dtype=np.int64)], 2, limit=10)
+    assert len(_mulclose([np.eye(7, dtype=np.int64)], 2, limit=10)) == 1
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 3), ("gl", 4, 2)])
+def test_table_type_counts_match_the_class_sizes(name, n, q):
+    # the unipotent class of type lam in GL_n(F_q) has |GL_n| / |Z(u_lam)|
+    # elements, |Z(u_lam)| = q^(sum lam'_i^2 - sum m_i^2) prod |GL_{m_i}(q)|
+    # with m_i the multiplicity of the part i; each has det 1, so SL_n has
+    # the same classes
+    table = enumerate_group(parse_kind(name, n), q)
+    found = Counter(table.unipotent_types.values())
+    expected = {}
+    for lam in partitions_of(n):
+        mults = [lam.multiplicity(i) for i in set(lam.parts)]
+        exponent = sum(c * c for c in lam.conjugate().parts) - sum(m * m for m in mults)
+        centralizer = q ** exponent
+        for m in mults:
+            centralizer *= gl_order(m, q)
+        expected[lam] = gl_order(n, q) // centralizer
+    assert found == expected
 
 
 def _slice_keys(kind, w, q):
