@@ -28,17 +28,17 @@ M = 1/(q^2(q^2 - 1))).  scan_property_d records the class sizes and
 PropertyDScan.mass_exponents gives log(M(q)/M(q')) / log(q'/q); the masses
 stay out of the verify report, whose format is fixed.
 
-Bulk scans run on int64 numpy arrays with explicit reductions mod p; the
-entry bytes of a reduced matrix are its key in orbit and class sets.
-Everything stays exact.  Groups and orbits are listed by one breadth-first
-closure, _closure, which takes a whole level at a time: each matrix is
-coded as one int64 number, its entries read row by row as base-p digits,
-and a level's images are deduplicated on these codes by numpy sorting and
-set operations.  New elements keep the order a BFS taking one element at a
+Bulk scans run on int64 numpy arrays with explicit reductions mod p.
+Everything stays exact.  A reduced matrix has one key, its int64 code
+(_codes): its entries read row by row as base-p digits.  Groups, orbits and
+classes are stacks of matrices, and every dedup and membership test works
+on their codes with numpy sorting and set operations.  Groups and orbits
+are listed by one breadth-first closure, _closure, which takes a whole
+level at a time.  New elements keep the order a BFS taking one element at a
 time would give them, so tables and orbits come out in a fixed order.  The
-codes are exact only while p^(n^2) <= 2^63, and a closure past that bound
-raises a ValueError.  Under the default budgets only Sp_8 at the bad prime
-2 (2^64) is past it; a raised cell budget also reaches Sp_4(F_17).  One
+codes are exact only while p^(n^2) <= 2^63, and coding a matrix past that
+bound raises a ValueError.  Under the default budgets only Sp_8 at the bad
+prime 2 (2^64) is past it; a raised cell budget also reaches Sp_4(F_17).  One
 batched pivot kernel, _column_pivots, eliminates whole (B, n, n) stacks at
 once: its pivot rows are the Bruhat cell windows, and its pivot counts on
 the powers of g - 1 are the ranks that give Jordan types.  The ExactMatrix
@@ -56,7 +56,9 @@ the slice w_rep * B.  For property (d), let B_w = B ∩ w_rep B w_rep^-1, of
 order |B| / q^length(w).  By the uniqueness of u, slice elements that are
 B-conjugate are B_w-conjugate and Z_B(x) = Z_{B_w}(x) on the slice, so each
 B-orbit of gamma ∩ BwB meets the slice in one B_w-orbit, q^length(w) times
-smaller, with the same centralizers in B and in G.
+smaller, with the same centralizers in B and in G.  So |Z_B(x)| is read off
+that orbit by orbit-stabilizer, |B_w| / |orbit|; borel_centralizer_order,
+a direct commuting scan of B, is its oracle in the tests.
 
 Centralizers in G take one of two routes.  Z_G(g) is the part of G in the
 commutant {X : X g = g X}, a linear space of some dimension k whose basis
@@ -215,22 +217,17 @@ def _closure(seeds: np.ndarray, moves, p: int, limit: int | None = None,
 
     Each move maps a (k, n, n) stack to its images mod p.  The BFS goes one
     level at a time: the images of the last level, move by move, are coded
-    as int64 numbers (entries read row by row as base-p digits, exact while
-    p^(n^2) <= 2^63), those already seen are dropped, and the rest are kept
-    at their first occurrence.  That is the order of a BFS that takes one
-    element at a time.  With ``limit``, holding more elements than that
-    raises a BudgetError naming the phase.
+    (_codes), those already seen are dropped, and the rest are kept at their
+    first occurrence.  That is the order of a BFS that takes one element at
+    a time.  With ``limit``, holding more elements than that raises a
+    BudgetError naming the phase.
     """
     n = seeds.shape[1]
-    if p ** (n * n) > 2 ** 63:
-        raise ValueError(f"closure of {n}x{n} matrices over GF({p}) needs {p}^{n * n} "
-                         f"int64 codes, more than 2^63")
-    weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     seen = np.empty(0, dtype=np.int64)  # sorted
     levels = []
     images = seeds
     while len(images):
-        codes = images.reshape(len(images), n * n) @ weights
+        codes = _codes(images, p)
         order = np.argsort(codes)
         codes = codes[order]
         starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
@@ -251,21 +248,15 @@ def _closure(seeds: np.ndarray, moves, p: int, limit: int | None = None,
     return np.concatenate(levels)
 
 
-def _keys(stack: np.ndarray):
-    """The entry bytes of each matrix in a stack, one at a time, as hash keys."""
-    buf = stack.tobytes()
-    step = stack.itemsize * math.prod(stack.shape[1:])
-    return (buf[start:start + step] for start in range(0, len(buf), step))
-
-
-def _numbered(stack: np.ndarray) -> dict[bytes, int]:
-    """The entry bytes of each matrix in a stack, numbered in stack order."""
-    return {key: i for i, key in enumerate(_keys(stack))}
-
-
-def _from_keys(keys, shape) -> np.ndarray:
-    """The (k, *shape) int64 stack whose rows have these entry bytes."""
-    return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, *shape)
+def _codes(stack: np.ndarray, p: int) -> np.ndarray:
+    """The int64 code of each matrix in a (k, n, n) stack of residues mod p:
+    its entries read row by row as base-p digits.  Codes are exact only while
+    p^(n^2) <= 2^63; past that bound this raises a ValueError."""
+    n = stack.shape[1]
+    if p ** (n * n) > 2 ** 63:
+        raise ValueError(f"closure of {n}x{n} matrices over GF({p}) needs {p}^{n * n} "
+                         f"int64 codes, more than 2^63")
+    return stack.reshape(len(stack), n * n) @ p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
 
 
 def _conjugation_moves(gens: list[np.ndarray], p: int):
@@ -571,26 +562,25 @@ def _inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
-                      limit: int | None = None) -> dict[bytes, int]:
+                      limit: int | None = None) -> np.ndarray:
     """The orbit of a matrix under conjugation by the group the generators
     produce (closure under the generators alone suffices in a finite group),
-    as entry-bytes keys numbered in the order found."""
-    return _numbered(_closure((start % p)[None], _conjugation_moves(gens, p), p, limit=limit,
-                              phase="conjugation orbit"))
+    as the (N, n, n) stack of its elements in the order found."""
+    return _closure((start % p)[None], _conjugation_moves(gens, p), p, limit=limit,
+                    phase="conjugation orbit")
 
 
-def centralizer_order(kind: GroupKind, q: int, orbit: dict[bytes, int]) -> int:
+def centralizer_order(kind: GroupKind, q: int, orbit: np.ndarray) -> int:
     """|Z_G(g)(F_q)| by orbit-stabilizer, from the conjugation orbit of g:
     group order over class size."""
-    return _cofactor(kind, q, len(orbit), "orbit size")
+    return _cofactor(kind.order(q), f"|{kind}(F_{q})|", len(orbit), "orbit size")
 
 
-def _cofactor(kind: GroupKind, q: int, part: int, what: str) -> int:
-    """|G(F_q)| / part; a part that does not divide the order is an
-    integrity failure."""
-    order = kind.order(q)
+def _cofactor(order: int, name: str, part: int, what: str) -> int:
+    """order / part, where ``name`` names the group of that order; a part
+    that does not divide the order is an integrity failure."""
     if order % part:
-        raise IntegrityError(f"{what} {part} does not divide |{kind}(F_{q})| = {order}")
+        raise IntegrityError(f"{what} {part} does not divide {name} = {order}")
     return order // part
 
 
@@ -640,7 +630,8 @@ def _class_by_orbit(kind: GroupKind, q: int, rep: np.ndarray, limit: int | None 
     """|Z_G(rep)| and a membership test for the G(F_q)-class of rep, from
     the class itself, grown by BFS; the limit bounds its size."""
     orbit = conjugation_orbit(rep, group_generators(kind, q), q, limit=limit)
-    return centralizer_order(kind, q, orbit), lambda b: b.tobytes() in orbit
+    codes = _codes(orbit, q)
+    return centralizer_order(kind, q, orbit), lambda b: bool(np.isin(_codes(b[None], q), codes)[0])
 
 
 def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndarray):
@@ -650,7 +641,7 @@ def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndar
     the solutions have dimension k too, and the search stops at the first
     batch with a hit."""
     zg = sum(len(batch) for batch in _group_span(kind, q, basis))
-    _cofactor(kind, q, zg, "centralizer order")
+    _cofactor(kind.order(q), f"|{kind}(F_{q})|", zg, "centralizer order")
 
     def same_class(b):
         solutions = _commutant(rep, b, q)
@@ -662,7 +653,8 @@ def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndar
 
 def borel_centralizer_order(kind: GroupKind, q: int, g: np.ndarray) -> int:
     """|Z_B(g)(F_q)| by a direct commuting scan over the Borel grid, one
-    _CHUNK batch at a time."""
+    _CHUNK batch at a time.  scan_property_d reads |Z_B| off the B_w-orbits
+    instead; this scan is the oracle the tests hold it to."""
     borel = borel_grid(kind, q)
     count = 0
     for start in range(0, len(borel), _CHUNK):
@@ -700,20 +692,25 @@ def _slice_borel_generators(kind: GroupKind, w, q: int) -> list[np.ndarray]:
     return [x for x in borel_generators(kind, q) if not np.tril(rep.T @ x @ rep % q, -1).any()]
 
 
-def _partition_into_orbits(members: set[bytes], gens: list[np.ndarray], p: int,
-                           shape: tuple[int, int]) -> list[dict[bytes, int]]:
-    """Split a conjugation-stable set of entry-bytes keys into orbits under
-    the generated group.  Each orbit is grown from the least key not yet
-    placed, so the orbits come in order of their least key, which is also
-    the first key of each.  With no generators every key is its own orbit."""
+def _partition_into_orbits(members: np.ndarray, gens: list[np.ndarray],
+                           p: int) -> list[np.ndarray]:
+    """Split a conjugation-stable (k, n, n) stack into orbits under the
+    generated group, as orbit stacks.  Each orbit is grown from the least
+    code not yet placed, so the orbits come in order of their least code,
+    and that matrix is the first of each.  With no generators every matrix
+    is its own orbit."""
     moves = _conjugation_moves(gens, p)
-    unseen = set(members)
+    codes, first = np.unique(_codes(members, p), return_index=True)
+    unplaced = np.ones(len(codes), dtype=bool)
     orbits = []
-    while unseen:
-        orbit = _numbered(_closure(_from_keys([min(unseen)], shape), moves, p))
-        if not orbit.keys() <= members:
+    for i in range(len(codes)):
+        if not unplaced[i]:
+            continue
+        orbit = _closure(members[first[i]][None], moves, p)
+        found = _codes(orbit, p)
+        if not np.isin(found, codes, assume_unique=True).all():
             raise IntegrityError("conjugation left the scanned set")
-        unseen.difference_update(orbit)
+        unplaced[np.searchsorted(codes, found)] = False
         orbits.append(orbit)
     return orbits
 
@@ -774,11 +771,14 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
             {w for cls in classes for w in cls.min_elements}, key=lambda w: w.window
         )
 
-        type_sets = {
-            w.window: {jt for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget)
-                       for jt in _jordan_types_mod_p(hits, q)}
-            for w in needed
-        }
+        # the types met in each slice; the spot checks sample its first hit
+        type_sets, first_hits = {}, {}
+        for w in needed:
+            type_sets[w.window] = set()
+            for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
+                if len(hits) and w.window not in first_hits:
+                    first_hits[w.window] = hits[0].copy()
+                type_sets[w.window].update(_jordan_types_mod_p(hits, q))
 
         def types_met(w):
             return type_sets[w.window]
@@ -843,7 +843,7 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     if seed is not None:
         report["spot_checks"] = (
             _spot_checks(kind, q, table, seed) if method == "table"
-            else _spot_checks_from_cells(kind, q, classes, seed, cell_budget)
+            else _spot_checks_from_cells(kind, q, classes, first_hits, seed)
         )
     report["ok"] = (advisory or all_match) and all(c["ok"] for c in integrity.values())
     return report
@@ -872,19 +872,16 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
     return {"seed": seed, "count": count, "records": records, "ok": all(r["cell_stable"] and r["type_stable"] for r in records)}
 
 
-def _spot_checks_from_cells(kind: GroupKind, q: int, classes, seed: int,
-                            cell_budget: int, count: int = 20) -> dict:
+def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, seed: int,
+                            count: int = 20) -> dict:
     """Table-free spot checks for cell-parametrized runs: cells are stable
-    under two-sided Borel moves and Jordan types under Borel conjugation."""
+    under two-sided Borel moves and Jordan types under Borel conjugation.
+    The samples are the first unipotent element of each minimal slice that
+    has one (``first_hits``, by window), in class order, then by window."""
     rng = random.Random(seed)
     borel = borel_grid(kind, q)
-    samples = []
-    for cls in classes:
-        for w in sorted(cls.min_elements, key=lambda w: w.window):
-            for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
-                if len(hits):
-                    samples.append((w.window, hits[0]))
-                    break
+    samples = [(w.window, first_hits[w.window]) for cls in classes
+               for w in sorted(cls.min_elements, key=lambda w: w.window) if w.window in first_hits]
     records = []
     for _ in range(count):
         window, g = samples[rng.randrange(len(samples))]
@@ -935,7 +932,7 @@ class PropertyDScan:
 
 
 def _check_two_primes(qs: list[int]):
-    if len(qs) < 2:
+    if len(set(qs)) < 2:
         raise ValueError("property (d) proxies need at least two primes")
 
 
@@ -978,9 +975,10 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
     """Scan gamma ∩ BwB for every elliptic class and minimal-length w at each
     prime: its B(F_q)-orbits, their centralizer orders in G and in B, and the
     G(F_q)-classes it meets.  One prime suffices here; the report compares
-    two or more.  Only gamma ∩ w_rep B is built, split into B_w-orbits (see
-    the module docstring).  The cell budget bounds |B| and every class that
-    is grown by BFS."""
+    two or more, and a prime given twice is scanned once.  Only gamma ∩ w_rep
+    B is built, split into B_w-orbits (see the module docstring), and |Z_B|
+    is |B_w| / |orbit|.  The cell budget bounds |B| and every class that is
+    grown by BFS."""
     if kind.family == "GL":
         raise ValueError(
             "the centralizer-dimension statement is about semisimple groups; "
@@ -988,36 +986,36 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
         )
     if not q_list:
         raise ValueError("no primes to scan")
-    qs = sorted(q_list)
+    qs = sorted(set(q_list))
     for q in qs:
         _check_prime(q)
         if q in kind.bad_primes and not allow_bad_prime:
             raise ValueError(f"q = {q} is a bad prime for {kind}; pass allow_bad_prime to explore anyway")
     advisory = any(q in kind.bad_primes for q in qs)
     classes = [c for c in conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap) if c.elliptic]
-    shape = (kind.n, kind.n)
     cells = []
     for cls in classes:
         target = phi(cls).jordan_type
         for w in sorted(cls.min_elements, key=lambda w: w.window):
             per_q, class_sizes = [], []
             for q in qs:
-                members = set()
-                for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
-                    types = _jordan_types_mod_p(hits, q)
-                    members.update(_keys(hits[[t == target for t in types]]))
-                orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q,
-                                                shape)
-                reps = [_from_keys([next(iter(orbit))], shape)[0] for orbit in orbits]
-                zg, sizes = _classes_met(kind, q, reps, limit=cell_budget)
+                members = np.concatenate([
+                    hits[[t == target for t in _jordan_types_mod_p(hits, q)]]
+                    for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget)])
+                orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q)
+                zg, sizes = _classes_met(kind, q, [orbit[0] for orbit in orbits],
+                                         limit=cell_budget)
                 scale = q ** w.length()
+                # Z_B(x) = Z_{B_w}(x) on the slice, |B_w| = |B| / q^length(w)
+                slice_borel = kind.borel_order(q) // scale
                 per_q.append({
                     "q": q,
                     "intersection_size": scale * len(members),
                     "orbit_count": len(orbits),
                     "orbit_sizes": sorted(scale * len(o) for o in orbits),
                     "zg": sorted(zg),
-                    "zb": sorted(borel_centralizer_order(kind, q, rep) for rep in reps),
+                    "zb": sorted(_cofactor(slice_borel, f"|B_w| of {w} in {kind}(F_{q})", len(o),
+                                           "B_w-orbit size") for o in orbits),
                 })
                 class_sizes.append(sizes)
             cells.append(EllipticCellScan(cls, target, w, per_q, class_sizes))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -321,6 +322,19 @@ def test_bad_budgets_exit_2_naming_the_source(capsys, monkeypatch, env, args, so
     rc, out, err = run(capsys, args)
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {source} must be a positive integer")
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["sp", "4", "--q", "3", "--q", "5"],
+     "a878612f4467d9018d4388094ffa821a7f50319058e88f30b701440ac17351b2"),
+    (["sl", "3", "--q", "3", "--q", "5"],
+     "ade987cff8c3e138e4d8a8e1517fd323f205e2d6b62c719d2882404f1694638b"),
+])
+def test_property_d_report_bytes_are_pinned(capsys, args, digest):
+    # SHA-256 of the whole stdout, the same bytes perfbench's digests pin
+    rc, out, _ = run(capsys, ["verify", *args, "--no-theorem-a"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_seed_reproducibility(capsys):

@@ -24,6 +24,7 @@ from bruhatkit.fflab import (
     _partition_into_orbits,
     _root_family,
     _roots,
+    _slice_borel_generators,
     _slice_unipotents,
     _torus,
     _weyl_rep,
@@ -247,6 +248,23 @@ def test_borel_generators_generate_the_borel(name, n, q):
     assert {g.tobytes() for g in closure} == {g.tobytes() for g in grid}
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name,n", [("gl", 3), ("sl", 3), ("sp", 4)])
+def test_slice_borel_generators_generate_the_slice_borel(name, n, q):
+    # scan_property_d reads |Z_B| = |B_w| / |orbit| off the B_w-orbits, so
+    # the generators must give all of B_w = B ∩ w_rep B w_rep^-1, of order
+    # |B| / q^length(w), and nothing outside it
+    kind = parse_kind(name, n)
+    for w in kind.weyl_spec.elements():
+        gens = _slice_borel_generators(kind, w, q)
+        rep = _weyl_rep(kind, w, q)
+        group = (_mulclose(gens, q, limit=kind.borel_order(q)) if gens
+                 else np.eye(n, dtype=np.int64)[None])
+        assert len(group) == kind.borel_order(q) // q ** w.length()
+        assert not np.tril(group, -1).any()
+        assert not np.tril(fflab._inv_mod_p(rep, q) @ group @ rep % q, -1).any()
+
+
 def _bfs_oracle(seed, moves):
     """The closure one element at a time, in pure Python on entry tuples: a
     level's images are taken move by move, each over the whole level, and
@@ -290,8 +308,8 @@ def test_conjugation_orbit_order_matches_the_one_at_a_time_bfs():
     expected = _bfs_oracle(tuple(u.ravel().tolist()), moves)
     orbit = conjugation_orbit(u, gens, 3)
     assert len(expected) == 624
-    assert list(orbit) == [np.array(x, dtype=np.int64).tobytes() for x in expected]
-    assert list(orbit.values()) == list(range(624))
+    assert [tuple(x.ravel().tolist()) for x in orbit] == expected
+    assert orbit.shape == (624, 3, 3) and orbit.dtype == np.int64
 
 
 def test_closure_codes_must_fit_int64():
@@ -320,8 +338,12 @@ def test_table_type_counts_match_the_class_sizes(name, n, q):
     assert found == expected
 
 
+def _key_set(stack):
+    return {x.tobytes() for x in stack}
+
+
 def _slice_keys(kind, w, q):
-    return {x.tobytes() for x in _weyl_rep(kind, w, q) @ borel_grid(kind, q) % q}
+    return _key_set(_weyl_rep(kind, w, q) @ borel_grid(kind, q) % q)
 
 
 def _scaled_slice_types(kind, w, q):
@@ -386,10 +408,12 @@ def test_property_d_slice_records_match_full_cell_orbits(name, n, q):
     scan = scan_property_d(kind, [q], allow_bad_prime=True)
     assert scan.cells
     for cell in scan.cells:
-        members = {table.mats[i].tobytes() for i, jt in table.unipotent_types.items()
-                   if jt == cell.target and table.cell_windows[i] == cell.w.window}
-        orbits = _partition_into_orbits(members, borel_gens, q, (n, n))
-        reps = [np.frombuffer(min(orbit), dtype=np.int64).reshape(n, n) for orbit in orbits]
+        members = table.mats[[i for i, jt in table.unipotent_types.items()
+                              if jt == cell.target and table.cell_windows[i] == cell.w.window]]
+        orbits = _partition_into_orbits(members, borel_gens, q)
+        # each orbit starts at its least member
+        assert all(min(_key_set(orbit)) == orbit[0].tobytes() for orbit in orbits)
+        reps = [orbit[0] for orbit in orbits]
         expected = {
             "q": q,
             "intersection_size": len(members),
@@ -463,6 +487,15 @@ def test_property_d_needs_semisimple_and_two_primes():
         property_d_report(scan_property_d(parse_kind("sl", 2), [3]))
 
 
+def test_property_d_counts_distinct_primes():
+    # a prime given twice is one prime: [3, 3] is too few, not a zero log
+    kind = parse_kind("sl", 2)
+    with pytest.raises(ValueError, match="two primes"):
+        verify_property_d(kind, [3, 3])
+    assert scan_property_d(kind, [5, 3, 5]).qs == [3, 5]
+    assert verify_property_d(kind, [5, 3, 5]) == verify_property_d(kind, [3, 5])
+
+
 def test_property_d_sl2():
     kind = parse_kind("sl", 2)
     scan = scan_property_d(kind, [3, 5])
@@ -510,15 +543,16 @@ def test_partition_into_orbits_rejects_an_unstable_set():
     kind = parse_kind("sl", 2)
     u = np.array([[1, 1], [0, 1]], dtype=np.int64)
     # the B-orbit of u in SL_2(F_5) is u and [[1, 4], [0, 1]]; G moves it further
-    b_orbit = set(conjugation_orbit(u, borel_generators(kind, 5), 5))
-    assert len(b_orbit) == 2
-    assert [set(o) for o in _partition_into_orbits(b_orbit, borel_generators(kind, 5), 5, (2, 2))
-            ] == [b_orbit]
-    # no generators: every key is its own orbit
-    assert [set(o) for o in _partition_into_orbits(b_orbit, [], 5, (2, 2))] == [
-        {key} for key in sorted(b_orbit)]
+    b_orbit = conjugation_orbit(u, borel_generators(kind, 5), 5)
+    keys = _key_set(b_orbit)
+    assert len(keys) == 2
+    assert [_key_set(o) for o in _partition_into_orbits(b_orbit, borel_generators(kind, 5), 5)
+            ] == [keys]
+    # no generators: every matrix is its own orbit
+    assert [_key_set(o) for o in _partition_into_orbits(b_orbit, [], 5)] == [
+        {key} for key in sorted(keys)]
     with pytest.raises(IntegrityError):
-        _partition_into_orbits(b_orbit, group_generators(kind, 5), 5, (2, 2))
+        _partition_into_orbits(b_orbit, group_generators(kind, 5), 5)
 
 
 def test_conjugation_orbit_limit():
@@ -590,22 +624,23 @@ def test_centralizer_routes_agree(name, n, q, monkeypatch):
     captured = _captured_reps(kind, q, monkeypatch)
     assert captured
     for reps in captured:
-        orbits = []
+        orbits = []  # (orbit stack, its keys)
         for rep in reps:
-            orbit = next((o for o in orbits if rep.tobytes() in o), None)
+            orbit, keys = next(((o, k) for o, k in orbits if rep.tobytes() in k), (None, None))
             if orbit is None:
                 orbit = conjugation_orbit(rep, gens, q)
-                orbits.append(orbit)
+                keys = _key_set(orbit)
+                orbits.append((orbit, keys))
             expected_z = centralizer_order(kind, q, orbit)
             basis = _commutant(rep, rep, q)
             by_commutant = _class_by_commutant(kind, q, rep, basis)
             by_orbit = _class_by_orbit(kind, q, rep)
             assert by_commutant[0] == by_orbit[0] == expected_z
             for b in reps:
-                assert by_commutant[1](b) == by_orbit[1](b) == (b.tobytes() in orbit)
+                assert by_commutant[1](b) == by_orbit[1](b) == (b.tobytes() in keys)
         zg, sizes = _classes_met(kind, q, reps)
-        assert sizes == [len(o) for o in orbits]
-        assert zg == [centralizer_order(kind, q, next(o for o in orbits if r.tobytes() in o))
+        assert sizes == [len(o) for o, _ in orbits]
+        assert zg == [centralizer_order(kind, q, next(o for o, k in orbits if r.tobytes() in k))
                       for r in reps]
 
 
