@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetError, IntegrityError, SingularMatrixError
-from .exact import ExactMatrix, PrimeField
+from .exact import ExactMatrix, PrimeField, _clear_denominators, _echelon_mod_p, int_echelon
 from .weyl import GroupSpec, WeylElement, signed_window_from_symmetric
 
 DEFAULT_CELL_BUDGET = 10**7
@@ -99,14 +99,30 @@ def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:
     For g in the cell of w, the rank of the submatrix on rows i..n and
     columns 1..j equals #{k <= j : w(k) >= i}; the permutation positions are
     where the second difference of that table is 1.
+
+    Over Q the denominators are cleared once, each row of g scaled to
+    integers by the lcm of its denominators.  Scaling a row by a nonzero
+    number keeps the rank of every submatrix, so each rank comes from
+    int_echelon on an integer submatrix; over GF(p) from _echelon_mod_p.
     """
     if not g.is_square():
         raise ValueError("rank profile needs a square matrix")
     n = g.rows
+    if isinstance(g.field, PrimeField):
+        p = g.field.p
+        rows = g.entries
+
+        def rank(sub):
+            return _echelon_mod_p(sub, p)[0]
+    else:
+        rows = _clear_denominators(g.entries)[0]
+
+        def rank(sub):
+            return int_echelon(sub)[0]
     ranks = [[0] * (n + 1) for _ in range(n + 2)]
     for i in range(n, 0, -1):
         for j in range(1, n + 1):
-            ranks[i][j] = g.submatrix(range(i - 1, n), range(j)).rank()
+            ranks[i][j] = rank([row[:j] for row in rows[i - 1:]])
     if ranks[1][n] != n:
         raise SingularMatrixError("matrix is singular: full rank profile missing")
     window = []

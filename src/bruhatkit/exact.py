@@ -4,6 +4,16 @@ Rationals are Python Fractions (always reduced, positive denominator);
 GF(p) elements are plain residues 0..p-1 with the modulus carried by the
 field descriptor.  Nothing here ever touches floating point.
 
+Products reduce once per entry.  Over GF(p) an entry is the plain integer
+dot product of a row and a column, taken mod p once.  Over Q each row of
+the left factor and each column of the right factor is scaled by the lcm
+of its denominators, and an entry is one integer dot product over the
+product of the two scalings, normalized by one Fraction(num, den).
+Results of matrix arithmetic (products, sums, differences, scalings,
+transposes, submatrices) hold reduced entries already, so they are built
+without the entry coercion and shape checks of ExactMatrix(field, entries),
+which every other matrix still passes through.
+
 Elimination over Q is fraction-free: rows are scaled to integers and
 determinants and ranks come from one fraction-free (one-step Bareiss)
 echelon pass, int_echelon, which keeps intermediate entries polynomially
@@ -15,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import SingularMatrixError
 
@@ -195,7 +207,19 @@ class ExactMatrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = rows
-        self._hash = hash((field, rows))
+        self._hash = None
+
+    @classmethod
+    def _reduced(cls, field, rows: tuple) -> "ExactMatrix":
+        """A matrix from a non-empty rectangular tuple of row tuples whose
+        entries are already reduced elements of the field."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = len(rows)
+        m.cols = len(rows[0])
+        m.entries = rows
+        m._hash = None
+        return m
 
     @classmethod
     def identity(cls, field, n: int) -> "ExactMatrix":
@@ -221,6 +245,8 @@ class ExactMatrix:
         return self.field == other.field and self.entries == other.entries
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.field, self.entries))
         return self._hash
 
     def __repr__(self):
@@ -238,6 +264,11 @@ class ExactMatrix:
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
+    def _require_same_shape(self, other):
+        self._require_same_field(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -245,43 +276,43 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         f = self.field
-        bt = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in bt:
-                acc = f.zero
-                for a, b in zip(row, col):
-                    acc = f.add(acc, f.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(f, out)
+        if isinstance(f, PrimeField):
+            p = f.p
+            cols = list(zip(*other.entries))
+            out = tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in self.entries])
+        else:
+            cols = [_integer_vector(col) for col in zip(*other.entries)]
+            out = tuple(
+                tuple(Fraction(sum(map(mul, row, col)), den * col_den) for col, col_den in cols)
+                for row, den in map(_integer_vector, self.entries)
+            )
+        return ExactMatrix._reduced(f, out)
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._require_same_field(other)
+        self._require_same_shape(other)
         f = self.field
-        return ExactMatrix(
-            f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return ExactMatrix._reduced(
+            f, tuple(tuple(map(f.add, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._require_same_field(other)
+        self._require_same_shape(other)
         f = self.field
-        return ExactMatrix(
-            f, [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return ExactMatrix._reduced(
+            f, tuple(tuple(map(f.sub, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
         )
 
     def scaled(self, c) -> "ExactMatrix":
         f = self.field
         c = f.coerce(c)
-        return ExactMatrix(f, [[f.mul(c, x) for x in row] for row in self.entries])
+        return ExactMatrix._reduced(f, tuple(tuple(f.mul(c, x) for x in row) for row in self.entries))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, list(zip(*self.entries)))
+        return ExactMatrix._reduced(self.field, tuple(zip(*self.entries)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -294,9 +325,10 @@ class ExactMatrix:
         )
 
     def submatrix(self, row_range, col_range) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field, [[self.entries[i][j] for j in col_range] for i in row_range]
-        )
+        rows = tuple(tuple(self.entries[i][j] for j in col_range) for i in row_range)
+        if not rows or not rows[0]:
+            raise ValueError("matrix must be non-empty")
+        return ExactMatrix._reduced(self.field, rows)
 
     def det(self):
         if not self.is_square():
@@ -415,23 +447,24 @@ def int_echelon(rows: list[list[int]]) -> tuple[int, int]:
     return r, sign * prev if r == nr == nc else 0
 
 
+def _integer_vector(xs) -> tuple[list[int], int]:
+    """(v, d) with v = d * xs an integer vector and d the lcm of the
+    denominators of the rationals xs."""
+    d = lcm(*(x.denominator for x in xs))
+    if d == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def _clear_denominators(entries) -> tuple[list[list[int]], int]:
     """Scale each row to integers; returns (rows, product of the scalings)."""
     out = []
     scale = 1
     for row in entries:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // _gcd(mult, x.denominator)
-        out.append([int(x * mult) for x in row])
-        scale *= mult
+        row, d = _integer_vector(row)
+        out.append(row)
+        scale *= d
     return out, scale
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _echelon_mod_p(entries, p: int, nullspace: bool = False):

@@ -767,6 +767,8 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         order_check = {"expected": kind.order(q), "enumerated": len(table),
                        "ok": len(table) == kind.order(q)}
     else:
+        # the census below is known to be over budget before any slice is scanned
+        _check_census_budget(kind, q, budget)
         needed = sorted(
             {w for cls in classes for w in cls.min_elements}, key=lambda w: w.window
         )
@@ -1089,14 +1091,9 @@ def verify_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bo
     return property_d_report(scan, exponent_tolerance)
 
 
-def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Exact number of unipotent elements of G(F_q), without enumerating G.
-
-    G is the disjoint union of its cells, and the cell of w holds
-    q^length(w) conjugates of each unipotent element of its slice w_rep * B,
-    so the census scans |W| * |B| matrices; the budget bounds that number.
-    """
-    _check_prime(q)
+def _check_census_budget(kind: GroupKind, q: int, budget: int) -> None:
+    """Raise BudgetError when the unipotent census, |W| * |B| matrices, is
+    over the budget."""
     scanned = kind.weyl_spec.order() * kind.borel_order(q)
     if scanned > budget:
         raise BudgetError(
@@ -1105,5 +1102,16 @@ def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET)
             required=scanned,
             budget=budget,
         )
+
+
+def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+    """Exact number of unipotent elements of G(F_q), without enumerating G.
+
+    G is the disjoint union of its cells, and the cell of w holds
+    q^length(w) conjugates of each unipotent element of its slice w_rep * B,
+    so the census scans |W| * |B| matrices; the budget bounds that number.
+    """
+    _check_prime(q)
+    _check_census_budget(kind, q, budget)
     return sum(q ** w.length() * len(hits) for w in kind.weyl_spec.elements()
                for hits in _slice_unipotents(kind, w, q, cell_budget=budget))

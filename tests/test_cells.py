@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,42 @@ def test_rank_profile_identity_and_random_agreement():
             assert bruhat_cell_rank_profile(g) == bruhat_decompose(g).w
 
 
+def _random_upper(field, n, rng, pool):
+    # invertible upper triangular, with some zero entries above the diagonal
+    nonzero = [x for x in pool if x]
+    return ExactMatrix(field, [[rng.choice(nonzero) if i == j else rng.choice(pool) if j > i else 0
+                                for j in range(n)] for i in range(n)])
+
+
+def test_rank_profile_mixed_denominators_every_cell():
+    # rows scaled by very different denominators; scaling a row keeps every
+    # submatrix rank, so the rank profile must still find the cell of w
+    rng = random.Random(11)
+    pool = [Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)] + [0] * 8
+    scales = [Fraction(1, 97), Fraction(1, 1009), Fraction(7, 3), Fraction(-5, 65537), 1]
+    for w in GroupSpec("A", 4).elements():
+        w_rep = ExactMatrix.permutation(QQ, w.window)
+        g = _random_upper(QQ, 5, rng, pool) * w_rep * _random_upper(QQ, 5, rng, pool)
+        rng.shuffle(scales)
+        g = ExactMatrix(QQ, [[c * x for x in row] for c, row in zip(scales, g.entries)])
+        assert len({x.denominator for row in g.entries for x in row}) > 3
+        assert bruhat_cell_rank_profile(g) == bruhat_decompose(g).w == w
+    field = GF(7)
+    for w in GroupSpec("A", 4).elements():
+        w_rep = ExactMatrix.permutation(field, w.window)
+        g = _random_upper(field, 5, rng, range(7)) * w_rep * _random_upper(field, 5, rng, range(7))
+        assert bruhat_cell_rank_profile(g) == bruhat_decompose(g).w == w
+
+
+def test_rank_profile_rejects_singular():
+    for field in (GF(2), GF(7), QQ):
+        rows = [[1, 2, 0, 1, 3], [0, 1, 1, 0, 2], [1, 0, 0, 1, 1], [2, 1, 3, 0, 1], [1, 2, 0, 1, 3]]
+        zero_column = [row[:2] + (0,) + row[3:] for row in random_invertible(field, 5, random.Random(2)).entries]
+        for entries in (rows, zero_column):
+            with pytest.raises(SingularMatrixError):
+                bruhat_cell_rank_profile(ExactMatrix(field, entries))
+
+
 def test_relative_position_examples():
     field = GF(5)
     std = Flag.standard(field, 3)
@@ -166,6 +203,29 @@ def test_enumerate_cell_gl():
             count += 1
         assert count == (2 ** w.length()) * borel_order("A", 2, 2)
     assert len(seen) == 168
+
+
+def _cell_elements(w, q):
+    # as the benchmark's exact task counts them: every yielded element, flattened
+    return [tuple(int(x) for row in m.entries for x in row) for m in enumerate_cell(w, q)]
+
+
+def test_enumerate_cell_bc2_w0_q3_is_pinned():
+    w0 = GroupSpec("BC", 2).element([-1, -2])
+    elements = _cell_elements(w0, 3)
+    assert len(elements) == len(set(elements)) == cell_order(w0, 3) == 26244
+    digest = hashlib.sha256(json.dumps(sorted(set(elements))).encode()).hexdigest()
+    assert digest == "096754128d1377fb13c31739d4407af51ad9125d52c5bdcfb1123095256989fd"
+
+
+def test_enumerate_cell_a2_w0_q3():
+    w0 = GroupSpec("A", 2).longest_element()
+    elements = _cell_elements(w0, 3)
+    # q^3 * |B| = 27 * 2^3 * 3^3
+    assert len(elements) == len(set(elements)) == cell_order(w0, 3) == 5832
+    # the cell of w0 is where the lower-left entry and 2x2 minor are nonzero
+    for g in elements:
+        assert g[6] % 3 and (g[3] * g[7] - g[4] * g[6]) % 3
 
 
 def test_enumerate_cell_budget():

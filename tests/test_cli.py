@@ -276,10 +276,16 @@ def test_verify_budget_message(capsys, monkeypatch):
     monkeypatch.setenv("BRUHATKIT_BUDGET", "100")
     rc, _, err = run(capsys, ["verify", "gl", "3", "--q", "3"])
     assert rc == 2 and "1296" in err
+    # the census budget is checked before any slice is scanned, so it is the
+    # one reported when the cell budget is over too
+    rc, _, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--cell-budget", "1000"])
+    assert rc == 2 and "unipotent census" in err and "80000" in err
     # and the cell budget gates the scans themselves, each of which builds
-    # |B| = 10000 matrices of Sp_4(F_5)
+    # |B| = 10000 matrices of Sp_4(F_5), once the census (80000) is in budget
+    monkeypatch.delenv("BRUHATKIT_BUDGET")
     rc, _, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--cell-budget", "1000"])
     assert rc == 2 and "budget" in err and "10000" in err
+    assert "unipotent census" not in err
 
 
 def test_class_bfs_over_the_cell_budget_exits_2(capsys, monkeypatch):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatkit.errors import SingularMatrixError
 from bruhatkit.exact import (
@@ -54,8 +57,6 @@ def test_rational_field_coercion():
     with pytest.raises(TypeError):
         QQ.coerce(0.5)
     # stored rationals are always in lowest terms with positive denominator
-    from math import gcd
-
     m = ExactMatrix(QQ, [["2/4", Fraction(-3, -6)], ["-6/8", Fraction(7, -1)]])
     for row in m.entries:
         for x in row:
@@ -191,3 +192,97 @@ def test_prime_field_equality_semantics():
     assert GF(5) != GF(7)
     assert QQ != GF(5)
     assert hash(GF(5)) == hash(PrimeField(5))
+
+
+# ---------------------------------------------------------------------------
+# matrix arithmetic against naive plain-number oracles
+
+PRODUCT_FIELDS = (GF(2), GF(7), GF(2**31 - 1), QQ)
+# large coprime denominators next to small ones; Fraction reduces each draw
+DENOMINATORS = st.sampled_from([1, 2, 3, 7, 97, 1009, 65537, 2**31 - 1, 10**9 + 7])
+
+
+def _entries(field):
+    small = st.integers(-3, 3)
+    if field == QQ:
+        return st.builds(Fraction, small | st.integers(-(10**9), 10**9), DENOMINATORS)
+    # raw integers, reduced by the constructor
+    return small | st.integers(-(2**40), 2**40)
+
+
+def _grid(entry, rows, cols):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def operands(draw):
+    """A field, a k x m matrix a, an m x n matrix b and a k x m matrix c, as
+    plain nested lists of ints or Fractions."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    k, m, n = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = _entries(field)
+    return field, draw(_grid(entry, k, m)), draw(_grid(entry, m, n)), draw(_grid(entry, k, m))
+
+
+def _naive(field, value):
+    return value % field.p if isinstance(field, PrimeField) else Fraction(value)
+
+
+def _assert_reduced(field, matrix):
+    for row in matrix.entries:
+        for x in row:
+            if isinstance(field, PrimeField):
+                assert type(x) is int and 0 <= x < field.p
+            else:
+                assert type(x) is Fraction
+                assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands())
+def test_matrix_arithmetic_matches_naive_oracle(ops):
+    field, a, b, c = ops
+    ma, mb, mc = (ExactMatrix(field, x) for x in (a, b, c))
+    product = [[_naive(field, sum(a[i][t] * b[t][j] for t in range(len(b))))
+                for j in range(len(b[0]))] for i in range(len(a))]
+    results = {
+        "product": (ma * mb, product),
+        "sum": (ma + mc, [[_naive(field, x + y) for x, y in zip(r, s)] for r, s in zip(a, c)]),
+        "difference": (ma - mc, [[_naive(field, x - y) for x, y in zip(r, s)] for r, s in zip(a, c)]),
+        "scaled": (ma.scaled(-3), [[_naive(field, -3 * x) for x in r] for r in a]),
+        "transpose": (ma.transpose(), [[_naive(field, r[j]) for r in a] for j in range(len(a[0]))]),
+        "submatrix": (ma.submatrix(range(len(a)), range(1)), [[_naive(field, r[0])] for r in a]),
+    }
+    for name, (got, expected) in results.items():
+        assert [list(row) for row in got.entries] == expected, name
+        assert (got.rows, got.cols) == (len(expected), len(expected[0])), name
+        _assert_reduced(field, got)
+        # a computed result is the same key as the matrix built from scratch
+        direct = ExactMatrix(field, expected)
+        assert got == direct and hash(got) == hash(direct), name
+        assert len({got, direct}) == 1 and {direct: name}[got] == name
+        assert hash(got) == hash((field, direct.entries))
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=st.sampled_from(PRODUCT_FIELDS),
+       widths=st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(lambda w: len(set(w)) > 1))
+def test_constructor_rejects_ragged_rows(field, widths):
+    with pytest.raises(ValueError, match="ragged"):
+        ExactMatrix(field, [[1] * w for w in widths])
+
+
+def test_constructor_and_arithmetic_reject_bad_shapes():
+    for field in PRODUCT_FIELDS:
+        for empty in ([], [[]], [[], []]):
+            with pytest.raises(ValueError, match="non-empty"):
+                ExactMatrix(field, empty)
+        m = ExactMatrix(field, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="non-empty"):
+            m.submatrix(range(0), range(2))
+        wide = ExactMatrix(field, [[1, 2, 3], [4, 5, 6]])
+        for op in (m.__add__, m.__sub__):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                op(wide)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            wide * m

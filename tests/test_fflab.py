@@ -195,6 +195,25 @@ def test_steinberg_count_sp4():
         assert count_unipotents(kind, q) == q**8
 
 
+def test_census_budget_is_checked_before_any_slice_scan(monkeypatch):
+    # |W| * |B| = 120 * 2^4 * 3^10 = 113,374,080 for SL_5(F_3), over the
+    # default 10^8: the cells run must stop before scanning a minimal slice
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a slice was scanned before the census budget check")
+
+    monkeypatch.setattr(fflab, "_slice_unipotents", no_scan)
+    kind = GroupKind("SL", 5)
+    with pytest.raises(BudgetError) as before_scan:
+        verify_theorem_a(kind, 3, method="cells")
+    with pytest.raises(BudgetError) as census:
+        count_unipotents(kind, 3)
+    assert str(before_scan.value) == str(census.value) == (
+        "unipotent census of SL(5)/GF(3) scans |W| * |B| = 113374080 matrices, "
+        "over budget 100000000")
+    assert before_scan.value.required == 113374080
+    assert before_scan.value.budget == 10**8
+
+
 def test_borel_grid_sizes():
     for name, n, q in [("gl", 2, 3), ("gl", 3, 2), ("sl", 2, 5), ("sp", 4, 3)]:
         kind = parse_kind(name, n)
