@@ -100,10 +100,13 @@ def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:
     columns 1..j equals #{k <= j : w(k) >= i}; the permutation positions are
     where the second difference of that table is 1.
 
-    Over Q the denominators are cleared once, each row of g scaled to
-    integers by the lcm of its denominators.  Scaling a row by a nonzero
-    number keeps the rank of every submatrix, so each rank comes from
-    int_echelon on an integer submatrix; over GF(p) from _echelon_mod_p.
+    Each row start i takes one echelon of rows i..n, left to right, which
+    gives every rank of that row block at once: the rank of its leading j
+    columns is the number of pivot columns before column j.  Over Q the
+    denominators are cleared once, each row of g scaled to integers by the
+    lcm of its denominators; scaling a row by a nonzero number keeps the
+    rank of every submatrix, so the echelon is int_echelon on the integer
+    rows.  Over GF(p) it is _echelon_mod_p.
     """
     if not g.is_square():
         raise ValueError("rank profile needs a square matrix")
@@ -112,17 +115,17 @@ def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:
         p = g.field.p
         rows = g.entries
 
-        def rank(sub):
-            return _echelon_mod_p(sub, p)[0]
+        def pivots(block):
+            return _echelon_mod_p(block, p)[2]
     else:
         rows = _clear_denominators(g.entries)[0]
 
-        def rank(sub):
-            return int_echelon(sub)[0]
+        def pivots(block):
+            return int_echelon(block)[2]
     ranks = [[0] * (n + 1) for _ in range(n + 2)]
     for i in range(n, 0, -1):
-        for j in range(1, n + 1):
-            ranks[i][j] = rank([row[:j] for row in rows[i - 1:]])
+        cols = pivots(rows[i - 1:])
+        ranks[i] = [sum(c < j for c in cols) for j in range(n + 1)]
     if ranks[1][n] != n:
         raise SingularMatrixError("matrix is singular: full rank profile missing")
     window = []

@@ -417,15 +417,18 @@ def matrix_from_json(obj) -> ExactMatrix:
 # integer fraction-free elimination
 
 
-def int_echelon(rows: list[list[int]]) -> tuple[int, int]:
+def int_echelon(rows: list[list[int]]) -> tuple[int, int, list[int]]:
     """One-step fraction-free row echelon form of an integer matrix:
-    (rank, det), where det is 0 unless the matrix is square and of full
-    rank.  Every division is exact (Sylvester's identity)."""
+    (rank, det, pivots), where det is 0 unless the matrix is square and of
+    full rank, and pivots lists the pivot columns from left to right, so
+    that the rank of the leading j columns is the number of pivots below j.
+    Every division is exact (Sylvester's identity)."""
     m = [list(r) for r in rows]
     nr, nc = len(m), len(m[0])
     r = 0
     sign = 1
     prev = 1
+    pivot_cols = []
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
@@ -441,10 +444,11 @@ def int_echelon(rows: list[list[int]]) -> tuple[int, int]:
                 assert rem == 0
                 m[i][j] = q
         prev = pivot
+        pivot_cols.append(c)
         r += 1
         if r == nr:
             break
-    return r, sign * prev if r == nr == nc else 0
+    return r, sign * prev if r == nr == nc else 0, pivot_cols
 
 
 def _integer_vector(xs) -> tuple[list[int], int]:
@@ -468,12 +472,13 @@ def _clear_denominators(entries) -> tuple[list[list[int]], int]:
 
 
 def _echelon_mod_p(entries, p: int, nullspace: bool = False):
-    """Row echelon form mod p: (rank, det), where det is 0 unless the matrix
-    is square and of full rank.
+    """Row echelon form mod p: (rank, det, pivots), where det is 0 unless the
+    matrix is square and of full rank, and pivots lists the pivot columns
+    from left to right, as in int_echelon.
 
     With ``nullspace`` the pass goes on to the reduced form (each pivot row
     scaled to 1 and cleared out of the rows above too) and returns (rank,
-    det, basis): one vector x with m x = 0 per free column f, x_f = 1 and
+    det, pivots, basis): one vector x with m x = 0 per free column f, x_f = 1 and
     x_c = -m[i][f] at the pivot column c of row i, in order of f."""
     m = [list(r) for r in entries]
     nr, nc = len(m), len(m[0])
@@ -502,7 +507,7 @@ def _echelon_mod_p(entries, p: int, nullspace: bool = False):
             break
     det = det if r == nr == nc else 0
     if not nullspace:
-        return r, det
+        return r, det, pivot_cols
     basis = []
     for f in sorted(set(range(nc)) - set(pivot_cols)):
         x = [0] * nc
@@ -510,7 +515,7 @@ def _echelon_mod_p(entries, p: int, nullspace: bool = False):
         for i, c in enumerate(pivot_cols):
             x[c] = -m[i][f] % p
         basis.append(x)
-    return r, det, basis
+    return r, det, pivot_cols, basis
 
 
 def random_invertible(field, n: int, rng, entry_pool=None) -> ExactMatrix:

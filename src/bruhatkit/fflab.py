@@ -80,6 +80,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
@@ -96,7 +97,7 @@ from .cells import (
 )
 from .errors import BudgetError, IntegrityError, SingularMatrixError
 from .exact import ExactMatrix, GF, _echelon_mod_p, is_prime
-from .partitions import Partition, dominance_leq
+from .partitions import Partition, dominance_leq, partitions_of
 from .phimap import phi
 from .weyl import (
     DEFAULT_RANK_CAP,
@@ -522,23 +523,47 @@ def _weyl_rep(kind: GroupKind, w, q: int) -> np.ndarray:
     return rep
 
 
+def _monomial(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, s) with row i of the monomial matrix rep equal to s_i e_{c_i}, so
+    that rep @ b is b[c] * s[:, None]; a rep that is not monomial is an
+    integrity failure."""
+    n = len(rep)
+    cols = np.argmax(rep != 0, axis=1)
+    if ((rep != 0).sum(axis=1) != 1).any() or len(set(cols.tolist())) != n:
+        raise IntegrityError(f"Weyl representative {rep.tolist()} is not monomial")
+    return cols, rep[np.arange(n), cols]
+
+
 def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a (B, n, n) stack mod p are unipotent: those with
+    (g - 1)^n = 0 mod p.  A unipotent matrix has trace n mod p in every
+    characteristic, so the powers are taken only for the matrices that pass
+    that test; the test discards no unipotent matrix."""
     n = batch.shape[1]
-    # reduced in place: two batch-sized arrays alive at a time, not three
-    power = batch - np.eye(n, dtype=np.int64)
+    mask = np.trace(batch, axis1=1, axis2=2) % p == n % p
+    # reduced in place: two candidate-sized arrays alive at a time, not three
+    power = batch[mask] - np.eye(n, dtype=np.int64)
     power %= p
     steps = max(1, int(log2(n - 1)) + 1) if n > 1 else 1
     for _ in range(steps):
         power = power @ power
         power %= p
-    return (power == 0).all(axis=(1, 2))
+    mask[mask] = (power == 0).all(axis=(1, 2))
+    return mask
 
 
 def _slice_unipotents(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
-    """Per _CHUNK batch of the slice w_rep * B of the cell of w: its
-    unipotent elements.  The cell budget bounds the |B| matrices built."""
+    """Per _CHUNK batch of the Borel grid: the unipotent elements of the
+    slice w_rep * B of the cell of w, in grid order.  The cell budget bounds
+    the |B| grid matrices scanned.
+
+    w_rep is monomial, row i being s_i e_{c_i}, so w_rep b is the rows c of b
+    scaled by s, and tr(w_rep b) = sum_i s_i b[c_i, i] is read off the grid.
+    Only the grid matrices whose product has trace n mod p, as every
+    unipotent matrix does, are gathered into products, and _unipotent_mask
+    decides each of those exactly."""
     _check_prime(q)
-    rep = _weyl_rep(kind, w, q)
+    cols, signs = _monomial(_weyl_rep(kind, w, q))
     size = kind.borel_order(q)
     if size > cell_budget:
         raise BudgetError(
@@ -548,8 +573,14 @@ def _slice_unipotents(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CEL
             budget=cell_budget,
         )
     borel = borel_grid(kind, q)
+    n = kind.n
     for start in range(0, len(borel), _CHUNK):
-        batch = rep @ borel[start:start + _CHUNK] % q
+        chunk = borel[start:start + _CHUNK]
+        trace = chunk[:, cols, np.arange(n)] @ signs % q
+        passed = np.flatnonzero(trace == n % q)
+        batch = chunk[passed[:, None], cols]
+        batch *= signs[:, None]
+        batch %= q
         yield batch[_unipotent_mask(batch, q)]
 
 
@@ -591,7 +622,7 @@ def _commutant(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     n = len(a)
     eye = np.eye(n, dtype=np.int64)
     system = (np.kron(eye, a.T) - np.kron(b, eye)) % p
-    basis = _echelon_mod_p(system.tolist(), p, nullspace=True)[2]
+    basis = _echelon_mod_p(system.tolist(), p, nullspace=True)[3]
     return np.array(basis, dtype=np.int64).reshape(-1, n, n)
 
 
@@ -735,9 +766,13 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
 
     Small groups are enumerated outright (method "table"); larger ones are
     checked on the slices w_rep * B of the minimal cells alone (method
-    "cells"), which keeps runs like Sp_4 over GF(5) feasible.  The unipotent
-    census then comes from the slices of all of W; the whole-group order
-    check is reported as skipped rather than pretended.
+    "cells"), which keeps runs like Sp_4 over GF(5) feasible.  That method
+    takes one walk over all of W (_walk), scanning each slice once: every
+    slice adds to the unipotent census, and the minimal ones also give their
+    Jordan types and the first hit the spot checks sample.  The census
+    budget is checked before any slice is scanned, and the cell budget
+    bounds each slice.  The whole-group order check is reported as skipped
+    rather than pretended.
     """
     _check_prime(q)
     if method not in ("auto", "table", "cells"):
@@ -767,25 +802,15 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         order_check = {"expected": kind.order(q), "enumerated": len(table),
                        "ok": len(table) == kind.order(q)}
     else:
-        # the census below is known to be over budget before any slice is scanned
+        # the census is known to be over budget before any slice is scanned
         _check_census_budget(kind, q, budget)
-        needed = sorted(
-            {w for cls in classes for w in cls.min_elements}, key=lambda w: w.window
-        )
-
-        # the types met in each slice; the spot checks sample its first hit
-        type_sets, first_hits = {}, {}
-        for w in needed:
-            type_sets[w.window] = set()
-            for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
-                if len(hits) and w.window not in first_hits:
-                    first_hits[w.window] = hits[0].copy()
-                type_sets[w.window].update(_jordan_types_mod_p(hits, q))
+        # the types met in each minimal slice; the spot checks sample its first hit
+        minimal = {w.window for cls in classes for w in cls.min_elements}
+        unipotent_count, type_sets, first_hits = _walk(kind, q, cell_budget, minimal)
 
         def types_met(w):
             return type_sets[w.window]
 
-        unipotent_count = count_unipotents(kind, q, budget=budget)
         order_check = {"expected": kind.order(q), "enumerated": None,
                        "skipped": "cell-parametrized run, group not enumerated", "ok": True}
 
@@ -1109,9 +1134,61 @@ def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET)
 
     G is the disjoint union of its cells, and the cell of w holds
     q^length(w) conjugates of each unipotent element of its slice w_rep * B,
-    so the census scans |W| * |B| matrices; the budget bounds that number.
+    so the census is the one walk over W (_walk) that verify_theorem_a
+    takes, summed; it scans |W| * |B| grid matrices, and the budget bounds
+    that number.  For GL and SL the walk checks the census of each Jordan
+    type against its class size too.
     """
     _check_prime(q)
     _check_census_budget(kind, q, budget)
-    return sum(q ** w.length() * len(hits) for w in kind.weyl_spec.elements()
-               for hits in _slice_unipotents(kind, w, q, cell_budget=budget))
+    return _walk(kind, q, budget)[0]
+
+
+def _walk(kind: GroupKind, q: int, cell_budget: int, minimal=frozenset()
+          ) -> tuple[int, dict, dict]:
+    """One pass over W in window order that scans each slice w_rep * B once.
+
+    Returns the unipotent census, the sum of q^length(w) times the hits of
+    each slice, and for each window in ``minimal`` the set of Jordan types
+    its slice meets and its first hit in Borel grid order, where it has one.
+    For GL and SL the census is also summed per Jordan type and held to the
+    class sizes (_check_type_census); Sp slices outside ``minimal`` are not
+    typed.  The cell budget bounds every slice."""
+    typed = kind.family != "Sp"
+    census, by_type = 0, Counter()
+    type_sets, first_hits = {}, {}
+    for w in sorted(kind.weyl_spec.elements(), key=lambda w: w.window):
+        scale = q ** w.length()
+        keep = w.window in minimal
+        if keep:
+            type_sets[w.window] = set()
+        for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
+            census += scale * len(hits)
+            if not len(hits) or not (typed or keep):
+                continue
+            types = _jordan_types_mod_p(hits, q)
+            if typed:
+                by_type.update({jt: scale * k for jt, k in Counter(types).items()})
+            if keep:
+                first_hits.setdefault(w.window, hits[0].copy())
+                type_sets[w.window].update(types)
+    if typed:
+        _check_type_census(kind, q, by_type)
+    return census, type_sets, first_hits
+
+
+def _check_type_census(kind: GroupKind, q: int, by_type: Counter) -> None:
+    """Raise IntegrityError unless the census of each Jordan type λ is the
+    size of the unipotent class of GL_n(F_q) of that type, |GL_n(F_q)| /
+    |Z(u_λ)| with |Z(u_λ)| = q^(sum λ'_i^2 - sum m_i^2) * prod |GL_{m_i}(F_q)|,
+    m_i the multiplicity of the part i.  Each such class lies in SL_n."""
+    n = kind.n
+    order = gl_order(n, q)
+    for jt in partitions_of(n):
+        mult = Counter(jt.parts).values()
+        centralizer = (q ** (sum(x * x for x in jt.conjugate()) - sum(m * m for m in mult))
+                       * math.prod(gl_order(m, q) for m in mult))
+        expected = _cofactor(order, f"|GL_{n}(F_{q})|", centralizer, f"centralizer order of {jt}")
+        if by_type[jt] != expected:
+            raise IntegrityError(f"unipotent census of {kind}/GF({q}) has {by_type[jt]} elements "
+                                 f"of Jordan type {jt}, the class has {expected}")

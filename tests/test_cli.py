@@ -343,6 +343,20 @@ def test_property_d_report_bytes_are_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["sp", "4", "--q", "5"], "0e631ab22aa2142f6303adb16a962b3aee3c413f358d626ba06c30b100379d57"),
+    # the whole-group table path
+    (["sl", "3", "--q", "3"], "6d87eaf0cd049442797bf431ba2ca9bc5ab01e34b98ba0a56990a880253ec528"),
+    (["gl", "4", "--q", "3"], "f0a12e2b6d5aea8c2546ee56d809e551429ada7e261ce5cbf9880621dda06c87"),
+    (["sl", "4", "--q", "5"], "59d3ee162afae87d339d0adc71f32c19800392d99a1ba8a370fedfc372cf81f5"),
+])
+def test_theorem_a_report_bytes_are_pinned(capsys, args, digest):
+    # SHA-256 of the whole stdout of the theorem-A run
+    rc, out, _ = run(capsys, ["verify", *args, "--seed", "1"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_seed_reproducibility(capsys):
     rc1, out1, _ = run(capsys, ["verify", "sl", "2", "--q", "3", "--seed", "9"])
     rc2, out2, _ = run(capsys, ["verify", "sl", "2", "--q", "3", "--seed", "9"])

@@ -141,11 +141,15 @@ def test_int_det_and_rank():
     for n in (3, 4, 5):
         for _ in range(25):
             rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-            rank, det = int_echelon(rows)
+            rank, det, pivots = int_echelon(rows)
             assert det == _fraction_det(ExactMatrix(QQ, rows))
             # every minor is below (6 sqrt 5)^5 < 5 * 10^5 in absolute value,
             # so the rank mod a larger prime is the rank over Q
-            assert rank == ExactMatrix(GF(1048573), rows).rank()
+            assert rank == ExactMatrix(GF(1048573), rows).rank() == len(pivots)
+            # and the rank of each leading column block is the pivots before it
+            assert [sum(c < j for c in pivots) for j in range(1, n + 1)] == [
+                ExactMatrix(GF(1048573), [row[:j] for row in rows]).rank()
+                for j in range(1, n + 1)]
 
 
 def test_gf3_2x2_det_and_rank_exhaustive():

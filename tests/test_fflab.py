@@ -214,6 +214,117 @@ def test_census_budget_is_checked_before_any_slice_scan(monkeypatch):
     assert before_scan.value.budget == 10**8
 
 
+def _nilpotent_mask(stack, q):
+    # oracle: (g - 1)^n = 0 by n - 1 plain products, no trace test
+    n = stack.shape[1]
+    nil = (stack - np.eye(n, dtype=np.int64)) % q
+    power = nil
+    for _ in range(n - 1):
+        power = power @ nil % q
+    return (power == 0).all(axis=(1, 2))
+
+
+@pytest.mark.parametrize("name,n,qs", [("gl", 2, (2,)), ("gl", 3, (3, 5)), ("sl", 3, (3, 5)),
+                                       ("sp", 4, (3, 5))])
+def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
+    # oracle: the dense product w_rep @ B, filtered by nilpotence alone
+    # and the walk over W: its census, and for every window kept, the types
+    # met and the first hit in grid order
+    kind = parse_kind(name, n)
+    for q in qs:
+        borel = borel_grid(kind, q)
+        elements = list(kind.weyl_spec.elements())
+        census, type_sets, first_hits = fflab._walk(kind, q, 10**7, {w.window for w in elements})
+        expected_census = 0
+        for w in elements:
+            dense = _weyl_rep(kind, w, q) @ borel % q
+            expected = dense[_nilpotent_mask(dense, q)]
+            found = np.concatenate(list(_slice_unipotents(kind, w, q)))
+            assert np.array_equal(found, expected), (q, w)
+            expected_census += q ** w.length() * len(expected)
+            assert type_sets[w.window] == set(_jordan_types_mod_p(expected, q) if len(expected) else [])
+            if len(expected):
+                assert np.array_equal(first_hits[w.window], expected[0])
+            else:
+                assert w.window not in first_hits
+        assert census == expected_census == q ** (2 * kind.num_positive_roots())
+        # the table path's mask on the whole grid, and on non-unipotent input
+        assert np.array_equal(fflab._unipotent_mask(borel, q), _nilpotent_mask(borel, q))
+
+
+def test_weyl_rep_must_be_monomial():
+    with pytest.raises(IntegrityError):
+        fflab._monomial(np.array([[1, 1], [0, 1]]))
+    with pytest.raises(IntegrityError):
+        fflab._monomial(np.array([[0, 1], [0, 2]]))
+    cols, signs = fflab._monomial(np.array([[0, 0, 2], [1, 0, 0], [0, 1, 0]]))
+    assert cols.tolist() == [2, 0, 1] and signs.tolist() == [2, 1, 1]
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sp", 4, 3), ("sp", 4, 5)])
+def test_cells_run_scans_each_slice_once(name, n, q, monkeypatch):
+    # one walk over W per prime: the minimal slices are not scanned again
+    # for the census
+    calls = Counter()
+    scan = fflab._slice_unipotents
+
+    def counted(kind, w, q, **kwargs):
+        calls[q] += 1
+        return scan(kind, w, q, **kwargs)
+
+    monkeypatch.setattr(fflab, "_slice_unipotents", counted)
+    kind = parse_kind(name, n)
+    report = verify_theorem_a(kind, q, method="cells", seed=1)
+    assert report["ok"]
+    assert calls == {q: kind.weyl_spec.order()}
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 2, 5), ("gl", 3, 3), ("sl", 3, 3), ("gl", 3, 5),
+                                      ("sl", 4, 3)])
+def test_type_census_matches_the_class_sizes(name, n, q):
+    kind = parse_kind(name, n)
+    if kind.order(q) <= 10**6:
+        # oracle for the class-size formula: the whole-group table
+        table = enumerate_group(kind, q)
+        fflab._check_type_census(kind, q, Counter(table.unipotent_types.values()))
+    # the walk checks its own per-type census and raises on a mismatch
+    assert count_unipotents(kind, q) == q ** (2 * kind.num_positive_roots())
+
+
+def _drop_one_hit(monkeypatch):
+    scan = fflab._slice_unipotents
+    dropped = []
+
+    def lossy(kind, w, q, **kwargs):
+        for hits in scan(kind, w, q, **kwargs):
+            if len(hits) and not dropped:
+                dropped.append(w)
+                hits = hits[1:]
+            yield hits
+
+    monkeypatch.setattr(fflab, "_slice_unipotents", lossy)
+    return dropped
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 5)])
+def test_type_census_catches_a_dropped_hit(name, n, q, monkeypatch):
+    kind = parse_kind(name, n)
+    dropped = _drop_one_hit(monkeypatch)
+    with pytest.raises(IntegrityError, match="unipotent census"):
+        verify_theorem_a(kind, q, method="cells")
+    assert dropped
+    dropped.clear()
+    with pytest.raises(IntegrityError, match="unipotent census"):
+        count_unipotents(kind, q)
+
+
+def test_dropped_hit_fails_the_sp_census_count(monkeypatch):
+    # Sp has no per-type check; the Steinberg count still fails the report
+    _drop_one_hit(monkeypatch)
+    report = verify_theorem_a(parse_kind("sp", 4), 3, method="cells")
+    assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
+
+
 def test_borel_grid_sizes():
     for name, n, q in [("gl", 2, 3), ("gl", 3, 2), ("sl", 2, 5), ("sp", 4, 3)]:
         kind = parse_kind(name, n)
@@ -605,8 +716,8 @@ def test_echelon_nullspace_matches_brute_force_2x2_f3():
     rng = random.Random(5)
     for _ in range(200):
         rows = [[rng.randrange(q) for _ in range(4)] for _ in range(rng.choice([3, 4, 5]))]
-        rank, det, basis = _echelon_mod_p(rows, q, nullspace=True)
-        assert (rank, det) == _echelon_mod_p(rows, q)
+        rank, det, pivots, basis = _echelon_mod_p(rows, q, nullspace=True)
+        assert (rank, det, pivots) == _echelon_mod_p(rows, q)
         assert rank + len(basis) == 4
         assert all(sum(r * x for r, x in zip(row, vec)) % q == 0 for row in rows for vec in basis)
 
