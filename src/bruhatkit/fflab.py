@@ -32,16 +32,22 @@ Bulk scans run on int64 numpy arrays with explicit reductions mod p.
 Everything stays exact.  A reduced matrix has one key, its int64 code
 (_codes): its entries read row by row as base-p digits.  Groups, orbits and
 classes are stacks of matrices, and every dedup and membership test works
-on their codes with numpy sorting and set operations.  Groups and orbits
-are listed by one breadth-first closure, _closure, which takes a whole
-level at a time.  New elements keep the order a BFS taking one element at a
-time would give them, so tables and orbits come out in a fixed order.  The
-codes are exact only while p^(n^2) <= 2^63, and coding a matrix past that
-bound raises a ValueError.  Under the default budgets only Sp_8 at the bad
-prime 2 (2^64) is past it; a raised cell budget also reaches Sp_4(F_17).  One
-batched pivot kernel, _column_pivots, eliminates whole (B, n, n) stacks at
-once: its pivot rows are the Bruhat cell windows, and its pivot counts on
-the powers of g - 1 are the ranks that give Jordan types.  The ExactMatrix
+on their codes with numpy sorting and binary search.  Groups and orbits
+are listed by one breadth-first closure, _closure, which runs on 1-D code
+arrays and takes a whole level at a time; a stack is decoded (_decode) once,
+at the end.  New elements keep the order a BFS taking one element at a time
+would give them, so tables and orbits come out in a fixed order.  A group
+closure multiplies on the right, which acts on each row alone: one table
+per generator maps the code of a row to the code of its image, so a matrix
+code moves by n table lookups on its base-p^n digits.  A conjugation orbit
+decodes each level once and codes its products.  The codes are exact only
+while p^(n^2) <= 2^63, and coding a matrix past that bound raises a
+ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
+is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
+kernel, _column_pivots, eliminates whole (B, n, n) stacks at once, laid out
+batch-last so that each step runs over contiguous rows of B entries: its
+pivot rows are the Bruhat cell windows, and its pivot counts on the powers
+of g - 1 are the ranks that give Jordan types.  The ExactMatrix
 paths (the window of bruhat_decompose, checked by its factorization;
 jordan_type; ExactMatrix.rank) share no code with it and serve as its
 oracles in the tests.  Every group is built from one-parameter root
@@ -211,42 +217,50 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens
 
 
-def _closure(seeds: np.ndarray, moves, p: int, limit: int | None = None,
+def _closure(seeds: np.ndarray, step, limit: int | None = None,
              phase: str = "closure") -> np.ndarray:
-    """Breadth-first closure of a (k, n, n) stack of seeds mod p under the
-    moves, as the (N, n, n) stack of its elements in the order found.
+    """Breadth-first closure of int64 matrix codes (_codes) under a step, as
+    the 1-D array of the codes found, in the order found.
 
-    Each move maps a (k, n, n) stack to its images mod p.  The BFS goes one
-    level at a time: the images of the last level, move by move, are coded
-    (_codes), those already seen are dropped, and the rest are kept at their
-    first occurrence.  That is the order of a BFS that takes one element at
-    a time.  With ``limit``, holding more elements than that raises a
-    BudgetError naming the phase.
+    ``step`` maps the codes of a level to the codes of their images, move by
+    move: the images of the whole level under the first move, then under the
+    second, and so on.  The BFS goes one level at a time: the images are
+    sorted, those already seen (a binary search in the sorted seen codes)
+    are dropped, and the rest are kept at their first occurrence.  That is
+    the order of a BFS that takes one element at a time.  With ``limit``,
+    holding more elements than that raises a BudgetError naming the phase.
     """
-    n = seeds.shape[1]
     seen = np.empty(0, dtype=np.int64)  # sorted
     levels = []
     images = seeds
     while len(images):
-        codes = _codes(images, p)
-        order = np.argsort(codes)
-        codes = codes[order]
+        order = np.argsort(images)
+        codes = images[order]
         starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
         # argsort is not stable: the least index of a run of equal codes is
         # its first occurrence
         first = np.minimum.reduceat(order, starts)
         codes = codes[starts]
-        fresh = ~np.isin(codes, seen, assume_unique=True)
+        at = np.searchsorted(seen, codes)
+        fresh = ~_found(seen, codes, at)
         frontier = images[np.sort(first[fresh])]
-        seen = np.sort(np.concatenate([seen, codes[fresh]]), kind="stable")
+        seen = np.insert(seen, at[fresh], codes[fresh])
         levels.append(frontier)
         if limit is not None and len(seen) > limit:
             raise BudgetError(f"{phase} reached {len(seen)} elements, over budget {limit}",
                               required=len(seen), budget=limit)
-        images = np.empty((len(moves) * len(frontier), n, n), dtype=np.int64)
-        for i, move in enumerate(moves):
-            images[i * len(frontier):(i + 1) * len(frontier)] = move(frontier)
+        images = step(frontier)
     return np.concatenate(levels)
+
+
+def _found(sorted_codes: np.ndarray, codes: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """Which codes occur in a sorted code array, by binary search; ``at``
+    may pass their np.searchsorted positions in it."""
+    if at is None:
+        at = np.searchsorted(sorted_codes, codes)
+    if not len(sorted_codes):
+        return np.zeros(len(codes), dtype=bool)
+    return sorted_codes[np.minimum(at, len(sorted_codes) - 1)] == codes
 
 
 def _codes(stack: np.ndarray, p: int) -> np.ndarray:
@@ -260,15 +274,57 @@ def _codes(stack: np.ndarray, p: int) -> np.ndarray:
     return stack.reshape(len(stack), n * n) @ p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
 
 
-def _conjugation_moves(gens: list[np.ndarray], p: int):
-    """Moves conjugating a stack by each generator: x -> g x g^-1 mod p."""
-    return [lambda batch, g=g, ginv=_inv_mod_p(g, p): (g @ batch % p) @ ginv % p for g in gens]
+def _decode(codes: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The (k, n, n) stack of the matrices with these codes (_codes), written
+    into one array: each code is divided by the powers of p, then reduced."""
+    stack = np.empty((len(codes), n * n), dtype=np.int64)
+    np.floor_divide(codes[:, None], p ** np.arange(n * n - 1, -1, -1, dtype=np.int64), out=stack)
+    stack %= p
+    return stack.reshape(-1, n, n)
+
+
+def _conjugation_step(gens: list[np.ndarray], p: int, n: int):
+    """The closure step conjugating by each generator, x -> g x g^-1 mod p:
+    the level is decoded once and each product is coded."""
+    pairs = [(g, _inv_mod_p(g, p)) for g in gens]
+
+    def step(codes):
+        batch = _decode(codes, p, n)
+        images = np.empty(len(pairs) * len(codes), dtype=np.int64)
+        for i, (g, ginv) in enumerate(pairs):
+            images[i * len(codes):(i + 1) * len(codes)] = _codes((g @ batch % p) @ ginv % p, p)
+        return images
+
+    return step
 
 
 def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
+    """The group the generators produce, as the (N, n, n) stack of its
+    elements in BFS order from the identity, right multiplying by each.
+
+    x -> x g acts on each row of x alone, so one table per generator, of
+    the p^n row codes r -> code of r g mod p, moves a matrix code: its n
+    base-p^n digits are the row codes, each is looked up, and the results
+    are put back in place.  The tables count against the limit, since they
+    hold p^n entries, as many as the group has at least elements."""
     n = gens[0].shape[0]
-    moves = [lambda batch, g=g: batch @ g % p for g in gens]
-    return _closure(np.eye(n, dtype=np.int64)[None], moves, p, limit=limit, phase="group closure")
+    seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
+    if p ** n > limit:
+        raise BudgetError(f"group closure row tables hold {p}^{n} = {p ** n} entries, "
+                          f"over budget {limit}", required=p ** n, budget=limit)
+    digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
+    tables = [rows @ g % p @ digits for g in gens]
+    places = (p ** n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def step(codes):
+        row_codes = codes[:, None] // places % p ** n
+        images = np.empty(len(tables) * len(codes), dtype=np.int64)
+        for i, table in enumerate(tables):
+            images[i * len(codes):(i + 1) * len(codes)] = table[row_codes] @ places
+        return images
+
+    return _decode(_closure(seeds, step, limit=limit, phase="group closure"), p, n)
 
 
 class FiniteGroupTable:
@@ -334,27 +390,31 @@ def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
     below p^2, exact in int64 for p < _MAX_NUMPY_PRIME.  For an invertible
     matrix pivots + 1 is its Bruhat cell window; the number of pivots is the
     rank of any matrix.
+
+    The stack is copied once batch-last, to (n, n, B), so that each step
+    works on contiguous rows of B entries, one per matrix; the pivots come
+    back as a (B, n) array.
     """
-    a = stack % p
-    count, n = a.shape[:2]
-    rows = np.arange(count)
-    used = np.zeros((count, n), dtype=bool)
-    pivots = np.full((count, n), -1, dtype=np.int64)
+    count, n = stack.shape[:2]
+    a = np.ascontiguousarray(stack.transpose(1, 2, 0)) % p
+    batch = np.arange(count)
+    used = np.zeros((n, count), dtype=bool)
+    pivots = np.full((n, count), -1, dtype=np.int64)
     for j in range(n):
-        col = a[:, :, j]
+        col = a[:, j]
         free = (col != 0) & ~used
-        found = free.any(axis=1)
-        r = n - 1 - np.argmax(free[:, ::-1], axis=1)
-        pivots[found, j] = r[found]
-        used[rows[found], r[found]] = True
+        found = free.any(axis=0)
+        r = n - 1 - np.argmax(free[::-1], axis=0)
+        pivots[j] = np.where(found, r, -1)
+        used[r[found], batch[found]] = True
         # a column without a pivot is zero outside used rows: leave the rest alone
-        pivot = np.where(found, col[rows, r], 1)
-        factor = np.where(found[:, None], a[rows, r, j + 1:], 0)
-        right = a[:, :, j + 1:]
-        right *= pivot[:, None, None]
-        right -= col[:, :, None] * factor[:, None, :]
+        pivot = np.where(found, col[r, batch], 1)
+        factor = np.where(found, a[r, j + 1:, batch].T, 0)
+        right = a[:, j + 1:]
+        right *= pivot
+        right -= col[:, None] * factor
         right %= p
-    return pivots
+    return pivots.T
 
 
 def _cell_windows(kind: GroupKind, stack: np.ndarray, q: int) -> list[tuple[int, ...]]:
@@ -374,9 +434,16 @@ def _cell_windows(kind: GroupKind, stack: np.ndarray, q: int) -> list[tuple[int,
 
 
 def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
-    """The Jordan type of each unipotent matrix in a (B, n, n) stack mod p,
-    read off the ranks of (g - 1)^k for k = 1..n, all from one kernel call;
-    one Partition is built per distinct rank sequence."""
+    """The Jordan type of each unipotent matrix in a (B, n, n) stack mod p."""
+    types, inverse = _distinct_jordan_types(stack, p)
+    return [types[i] for i in inverse.tolist()]
+
+
+def _distinct_jordan_types(stack: np.ndarray, p: int) -> tuple[list[Partition], np.ndarray]:
+    """The distinct Jordan types of the unipotent matrices in a (B, n, n)
+    stack mod p, and for each matrix the index of its type among them.  They
+    are read off the ranks of (g - 1)^k for k = 1..n, all from one kernel
+    call; one Partition is built per distinct rank sequence."""
     count, n = stack.shape[:2]
     nil = (stack - np.eye(n, dtype=np.int64)) % p
     powers = [nil]
@@ -388,7 +455,7 @@ def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
     distinct, inverse = _distinct_rows(ranks)
     types = [Partition(a - b for a, b in zip([n] + row, row) if a != b).conjugate()
              for row in distinct.tolist()]
-    return [types[i] for i in inverse.tolist()]
+    return types, inverse
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,8 +664,9 @@ def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
     """The orbit of a matrix under conjugation by the group the generators
     produce (closure under the generators alone suffices in a finite group),
     as the (N, n, n) stack of its elements in the order found."""
-    return _closure((start % p)[None], _conjugation_moves(gens, p), p, limit=limit,
-                    phase="conjugation orbit")
+    n = len(start)
+    return _decode(_closure(_codes((start % p)[None], p), _conjugation_step(gens, p, n),
+                            limit=limit, phase="conjugation orbit"), p, n)
 
 
 def centralizer_order(kind: GroupKind, q: int, orbit: np.ndarray) -> int:
@@ -661,8 +729,8 @@ def _class_by_orbit(kind: GroupKind, q: int, rep: np.ndarray, limit: int | None 
     """|Z_G(rep)| and a membership test for the G(F_q)-class of rep, from
     the class itself, grown by BFS; the limit bounds its size."""
     orbit = conjugation_orbit(rep, group_generators(kind, q), q, limit=limit)
-    codes = _codes(orbit, q)
-    return centralizer_order(kind, q, orbit), lambda b: bool(np.isin(_codes(b[None], q), codes)[0])
+    codes = np.sort(_codes(orbit, q))
+    return centralizer_order(kind, q, orbit), lambda b: bool(_found(codes, _codes(b[None], q))[0])
 
 
 def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndarray):
@@ -730,19 +798,20 @@ def _partition_into_orbits(members: np.ndarray, gens: list[np.ndarray],
     code not yet placed, so the orbits come in order of their least code,
     and that matrix is the first of each.  With no generators every matrix
     is its own orbit."""
-    moves = _conjugation_moves(gens, p)
-    codes, first = np.unique(_codes(members, p), return_index=True)
+    n = members.shape[1]
+    step = _conjugation_step(gens, p, n)
+    codes = np.unique(_codes(members, p))
     unplaced = np.ones(len(codes), dtype=bool)
     orbits = []
     for i in range(len(codes)):
         if not unplaced[i]:
             continue
-        orbit = _closure(members[first[i]][None], moves, p)
-        found = _codes(orbit, p)
-        if not np.isin(found, codes, assume_unique=True).all():
+        found = _closure(codes[i:i + 1], step)
+        at = np.searchsorted(codes, found)
+        if not _found(codes, found, at).all():
             raise IntegrityError("conjugation left the scanned set")
-        unplaced[np.searchsorted(codes, found)] = False
-        orbits.append(orbit)
+        unplaced[at] = False
+        orbits.append(_decode(found, p, n))
     return orbits
 
 
@@ -1027,7 +1096,7 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
             per_q, class_sizes = [], []
             for q in qs:
                 members = np.concatenate([
-                    hits[[t == target for t in _jordan_types_mod_p(hits, q)]]
+                    _of_type(hits, q, target)
                     for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget)])
                 orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q)
                 zg, sizes = _classes_met(kind, q, [orbit[0] for orbit in orbits],
@@ -1047,6 +1116,12 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
                 class_sizes.append(sizes)
             cells.append(EllipticCellScan(cls, target, w, per_q, class_sizes))
     return PropertyDScan(kind, qs, advisory, cells)
+
+
+def _of_type(hits: np.ndarray, q: int, target: Partition) -> np.ndarray:
+    """The matrices of a unipotent stack whose Jordan type is the target."""
+    types, inverse = _distinct_jordan_types(hits, q)
+    return hits[inverse == (types.index(target) if target in types else -1)]
 
 
 def property_d_report(scan: PropertyDScan, exponent_tolerance: float = 0.25) -> dict:
@@ -1166,9 +1241,10 @@ def _walk(kind: GroupKind, q: int, cell_budget: int, minimal=frozenset()
             census += scale * len(hits)
             if not len(hits) or not (typed or keep):
                 continue
-            types = _jordan_types_mod_p(hits, q)
+            types, inverse = _distinct_jordan_types(hits, q)
             if typed:
-                by_type.update({jt: scale * k for jt, k in Counter(types).items()})
+                counts = np.bincount(inverse, minlength=len(types)).tolist()
+                by_type.update({jt: scale * k for jt, k in zip(types, counts)})
             if keep:
                 first_hits.setdefault(w.window, hits[0].copy())
                 type_sets[w.window].update(types)

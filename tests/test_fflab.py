@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from bruhatkit.fflab import (
     _class_by_orbit,
     _classes_met,
     _column_pivots,
+    _codes,
     _commutant,
+    _decode,
     _det_mod_p,
     _jordan_types_mod_p,
     _mulclose,
@@ -126,6 +129,69 @@ def test_kernel_ranks_match_exact_rank(p, n):
     expected = [ExactMatrix(GF(p), m.tolist()).rank() for m in stack]
     assert ranks.tolist() == expected
     assert min(expected) == 0 and max(expected) == n and len(set(expected)) > 2
+
+
+def _pivots_oracle(matrix, p):
+    """Pure-Python column reduction over GF(p) with field inverses: each
+    column is cleared by the earlier pivot columns, then its pivot is its
+    lowest nonzero entry in a row no earlier column used."""
+    n = len(matrix)
+    cols = [[matrix[i][j] % p for i in range(n)] for j in range(n)]
+    pivots = []
+    for j in range(n):
+        col = cols[j]
+        for k, r in enumerate(pivots):
+            if r >= 0 and col[r]:
+                scale = col[r] * pow(cols[k][r], -1, p) % p
+                col[:] = [(x - scale * y) % p for x, y in zip(col, cols[k])]
+        free = [i for i in range(n) if col[i] and i not in pivots]
+        pivots.append(max(free) if free else -1)
+    return pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_kernel_pivots_match_a_column_reduction(p, n):
+    rng = np.random.default_rng(100 * n + p % 97)
+    stack = rng.integers(0, p, size=(60, n, n))
+    # rows replaced by combinations of two others, or by zeros, in half of them
+    for _ in range(2):
+        picks = rng.random(len(stack)) < 0.5
+        i, a, b = rng.integers(0, n, size=(3, len(stack)))
+        ca, cb = rng.integers(0, p, size=(2, len(stack)))
+        combo = (ca[:, None] * stack[np.arange(len(stack)), a]
+                 + cb[:, None] * stack[np.arange(len(stack)), b]) % p
+        stack[picks, i[picks]] = combo[picks]
+    stack[1] = 0
+    expected = [_pivots_oracle(m.tolist(), p) for m in stack]
+    assert _column_pivots(stack, p).tolist() == expected
+    ranks = [n - x.count(-1) for x in expected]
+    assert n in ranks and min(ranks) < n
+    # invertible stacks, every cell window: lower unitriangular, times a
+    # permutation, times upper triangular with a nonzero diagonal
+    perms = np.array([rng.permutation(n) for _ in range(40)])
+    lower = np.tril(rng.integers(0, p, size=(40, n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(40, n, n)), 1)
+    upper[:, np.arange(n), np.arange(n)] = rng.integers(1, p, size=(40, n))
+    invertible = (lower @ np.eye(n, dtype=np.int64)[perms] % p) @ upper % p
+    pivots = _column_pivots(invertible, p)
+    assert pivots.tolist() == [_pivots_oracle(m.tolist(), p) for m in invertible]
+    assert (np.sort(pivots, axis=1) == np.arange(n)).all()
+    # a stack of one matrix and an empty stack
+    assert _column_pivots(stack[:1], p).tolist() == expected[:1]
+    assert _column_pivots(stack[:0], p).shape == (0, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 7), (3, 3), (5, 3), (7, 2), (13, 4)])
+def test_decode_inverts_codes(p, n):
+    rng = np.random.default_rng(p * n)
+    stack = rng.integers(0, p, size=(50, n, n))
+    stack[0] = 0
+    stack[1] = p - 1
+    codes = _codes(stack, p)
+    assert np.array_equal(_decode(codes, p, n), stack)
+    assert len(np.unique(codes)) == len(np.unique(stack.reshape(50, -1), axis=0))
+    assert _decode(codes[:0], p, n).shape == (0, n, n)
 
 
 def test_kernel_rejects_singular_windows_and_non_unipotent_types():
@@ -419,9 +485,13 @@ def _tuple_mul(a, b, n, p):
     return tuple(sum(map(operator.mul, r, c)) % p for r in rows for c in cols)
 
 
-@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 2, 5), ("sp", 4, 3)])
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 2, 5), ("sp", 4, 3), ("gl", 2, 7),
+                                      ("gl", 4, 2), ("sp-borel", 4, 2)])
 def test_mulclose_order_matches_the_one_at_a_time_bfs(name, n, q):
-    gens = group_generators(parse_kind(name, n), q)
+    # "-borel": the Borel subgroup, whose generators at q = 2 are the root
+    # elements alone
+    kind = parse_kind(name.removesuffix("-borel"), n)
+    gens = (borel_generators if name.endswith("-borel") else group_generators)(kind, q)
     moves = [lambda x, g=tuple(g.ravel().tolist()): _tuple_mul(x, g, n, q) for g in gens]
     expected = _bfs_oracle(tuple(np.eye(n, dtype=int).ravel().tolist()), moves)
     assert [tuple(m.ravel().tolist()) for m in _mulclose(gens, q, limit=10**6)] == expected
@@ -443,10 +513,35 @@ def test_conjugation_orbit_order_matches_the_one_at_a_time_bfs():
 
 
 def test_closure_codes_must_fit_int64():
-    # 2^64 codes for 8x8 matrices over GF(2); 7x7 (2^49) still fits
+    # 2^64 codes for 8x8 matrices over GF(2); 7x7 (2^49) still fits, with a
+    # limit that admits its row tables of 2^7 entries
     with pytest.raises(ValueError, match=r"8x8 matrices over GF\(2\)"):
         _mulclose([np.eye(8, dtype=np.int64)], 2, limit=10)
-    assert len(_mulclose([np.eye(7, dtype=np.int64)], 2, limit=10)) == 1
+    assert len(_mulclose([np.eye(7, dtype=np.int64)], 2, limit=2 ** 7)) == 1
+
+
+def test_mulclose_row_tables_count_against_the_limit():
+    # the tables of GL_3(F_5) hold 5^3 = 125 row codes each
+    gens = group_generators(parse_kind("gl", 3), 5)
+    with pytest.raises(BudgetError, match=r"row tables hold 5\^3 = 125 entries, over budget 124") as info:
+        _mulclose(gens, 5, limit=124)
+    assert info.value.required == 125 and info.value.budget == 124
+    with pytest.raises(BudgetError, match="group closure reached"):
+        _mulclose(gens, 5, limit=125)
+
+
+def test_mulclose_holds_no_stack_per_level():
+    # the closure keeps codes and decodes them once: its traced peak stays
+    # near the size of the stack it returns, 372,000 3x3 int64 matrices
+    gens = group_generators(parse_kind("sl", 3), 5)
+    tracemalloc.start()
+    try:
+        mats = _mulclose(gens, 5, limit=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mats) == 372000
+    assert peak < 1.5 * mats.nbytes, (peak, mats.nbytes)
 
 
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 3), ("gl", 4, 2)])
