@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetError, IntegrityError, SingularMatrixError
+from .errors import IntegrityError, SingularMatrixError, check_budget
 from .exact import ExactMatrix, PrimeField, _clear_denominators, _echelon_mod_p, int_echelon
 from .weyl import GroupSpec, WeylElement, signed_window_from_symmetric
 
@@ -389,12 +389,7 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
     """
     field = PrimeField(q)
     size = cell_order(w, q)
-    if size > budget:
-        raise BudgetError(
-            f"cell of {w} over GF({q}) has {size} elements, over budget {budget}",
-            required=size,
-            budget=budget,
-        )
+    check_budget(size, budget, f"cell of {w} over GF({q}) has {size} elements")
     if w.spec.family == "A":
         n = w.spec.degree
         w_rep = ExactMatrix.permutation(field, w.window)

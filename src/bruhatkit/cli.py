@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", default=None,
                    help="whole-group enumeration budget (env BRUHATKIT_BUDGET)")
     p.add_argument("--cell-budget", default=str(DEFAULT_CELL_BUDGET),
-                   help="bounds |B| per slice scan and each class property D grows by BFS")
+                   help="bounds |B| of each prime's Borel grid, checked before any scan, "
+                        "and each class property D grows by BFS")
     p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized spot checks")
     p.add_argument("--out", type=Path, default=None, help="also write the report to a file")
@@ -348,6 +349,15 @@ def _cmd_verify(args) -> int:
         "property_d": None,
     }
     ok = True
+    # property D first: it refuses GL before theorem A has run at any prime;
+    # the report's key order is fixed above, so its bytes do not change
+    if run_d:
+        section = fflab.verify_property_d(
+            kind, qs, allow_bad_prime=args.allow_bad_prime,
+            cell_budget=cell_budget, rank_cap=args.rank_cap,
+        )
+        report["property_d"] = section
+        ok = ok and section["ok"]
     if args.theorem_a:
         for q in qs:
             section = fflab.verify_theorem_a(
@@ -359,13 +369,6 @@ def _cmd_verify(args) -> int:
             ok = ok and section["ok"]
             if "spot_checks" in section:
                 ok = ok and section["spot_checks"]["ok"]
-    if run_d:
-        section = fflab.verify_property_d(
-            kind, qs, allow_bad_prime=args.allow_bad_prime,
-            cell_budget=cell_budget, rank_cap=args.rank_cap,
-        )
-        report["property_d"] = section
-        ok = ok and section["ok"]
     report["ok"] = ok
 
     def table():

@@ -22,6 +22,13 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
+def check_budget(size: int, budget: int, what: str) -> None:
+    """Raise BudgetError("<what>, over budget <budget>") when size is over
+    the budget; ``what`` names the phase and the size it needs."""
+    if size > budget:
+        raise BudgetError(f"{what}, over budget {budget}", required=size, budget=budget)
+
+
 class IntegrityError(RuntimeError):
     """Raised when a computation contradicts a structural fact it relies on.
 

@@ -101,7 +101,7 @@ from .cells import (
     sp_weyl_matrix,
     symplectic_form,
 )
-from .errors import BudgetError, IntegrityError, SingularMatrixError
+from .errors import IntegrityError, SingularMatrixError, check_budget
 from .exact import ExactMatrix, GF, _echelon_mod_p, is_prime
 from .partitions import Partition, dominance_leq, partitions_of
 from .phimap import phi
@@ -118,10 +118,11 @@ from .weyl import (
 
 DEFAULT_ENUM_BUDGET = 10**8
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
-# matrices per numpy batch in cell scans, the table's window and unipotent
+# matrices per numpy batch in slice scans, the table's window and unipotent
 # pass, the Borel centralizer scan and the commutant enumeration; it keeps
-# the temporaries of a whole-group run (372,000 elements of SL_3(F_5)) or a
-# Borel grid (10^6 elements of SL_4(F_5)) small
+# the temporaries of a whole-group run (372,000 elements of SL_3(F_5)) or of
+# a scan over a Borel grid (10^6 elements of SL_4(F_5)) small.  The grid
+# itself is whole: a driver builds one per prime and holds it for one call
 _CHUNK = 200_000
 
 KIND_NAMES = ("GL", "SL", "Sp")
@@ -246,9 +247,8 @@ def _closure(seeds: np.ndarray, step, limit: int | None = None,
         frontier = images[np.sort(first[fresh])]
         seen = np.insert(seen, at[fresh], codes[fresh])
         levels.append(frontier)
-        if limit is not None and len(seen) > limit:
-            raise BudgetError(f"{phase} reached {len(seen)} elements, over budget {limit}",
-                              required=len(seen), budget=limit)
+        if limit is not None:
+            check_budget(len(seen), limit, f"{phase} reached {len(seen)} elements")
         images = step(frontier)
     return np.concatenate(levels)
 
@@ -309,9 +309,7 @@ def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
     hold p^n entries, as many as the group has at least elements."""
     n = gens[0].shape[0]
     seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
-    if p ** n > limit:
-        raise BudgetError(f"group closure row tables hold {p}^{n} = {p ** n} entries, "
-                          f"over budget {limit}", required=p ** n, budget=limit)
+    check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
     tables = [rows @ g % p @ digits for g in gens]
@@ -361,12 +359,7 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     """
     _check_prime(q)
     expected = kind.order(q)
-    if expected > budget:
-        raise BudgetError(
-            f"{kind} over GF({q}) has {expected} elements, over budget {budget}",
-            required=expected,
-            budget=budget,
-        )
+    check_budget(expected, budget, f"{kind} over GF({q}) has {expected} elements")
     mats = _mulclose(group_generators(kind, q), q, budget)
     if len(mats) != expected:
         raise IntegrityError(f"enumerated {len(mats)} elements of {kind}/GF({q}), formula gives {expected}")
@@ -508,9 +501,6 @@ def _check_prime(q: int):
 # per root, Sp the positions of cells.c_root_positions; a negative root is
 # the same positions transposed.
 
-_BOREL_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _roots(kind: GroupKind) -> list[tuple]:
     """The positive roots of the group, in the order the grids multiply them."""
     if kind.family == "Sp":
@@ -557,19 +547,18 @@ def _torus(kind: GroupKind, q: int) -> np.ndarray:
 
 def borel_grid(kind: GroupKind, q: int) -> np.ndarray:
     """Every element of B(F_q) for this group, each exactly once: the torus
-    times the product of the positive root subgroups."""
-    key = (kind.family, kind.n, q)
-    cached = _BOREL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    times the product of the positive root subgroups.  Each call builds the
+    grid anew and keeps nothing; a driver builds one per prime, after its
+    budget checks, and passes it down.  Each product is reduced in place,
+    so at the last root only one grid-sized array is alive."""
     n = kind.n
     grid = _torus(kind, q)
     for root in _roots(kind):
-        grid = (grid[:, None] @ _root_family(n, root, q)[None]).reshape(-1, n, n) % q
+        grid = (grid[:, None] @ _root_family(n, root, q)[None]).reshape(-1, n, n)
+        grid %= q
     expected = kind.borel_order(q)
     if len(grid) != expected:
         raise IntegrityError(f"Borel grid of {kind}/GF({q}) has {len(grid)} != {expected} elements")
-    _BOREL_CACHE[key] = grid
     return grid
 
 
@@ -619,27 +608,17 @@ def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
     return mask
 
 
-def _slice_unipotents(kind: GroupKind, w, q: int, cell_budget: int = DEFAULT_CELL_BUDGET):
-    """Per _CHUNK batch of the Borel grid: the unipotent elements of the
-    slice w_rep * B of the cell of w, in grid order.  The cell budget bounds
-    the |B| grid matrices scanned.
+def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
+    """Per _CHUNK batch of the Borel grid ``borel`` (borel_grid(kind, q)):
+    the unipotent elements of the slice w_rep * B of the cell of w, in grid
+    order.  The caller has checked the prime and the grid's budget.
 
     w_rep is monomial, row i being s_i e_{c_i}, so w_rep b is the rows c of b
     scaled by s, and tr(w_rep b) = sum_i s_i b[c_i, i] is read off the grid.
     Only the grid matrices whose product has trace n mod p, as every
     unipotent matrix does, are gathered into products, and _unipotent_mask
     decides each of those exactly."""
-    _check_prime(q)
     cols, signs = _monomial(_weyl_rep(kind, w, q))
-    size = kind.borel_order(q)
-    if size > cell_budget:
-        raise BudgetError(
-            f"cell scan of {w} in {kind}/GF({q}) builds |B| = {size} matrices, "
-            f"over budget {cell_budget}",
-            required=size,
-            budget=cell_budget,
-        )
-    borel = borel_grid(kind, q)
     n = kind.n
     for start in range(0, len(borel), _CHUNK):
         chunk = borel[start:start + _CHUNK]
@@ -839,8 +818,9 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     takes one walk over all of W (_walk), scanning each slice once: every
     slice adds to the unipotent census, and the minimal ones also give their
     Jordan types and the first hit the spot checks sample.  The census
-    budget is checked before any slice is scanned, and the cell budget
-    bounds each slice.  The whole-group order check is reported as skipped
+    budget and the cell budget, which bounds |B|, are checked before the
+    classes are listed; then one Borel grid is built, which the walk and the
+    spot checks share.  The whole-group order check is reported as skipped
     rather than pretended.
     """
     _check_prime(q)
@@ -855,11 +835,14 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         method = "table"
     elif method == "auto":
         method = "table" if kind.order(q) <= min(budget, _TABLE_THRESHOLD) else "cells"
+    if method == "cells":
+        _check_census_budget(kind, q, budget)
+        _check_grid_budget(kind, q, cell_budget)
+    elif table is None:
+        table = enumerate_group(kind, q, budget=budget)
     classes = conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap)
 
     if method == "table":
-        if table is None:
-            table = enumerate_group(kind, q, budget=budget)
         types_by_cell: dict[tuple, set[Partition]] = {}
         for i, jt in table.unipotent_types.items():
             types_by_cell.setdefault(table.cell_windows[i], set()).add(jt)
@@ -871,11 +854,10 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         order_check = {"expected": kind.order(q), "enumerated": len(table),
                        "ok": len(table) == kind.order(q)}
     else:
-        # the census is known to be over budget before any slice is scanned
-        _check_census_budget(kind, q, budget)
+        borel = borel_grid(kind, q)
         # the types met in each minimal slice; the spot checks sample its first hit
         minimal = {w.window for cls in classes for w in cls.min_elements}
-        unipotent_count, type_sets, first_hits = _walk(kind, q, cell_budget, minimal)
+        unipotent_count, type_sets, first_hits = _walk(kind, q, borel, minimal)
 
         def types_met(w):
             return type_sets[w.window]
@@ -939,7 +921,7 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     if seed is not None:
         report["spot_checks"] = (
             _spot_checks(kind, q, table, seed) if method == "table"
-            else _spot_checks_from_cells(kind, q, classes, first_hits, seed)
+            else _spot_checks_from_cells(kind, q, classes, first_hits, seed, borel)
         )
     report["ok"] = (advisory or all_match) and all(c["ok"] for c in integrity.values())
     return report
@@ -947,7 +929,8 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
 
 def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, count: int = 20) -> dict:
     """Seeded consistency samples: the cell is constant on B g B, and Jordan
-    types are conjugation invariants.  Same seed, same transcript."""
+    types are conjugation invariants.  Same seed, same transcript.  The
+    Borel grid is built here; it is smaller than the enumerated group."""
     rng = random.Random(seed)
     borel = borel_grid(kind, q)
     records = []
@@ -969,13 +952,13 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
 
 
 def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, seed: int,
-                            count: int = 20) -> dict:
+                            borel: np.ndarray, count: int = 20) -> dict:
     """Table-free spot checks for cell-parametrized runs: cells are stable
-    under two-sided Borel moves and Jordan types under Borel conjugation.
-    The samples are the first unipotent element of each minimal slice that
-    has one (``first_hits``, by window), in class order, then by window."""
+    under two-sided Borel moves (drawn from the grid ``borel``) and Jordan
+    types under Borel conjugation.  The samples are the first unipotent
+    element of each minimal slice that has one (``first_hits``, by window),
+    in class order, then by window."""
     rng = random.Random(seed)
-    borel = borel_grid(kind, q)
     samples = [(w.window, first_hits[w.window]) for cls in classes
                for w in sorted(cls.min_elements, key=lambda w: w.window) if w.window in first_hits]
     records = []
@@ -1074,7 +1057,9 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
     two or more, and a prime given twice is scanned once.  Only gamma ∩ w_rep
     B is built, split into B_w-orbits (see the module docstring), and |Z_B|
     is |B_w| / |orbit|.  The cell budget bounds |B| and every class that is
-    grown by BFS."""
+    grown by BFS.  Every prime and its |B| are checked before the classes
+    are listed; then the primes are scanned in turn, each with one Borel
+    grid that is freed before the next is built."""
     if kind.family == "GL":
         raise ValueError(
             "the centralizer-dimension statement is about semisimple groups; "
@@ -1087,34 +1072,38 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
         _check_prime(q)
         if q in kind.bad_primes and not allow_bad_prime:
             raise ValueError(f"q = {q} is a bad prime for {kind}; pass allow_bad_prime to explore anyway")
+        _check_grid_budget(kind, q, cell_budget)
     advisory = any(q in kind.bad_primes for q in qs)
-    classes = [c for c in conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap) if c.elliptic]
-    cells = []
-    for cls in classes:
-        target = phi(cls).jordan_type
-        for w in sorted(cls.min_elements, key=lambda w: w.window):
-            per_q, class_sizes = [], []
-            for q in qs:
-                members = np.concatenate([
-                    _of_type(hits, q, target)
-                    for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget)])
-                orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q)
-                zg, sizes = _classes_met(kind, q, [orbit[0] for orbit in orbits],
-                                         limit=cell_budget)
-                scale = q ** w.length()
-                # Z_B(x) = Z_{B_w}(x) on the slice, |B_w| = |B| / q^length(w)
-                slice_borel = kind.borel_order(q) // scale
-                per_q.append({
-                    "q": q,
-                    "intersection_size": scale * len(members),
-                    "orbit_count": len(orbits),
-                    "orbit_sizes": sorted(scale * len(o) for o in orbits),
-                    "zg": sorted(zg),
-                    "zb": sorted(_cofactor(slice_borel, f"|B_w| of {w} in {kind}(F_{q})", len(o),
-                                           "B_w-orbit size") for o in orbits),
-                })
-                class_sizes.append(sizes)
-            cells.append(EllipticCellScan(cls, target, w, per_q, class_sizes))
+    slices = []  # (class, its target type, w)
+    for cls in conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap):
+        if cls.elliptic:
+            target = phi(cls).jordan_type
+            slices += [(cls, target, w) for w in sorted(cls.min_elements, key=lambda w: w.window)]
+    per_q, class_sizes = [[] for _ in slices], [[] for _ in slices]
+    for q in qs:
+        borel = borel_grid(kind, q)
+        for (cls, target, w), records, sizes_met in zip(slices, per_q, class_sizes):
+            members = np.concatenate([_of_type(hits, q, target)
+                                      for hits in _slice_unipotents(kind, w, q, borel)])
+            orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q)
+            zg, sizes = _classes_met(kind, q, [orbit[0] for orbit in orbits], limit=cell_budget)
+            scale = q ** w.length()
+            # Z_B(x) = Z_{B_w}(x) on the slice, |B_w| = |B| / q^length(w)
+            slice_borel = kind.borel_order(q) // scale
+            records.append({
+                "q": q,
+                "intersection_size": scale * len(members),
+                "orbit_count": len(orbits),
+                "orbit_sizes": sorted(scale * len(o) for o in orbits),
+                "zg": sorted(zg),
+                "zb": sorted(_cofactor(slice_borel, f"|B_w| of {w} in {kind}(F_{q})", len(o),
+                                       "B_w-orbit size") for o in orbits),
+            })
+            sizes_met.append(sizes)
+        # free this prime's grid before the next one is built
+        del borel
+    cells = [EllipticCellScan(cls, target, w, records, sizes_met)
+             for (cls, target, w), records, sizes_met in zip(slices, per_q, class_sizes)]
     return PropertyDScan(kind, qs, advisory, cells)
 
 
@@ -1195,13 +1184,15 @@ def _check_census_budget(kind: GroupKind, q: int, budget: int) -> None:
     """Raise BudgetError when the unipotent census, |W| * |B| matrices, is
     over the budget."""
     scanned = kind.weyl_spec.order() * kind.borel_order(q)
-    if scanned > budget:
-        raise BudgetError(
-            f"unipotent census of {kind}/GF({q}) scans |W| * |B| = {scanned} matrices, "
-            f"over budget {budget}",
-            required=scanned,
-            budget=budget,
-        )
+    check_budget(scanned, budget,
+                 f"unipotent census of {kind}/GF({q}) scans |W| * |B| = {scanned} matrices")
+
+
+def _check_grid_budget(kind: GroupKind, q: int, cell_budget: int) -> None:
+    """Raise BudgetError when the Borel grid, |B| matrices, is over the cell
+    budget."""
+    size = kind.borel_order(q)
+    check_budget(size, cell_budget, f"Borel grid of {kind}/GF({q}) holds |B| = {size} matrices")
 
 
 def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
@@ -1211,24 +1202,26 @@ def count_unipotents(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET)
     q^length(w) conjugates of each unipotent element of its slice w_rep * B,
     so the census is the one walk over W (_walk) that verify_theorem_a
     takes, summed; it scans |W| * |B| grid matrices, and the budget bounds
-    that number.  For GL and SL the walk checks the census of each Jordan
-    type against its class size too.
+    that number, and so |B| as well.  It is checked before the one Borel
+    grid of the walk is built.  For GL and SL the walk checks the census of
+    each Jordan type against its class size too.
     """
     _check_prime(q)
     _check_census_budget(kind, q, budget)
-    return _walk(kind, q, budget)[0]
+    return _walk(kind, q, borel_grid(kind, q))[0]
 
 
-def _walk(kind: GroupKind, q: int, cell_budget: int, minimal=frozenset()
+def _walk(kind: GroupKind, q: int, borel: np.ndarray, minimal=frozenset()
           ) -> tuple[int, dict, dict]:
-    """One pass over W in window order that scans each slice w_rep * B once.
+    """One pass over W in window order that scans each slice w_rep * B of
+    the Borel grid ``borel`` once.
 
     Returns the unipotent census, the sum of q^length(w) times the hits of
     each slice, and for each window in ``minimal`` the set of Jordan types
     its slice meets and its first hit in Borel grid order, where it has one.
     For GL and SL the census is also summed per Jordan type and held to the
     class sizes (_check_type_census); Sp slices outside ``minimal`` are not
-    typed.  The cell budget bounds every slice."""
+    typed."""
     typed = kind.family != "Sp"
     census, by_type = 0, Counter()
     type_sets, first_hits = {}, {}
@@ -1237,7 +1230,7 @@ def _walk(kind: GroupKind, q: int, cell_budget: int, minimal=frozenset()
         keep = w.window in minimal
         if keep:
             type_sets[w.window] = set()
-        for hits in _slice_unipotents(kind, w, q, cell_budget=cell_budget):
+        for hits in _slice_unipotents(kind, w, q, borel):
             census += scale * len(hits)
             if not len(hits) or not (typed or keep):
                 continue

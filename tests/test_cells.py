@@ -233,6 +233,7 @@ def test_enumerate_cell_budget():
     with pytest.raises(BudgetError) as info:
         list(enumerate_cell(w0, 5, budget=10))
     assert info.value.required == cell_order(w0, 5)
+    assert str(info.value) == "cell of [4,3,2,1] over GF(5) has 62500000000 elements, over budget 10"
     with pytest.raises(ValueError):
         next(enumerate_cell(GroupSpec("D", 2).identity(), 2))
 

@@ -267,6 +267,16 @@ def test_verify_bad_prime_and_override(capsys):
     assert payload["theorem_a"][0]["advisory"] is True
 
 
+def test_verify_refuses_property_d_on_gl_before_theorem_a(capsys, monkeypatch):
+    def no_theorem_a(*args, **kwargs):
+        raise AssertionError("theorem A ran before property D refused GL")
+
+    monkeypatch.setattr(fflab, "verify_theorem_a", no_theorem_a)
+    rc, out, err = run(capsys, ["verify", "gl", "3", "--q", "3", "--q", "5"])
+    assert rc == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("error: the centralizer-dimension statement")
+
+
 def test_verify_budget_message(capsys, monkeypatch):
     # a tight budget pushes the run into cell mode, whose unipotent census
     # then refuses with the size it needed: |W| * |B| = 6 * 216 matrices
@@ -280,8 +290,8 @@ def test_verify_budget_message(capsys, monkeypatch):
     # one reported when the cell budget is over too
     rc, _, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--cell-budget", "1000"])
     assert rc == 2 and "unipotent census" in err and "80000" in err
-    # and the cell budget gates the scans themselves, each of which builds
-    # |B| = 10000 matrices of Sp_4(F_5), once the census (80000) is in budget
+    # and the cell budget bounds the Borel grid of |B| = 10000 matrices of
+    # Sp_4(F_5) the scans share, once the census (80000) is in budget
     monkeypatch.delenv("BRUHATKIT_BUDGET")
     rc, _, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--cell-budget", "1000"])
     assert rc == 2 and "budget" in err and "10000" in err
@@ -301,9 +311,12 @@ def test_class_bfs_over_the_cell_budget_exits_2(capsys, monkeypatch):
 
 
 def test_closure_past_int64_codes_exits_2(capsys):
-    # the orbits of Sp_8 at the bad prime 2 would need 2^64 codes
+    # the orbits of Sp_8 at the bad prime 2 would need 2^64 codes.  The cell
+    # budget is raised past |B| = 688,747,536 of Sp_8(F_3), which the default
+    # refuses before any scan; the q = 2 pass must then fail before the
+    # q = 3 grid (about 350 GB) is built
     rc, out, err = run(capsys, ["verify", "sp", "8", "--q", "2", "--q", "3", "--no-theorem-a",
-                                "--allow-bad-prime"])
+                                "--allow-bad-prime", "--cell-budget", "1000000000"])
     assert rc == 2 and not out
     assert err.count("\n") == 1 and "8x8 matrices over GF(2)" in err
 

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import operator
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -87,6 +89,7 @@ def test_enumerate_group_budget():
     with pytest.raises(BudgetError) as info:
         enumerate_group(parse_kind("gl", 3), 3, budget=100)
     assert info.value.required == 11232
+    assert str(info.value) == "GL(3) over GF(3) has 11232 elements, over budget 100"
 
 
 def test_table_matrices_and_cells():
@@ -261,13 +264,19 @@ def test_steinberg_count_sp4():
         assert count_unipotents(kind, q) == q**8
 
 
+def _no_work_before_the_budget_checks(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the budget checks")
+
+    for name in ("_slice_unipotents", "conjugacy_classes", "borel_grid"):
+        monkeypatch.setattr(fflab, name, no_work)
+
+
 def test_census_budget_is_checked_before_any_slice_scan(monkeypatch):
     # |W| * |B| = 120 * 2^4 * 3^10 = 113,374,080 for SL_5(F_3), over the
-    # default 10^8: the cells run must stop before scanning a minimal slice
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a slice was scanned before the census budget check")
-
-    monkeypatch.setattr(fflab, "_slice_unipotents", no_scan)
+    # default 10^8: the cells run must stop before it lists the classes,
+    # builds a grid or scans a slice
+    _no_work_before_the_budget_checks(monkeypatch)
     kind = GroupKind("SL", 5)
     with pytest.raises(BudgetError) as before_scan:
         verify_theorem_a(kind, 3, method="cells")
@@ -278,6 +287,49 @@ def test_census_budget_is_checked_before_any_slice_scan(monkeypatch):
         "over budget 100000000")
     assert before_scan.value.required == 113374080
     assert before_scan.value.budget == 10**8
+    # SL_8(F_2): the 22 classes of S_8 are not listed first
+    with pytest.raises(BudgetError) as info:
+        verify_theorem_a(GroupKind("SL", 8), 2)
+    assert str(info.value) == (
+        "unipotent census of SL(8)/GF(2) scans |W| * |B| = 10823317585920 matrices, "
+        "over budget 100000000")
+
+
+def test_grid_budget_is_checked_before_any_work(monkeypatch):
+    # |B| = 324 for Sp_4(F_3) is in the budget, 10,000 for Sp_4(F_5) is not:
+    # property D checks every prime before it scans the first, and the
+    # cells run checks |B| before it lists the classes
+    _no_work_before_the_budget_checks(monkeypatch)
+    kind = parse_kind("sp", 4)
+    message = "Borel grid of Sp(4)/GF(5) holds |B| = 10000 matrices, over budget 1000"
+    with pytest.raises(BudgetError) as info:
+        scan_property_d(kind, [3, 5], cell_budget=1000)
+    assert str(info.value) == message
+    assert info.value.required == 10000 and info.value.budget == 1000
+    with pytest.raises(BudgetError) as info:
+        verify_theorem_a(kind, 5, cell_budget=1000)
+    assert str(info.value) == message
+
+
+def test_drivers_build_one_grid_per_prime_and_free_it(monkeypatch):
+    # each grid is built by the driver, once per prime, only after the one
+    # before it is freed, and none outlives its driver call
+    built = []
+    build = fflab.borel_grid
+
+    def tracked(kind, q):
+        assert all(ref() is None for _, ref in built), "two grids alive at once"
+        grid = build(kind, q)
+        built.append(((str(kind), q), weakref.ref(grid)))
+        return grid
+
+    monkeypatch.setattr(fflab, "borel_grid", tracked)
+    assert verify_theorem_a(parse_kind("sp", 4), 5, seed=1)["ok"]
+    scan_property_d(parse_kind("sp", 4), [3, 5])
+    assert count_unipotents(parse_kind("sl", 3), 5) == 5 ** 6
+    assert [key for key, _ in built] == [("Sp(4)", 5), ("Sp(4)", 3), ("Sp(4)", 5), ("SL(3)", 5)]
+    gc.collect()
+    assert all(ref() is None for _, ref in built)
 
 
 def _nilpotent_mask(stack, q):
@@ -300,12 +352,12 @@ def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
     for q in qs:
         borel = borel_grid(kind, q)
         elements = list(kind.weyl_spec.elements())
-        census, type_sets, first_hits = fflab._walk(kind, q, 10**7, {w.window for w in elements})
+        census, type_sets, first_hits = fflab._walk(kind, q, borel, {w.window for w in elements})
         expected_census = 0
         for w in elements:
             dense = _weyl_rep(kind, w, q) @ borel % q
             expected = dense[_nilpotent_mask(dense, q)]
-            found = np.concatenate(list(_slice_unipotents(kind, w, q)))
+            found = np.concatenate(list(_slice_unipotents(kind, w, q, borel)))
             assert np.array_equal(found, expected), (q, w)
             expected_census += q ** w.length() * len(expected)
             assert type_sets[w.window] == set(_jordan_types_mod_p(expected, q) if len(expected) else [])
@@ -334,9 +386,9 @@ def test_cells_run_scans_each_slice_once(name, n, q, monkeypatch):
     calls = Counter()
     scan = fflab._slice_unipotents
 
-    def counted(kind, w, q, **kwargs):
+    def counted(kind, w, q, borel):
         calls[q] += 1
-        return scan(kind, w, q, **kwargs)
+        return scan(kind, w, q, borel)
 
     monkeypatch.setattr(fflab, "_slice_unipotents", counted)
     kind = parse_kind(name, n)
@@ -361,8 +413,8 @@ def _drop_one_hit(monkeypatch):
     scan = fflab._slice_unipotents
     dropped = []
 
-    def lossy(kind, w, q, **kwargs):
-        for hits in scan(kind, w, q, **kwargs):
+    def lossy(kind, w, q, borel):
+        for hits in scan(kind, w, q, borel):
             if len(hits) and not dropped:
                 dropped.append(w)
                 hits = hits[1:]
@@ -523,11 +575,13 @@ def test_closure_codes_must_fit_int64():
 def test_mulclose_row_tables_count_against_the_limit():
     # the tables of GL_3(F_5) hold 5^3 = 125 row codes each
     gens = group_generators(parse_kind("gl", 3), 5)
-    with pytest.raises(BudgetError, match=r"row tables hold 5\^3 = 125 entries, over budget 124") as info:
+    with pytest.raises(BudgetError) as info:
         _mulclose(gens, 5, limit=124)
+    assert str(info.value) == "group closure row tables hold 5^3 = 125 entries, over budget 124"
     assert info.value.required == 125 and info.value.budget == 124
-    with pytest.raises(BudgetError, match="group closure reached"):
+    with pytest.raises(BudgetError) as info:
         _mulclose(gens, 5, limit=125)
+    assert str(info.value) == "group closure reached 418 elements, over budget 125"
 
 
 def test_mulclose_holds_no_stack_per_level():
@@ -574,7 +628,7 @@ def _slice_keys(kind, w, q):
 def _scaled_slice_types(kind, w, q):
     # q^length(w) times the Jordan types of the slice w_rep * B
     found = Counter()
-    for hits in _slice_unipotents(kind, w, q):
+    for hits in _slice_unipotents(kind, w, q, borel_grid(kind, q)):
         found.update(_jordan_types_mod_p(hits, q))
     return Counter({jt: q ** w.length() * count for jt, count in found.items()})
 
@@ -788,8 +842,8 @@ def test_conjugation_orbit_limit():
     assert len(conjugation_orbit(u, gens, 5, limit=12)) == 12
     with pytest.raises(BudgetError) as info:
         conjugation_orbit(u, gens, 5, limit=5)
-    assert info.value.budget == 5 and info.value.required > 5
-    assert "conjugation orbit" in str(info.value)
+    assert info.value.budget == 5 and info.value.required == 7
+    assert str(info.value) == "conjugation orbit reached 7 elements, over budget 5"
 
 
 def test_echelon_nullspace_matches_brute_force_2x2_f3():
