@@ -11,19 +11,17 @@ Takes a few seconds; the symplectic run enumerates all 51840 elements.
 
 import json
 
-from bruhatkit import enumerate_group, parse_kind, verify_theorem_a
+from bruhatkit import parse_kind, verify_theorem_a
 from bruhatkit.fflab import verify_property_d
 
-# --- a full census of Sp_4(F_3) -----------------------------------------------
+# --- a full census of Sp_4(F_3), and the minimal-type statement class by class ---
 
 kind = parse_kind("sp", 4)
-table = enumerate_group(kind, 3)
-print(f"enumerated {kind} over GF(3): {len(table)} elements "
-      f"({table.unipotent_count()} unipotent = 3^8)")
-
-# --- the minimal-type statement, class by class ---------------------------------
-
-report = verify_theorem_a(kind, 3, table=table, seed=0)
+report = verify_theorem_a(kind, 3, seed=0)
+integrity = report["integrity"]
+print(f"enumerated {kind} over GF(3) ({report['method']} method): "
+      f"{integrity['order_check']['enumerated']} elements "
+      f"({integrity['unipotent_count_check']['found']} unipotent = 3^8)")
 print(f"\ntheorem-a all_match = {report['all_match']}")
 for row in report["classes"]:
     cells = {tuple(c["w"]): c["minimum"] for c in row["cells"]}

@@ -235,37 +235,22 @@ def c_positive_roots(n: int) -> list[tuple]:
     return roots
 
 
-def _root_coeffs(window: tuple[int, ...], root: tuple) -> list[int]:
-    # coefficients of w(root) in the e-basis
-    n = len(window)
-    coeffs = [0] * (n + 1)
-    if root[0] == "l":
-        v = window[root[1] - 1]
-        coeffs[abs(v)] = 2 if v > 0 else -2
-        return coeffs
-    kind, i, j = root
-    vi, vj = window[i - 1], window[j - 1]
-    coeffs[abs(vi)] += 1 if vi > 0 else -1
-    sign_j = 1 if kind == "s" else -1
-    coeffs[abs(vj)] += sign_j if vj > 0 else -sign_j
-    return coeffs
-
-
-def c_root_is_positive(window: tuple[int, ...], root: tuple) -> bool:
-    """Whether w applied to the root is again positive."""
-    coeffs = _root_coeffs(window, root)
-    for c in coeffs:
-        if c:
-            return c > 0
-    raise IntegrityError("root image vanished")
-
-
 def inverted_roots(w: WeylElement) -> list[tuple]:
-    """Positive roots alpha with w^-1(alpha) negative; there are length(w)."""
+    """Positive roots alpha with w^-1(alpha) negative, in c_positive_roots
+    order; there are length(w).
+
+    alpha is inverted exactly when the window of the embedding of w^-1 in
+    S_2n puts alpha's first position pair (r, c) (c_root_positions) out of
+    order: that window sends the GL_2n root e_r - e_c negative, and alpha
+    with it.  The count is held to the length l_BC(w) = (inv(w~) + neg(w)) / 2,
+    read off the embedded window w~ of w by the weyl module.
+    """
     if w.spec.family != "BC":
         raise ValueError("inverted_roots works on the type C root system")
-    inv_window = w.inverse().window
-    roots = [a for a in c_positive_roots(w.spec.rank) if not c_root_is_positive(inv_window, a)]
+    n = w.spec.rank
+    window = w.inverse().embed_in_symmetric().window
+    pairs = {root: c_root_positions(root, n)[0][:2] for root in c_positive_roots(n)}
+    roots = [root for root, (r, c) in pairs.items() if window[r] > window[c]]
     if len(roots) != w.length():
         raise IntegrityError(f"{w} inverts {len(roots)} roots but has length {w.length()}")
     return roots

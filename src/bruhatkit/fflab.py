@@ -117,6 +117,9 @@ from .weyl import (
 )
 
 DEFAULT_ENUM_BUDGET = 10**8
+# the largest distance of a growth exponent from d_C that a property-D row
+# counts as within tolerance; every row prints it
+EXPONENT_TOLERANCE = 0.25
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
 # matrices per numpy batch in slice scans, the table's window and unipotent
 # pass, the Borel centralizer scan and the commutant enumeration; it keeps
@@ -156,8 +159,6 @@ class GroupKind:
     def order(self, q: int) -> int:
         if self.family == "GL":
             return gl_order(self.n, q)
-        if self.family == "SL":
-            return gl_order(self.n, q) // (q - 1)
         return chevalley_order(self.weyl_spec, q)
 
     def borel_order(self, q: int) -> int:
@@ -168,9 +169,7 @@ class GroupKind:
         return borel_order("BC", self.n // 2, q)
 
     def num_positive_roots(self) -> int:
-        if self.family == "Sp":
-            return (self.n // 2) ** 2
-        return self.n * (self.n - 1) // 2
+        return self.weyl_spec.num_positive_roots()
 
     def __str__(self):
         return f"{self.family}({self.n})"
@@ -493,6 +492,17 @@ def _check_prime(q: int):
         raise ValueError(f"q = {q} is too large for the exact int64 fast paths")
 
 
+def _admit(kind: GroupKind, q: int, allow_bad_prime: bool) -> bool:
+    """Check q for a verification driver: it must be a prime the fast paths
+    take, and a bad prime of the kind only with ``allow_bad_prime``.
+    Returns whether q is bad, the report's advisory flag."""
+    _check_prime(q)
+    advisory = q in kind.bad_primes
+    if advisory and not allow_bad_prime:
+        raise ValueError(f"q = {q} is a bad prime for {kind}; pass allow_bad_prime to explore anyway")
+    return advisory
+
+
 # ---------------------------------------------------------------------------
 # Root subgroups, Borel and cell grids (numpy)
 #
@@ -776,10 +786,13 @@ def _partition_into_orbits(members: np.ndarray, gens: list[np.ndarray],
     generated group, as orbit stacks.  Each orbit is grown from the least
     code not yet placed, so the orbits come in order of their least code,
     and that matrix is the first of each.  With no generators every matrix
-    is its own orbit."""
+    is its own orbit.  The members must be distinct; a repeated matrix
+    raises IntegrityError."""
     n = members.shape[1]
     step = _conjugation_step(gens, p, n)
-    codes = np.unique(_codes(members, p))
+    codes = np.sort(_codes(members, p))
+    if (codes[1:] == codes[:-1]).any():
+        raise IntegrityError("a matrix is listed twice in the scanned set")
     unplaced = np.ones(len(codes), dtype=bool)
     orbits = []
     for i in range(len(codes)):
@@ -804,7 +817,7 @@ _TABLE_THRESHOLD = 10**6
 def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
                      budget: int = DEFAULT_ENUM_BUDGET, cell_budget: int = DEFAULT_CELL_BUDGET,
                      rank_cap: int = DEFAULT_RANK_CAP, seed: int | None = None,
-                     table: FiniteGroupTable | None = None, method: str = "auto") -> dict:
+                     method: str = "auto") -> dict:
     """Exhaustively check the minimal-type statement for every class.
 
     For each class C and each minimal-length w: among the Jordan types of
@@ -821,47 +834,34 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     budget and the cell budget, which bounds |B|, are checked before the
     classes are listed; then one Borel grid is built, which the walk and the
     spot checks share.  The whole-group order check is reported as skipped
-    rather than pretended.
+    rather than pretended.  The report's ``ok`` covers the class matches
+    (unless q is a bad prime), the integrity checks and the spot checks.
     """
-    _check_prime(q)
+    advisory = _admit(kind, q, allow_bad_prime)
     if method not in ("auto", "table", "cells"):
         raise ValueError(f"unknown method {method!r}")
-    advisory = q in kind.bad_primes
-    if advisory and not allow_bad_prime:
-        raise ValueError(
-            f"q = {q} is a bad prime for {kind}; pass allow_bad_prime to explore anyway"
-        )
-    if table is not None:
-        method = "table"
-    elif method == "auto":
+    if method == "auto":
         method = "table" if kind.order(q) <= min(budget, _TABLE_THRESHOLD) else "cells"
     if method == "cells":
         _check_census_budget(kind, q, budget)
         _check_grid_budget(kind, q, cell_budget)
-    elif table is None:
+    else:
         table = enumerate_group(kind, q, budget=budget)
     classes = conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap)
 
+    # the Jordan types met in each cell, by window
     if method == "table":
-        types_by_cell: dict[tuple, set[Partition]] = {}
+        type_sets: dict[tuple, set[Partition]] = {}
         for i, jt in table.unipotent_types.items():
-            types_by_cell.setdefault(table.cell_windows[i], set()).add(jt)
-
-        def types_met(w):
-            return types_by_cell.get(w.window, set())
-
+            type_sets.setdefault(table.cell_windows[i], set()).add(jt)
         unipotent_count = table.unipotent_count()
         order_check = {"expected": kind.order(q), "enumerated": len(table),
                        "ok": len(table) == kind.order(q)}
     else:
         borel = borel_grid(kind, q)
-        # the types met in each minimal slice; the spot checks sample its first hit
+        # the minimal slices only; the spot checks sample the first hit of each
         minimal = {w.window for cls in classes for w in cls.min_elements}
         unipotent_count, type_sets, first_hits = _walk(kind, q, borel, minimal)
-
-        def types_met(w):
-            return type_sets[w.window]
-
         order_check = {"expected": kind.order(q), "enumerated": None,
                        "skipped": "cell-parametrized run, group not enumerated", "ok": True}
 
@@ -871,8 +871,8 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         target = phi(cls).jordan_type
         cells = []
         minima = []
-        for w in sorted(cls.min_elements, key=lambda w: w.window):
-            met = sorted(types_met(w), key=lambda p: p.parts)
+        for w in cls.min_elements:
+            met = sorted(type_sets.get(w.window, ()), key=lambda p: p.parts)
             least = [m for m in met if all(dominance_leq(m, other) for other in met)]
             minimum = least[0] if len(least) == 1 else None
             minima.append(minimum)
@@ -918,12 +918,14 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         "all_match": all_match,
         "integrity": integrity,
     }
+    checks = list(integrity.values())
     if seed is not None:
         report["spot_checks"] = (
             _spot_checks(kind, q, table, seed) if method == "table"
             else _spot_checks_from_cells(kind, q, classes, first_hits, seed, borel)
         )
-    report["ok"] = (advisory or all_match) and all(c["ok"] for c in integrity.values())
+        checks.append(report["spot_checks"])
+    report["ok"] = (advisory or all_match) and all(c["ok"] for c in checks)
     return report
 
 
@@ -934,7 +936,6 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
     rng = random.Random(seed)
     borel = borel_grid(kind, q)
     records = []
-    n = kind.n
     uni = sorted(table.unipotent_types)
     for _ in range(count):
         i = rng.randrange(len(table))
@@ -960,7 +961,7 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, 
     in class order, then by window."""
     rng = random.Random(seed)
     samples = [(w.window, first_hits[w.window]) for cls in classes
-               for w in sorted(cls.min_elements, key=lambda w: w.window) if w.window in first_hits]
+               for w in cls.min_elements if w.window in first_hits]
     records = []
     for _ in range(count):
         window, g = samples[rng.randrange(len(samples))]
@@ -1068,29 +1069,27 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
     if not q_list:
         raise ValueError("no primes to scan")
     qs = sorted(set(q_list))
+    advisory = False
     for q in qs:
-        _check_prime(q)
-        if q in kind.bad_primes and not allow_bad_prime:
-            raise ValueError(f"q = {q} is a bad prime for {kind}; pass allow_bad_prime to explore anyway")
+        advisory = _admit(kind, q, allow_bad_prime) or advisory
         _check_grid_budget(kind, q, cell_budget)
-    advisory = any(q in kind.bad_primes for q in qs)
-    slices = []  # (class, its target type, w)
+    cells = []
     for cls in conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap):
         if cls.elliptic:
             target = phi(cls).jordan_type
-            slices += [(cls, target, w) for w in sorted(cls.min_elements, key=lambda w: w.window)]
-    per_q, class_sizes = [[] for _ in slices], [[] for _ in slices]
+            cells += [EllipticCellScan(cls, target, w, [], []) for w in cls.min_elements]
     for q in qs:
         borel = borel_grid(kind, q)
-        for (cls, target, w), records, sizes_met in zip(slices, per_q, class_sizes):
-            members = np.concatenate([_of_type(hits, q, target)
+        for cell in cells:
+            w = cell.w
+            members = np.concatenate([_of_type(hits, q, cell.target)
                                       for hits in _slice_unipotents(kind, w, q, borel)])
             orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q)
             zg, sizes = _classes_met(kind, q, [orbit[0] for orbit in orbits], limit=cell_budget)
             scale = q ** w.length()
             # Z_B(x) = Z_{B_w}(x) on the slice, |B_w| = |B| / q^length(w)
             slice_borel = kind.borel_order(q) // scale
-            records.append({
+            cell.per_q.append({
                 "q": q,
                 "intersection_size": scale * len(members),
                 "orbit_count": len(orbits),
@@ -1099,11 +1098,9 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
                 "zb": sorted(_cofactor(slice_borel, f"|B_w| of {w} in {kind}(F_{q})", len(o),
                                        "B_w-orbit size") for o in orbits),
             })
-            sizes_met.append(sizes)
+            cell.class_sizes.append(sizes)
         # free this prime's grid before the next one is built
         del borel
-    cells = [EllipticCellScan(cls, target, w, records, sizes_met)
-             for (cls, target, w), records, sizes_met in zip(slices, per_q, class_sizes)]
     return PropertyDScan(kind, qs, advisory, cells)
 
 
@@ -1113,9 +1110,10 @@ def _of_type(hits: np.ndarray, q: int, target: Partition) -> np.ndarray:
     return hits[inverse == (types.index(target) if target in types else -1)]
 
 
-def property_d_report(scan: PropertyDScan, exponent_tolerance: float = 0.25) -> dict:
+def property_d_report(scan: PropertyDScan) -> dict:
     """Judge a property (d) scan: per (class, w), orbit counts and |Z_B| must
-    not depend on q, and every growth exponent must round to d_C."""
+    not depend on q, and every growth exponent must round to d_C.  Each row
+    also says whether the exponents are within EXPONENT_TOLERANCE of d_C."""
     qs = scan.qs
     _check_two_primes(qs)
     rows = []
@@ -1131,7 +1129,7 @@ def property_d_report(scan: PropertyDScan, exponent_tolerance: float = 0.25) -> 
             for x, y in zip(per_q[a]["zg"], per_q[b]["zg"]):
                 exponents.append(_growth_exponent(x, y, qs[a], qs[b]))
         rounds_ok = all(round(e) == cls.min_length for e in exponents)
-        within_tol = all(abs(e - cls.min_length) <= exponent_tolerance for e in exponents)
+        within_tol = all(abs(e - cls.min_length) <= EXPONENT_TOLERANCE for e in exponents)
         match = (
             len(counts) == 1
             and zb_stable
@@ -1151,7 +1149,7 @@ def property_d_report(scan: PropertyDScan, exponent_tolerance: float = 0.25) -> 
                 "growth_exponents": exponents,
                 "exponents_round_to_d_C": rounds_ok,
                 "exponents_within_tolerance": within_tol,
-                "exponent_tolerance": exponent_tolerance,
+                "exponent_tolerance": EXPONENT_TOLERANCE,
                 "match": match,
             }
         )
@@ -1170,14 +1168,14 @@ def property_d_report(scan: PropertyDScan, exponent_tolerance: float = 0.25) -> 
 
 
 def verify_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool = False,
-                      cell_budget: int = DEFAULT_CELL_BUDGET, rank_cap: int = DEFAULT_RANK_CAP,
-                      exponent_tolerance: float = 0.25) -> dict:
+                      cell_budget: int = DEFAULT_CELL_BUDGET, rank_cap: int = DEFAULT_RANK_CAP
+                      ) -> dict:
     """Two-prime proxies for the Borel-orbit and centralizer statements on
     elliptic classes; see the module docstring for what is actually checked."""
     _check_two_primes(q_list)
     scan = scan_property_d(kind, q_list, allow_bad_prime=allow_bad_prime, cell_budget=cell_budget,
                            rank_cap=rank_cap)
-    return property_d_report(scan, exponent_tolerance)
+    return property_d_report(scan)
 
 
 def _check_census_budget(kind: GroupKind, q: int, budget: int) -> None:

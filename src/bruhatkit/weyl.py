@@ -18,6 +18,25 @@ Conventions, used everywhere in this package
   the sign-flipping swap of the last two coordinates.
 * Matrices act on column vectors; the matrix of w has e_i in column i mapped
   to sign(w(i)) * e_{|w(i)|}.
+
+Signed permutations through S_2n
+--------------------------------
+The window of a BC or D element w of rank n embeds in the symmetric group
+on 2n letters (_embed, behind embed_in_symmetric): signed letter i goes to
+position i and -i to position 2n+1-i.  Facts about signed permutations are
+read off the embedded window w~, as type A reads its own window:
+
+* Lengths: l_BC(w) = (inv(w~) + neg(w)) / 2 and l_D(w) = (inv(w~) - neg(w)) / 2,
+  with inv the type-A inversion count and neg(w) the number of negative
+  entries of the window.  Each inversion of w~ is one of the two positions
+  of a short root e_i +- e_j that w sends negative, or the one position of
+  a long root 2e_i that it does, and w sends 2e_i negative exactly when
+  w(i) < 0.
+* Inverted roots: a positive root of C_n is inverted by w exactly when the
+  window of the embedding of w^-1 puts its first position pair (r, c)
+  out of order (cells.inverted_roots).
+* Classes of BC: the class-to-unipotent map takes the cycle type of w~ as
+  the Jordan type (phimap.map_i).
 """
 
 from __future__ import annotations
@@ -263,31 +282,20 @@ class WeylElement:
         """
         if self.spec.family != "BC":
             raise ValueError("embedding is defined for family BC")
-        n = len(self.window)
-        big = 2 * n
-        img = [0] * big
-        for i, v in enumerate(self.window, start=1):
-            target = v if v > 0 else big + 1 + v
-            img[i - 1] = target
-            img[big - i] = big + 1 - target
-        return WeylElement._make(GroupSpec("A", big - 1), tuple(img))
+        return WeylElement._make(GroupSpec("A", 2 * len(self.window) - 1), _embed(self.window))
 
 
 def signed_window_from_symmetric(window: tuple[int, ...]) -> tuple[int, ...] | None:
     """Invert embed_in_symmetric on windows; None when the permutation is
     not compatible with the pairing j <-> 2n+1-j."""
-    big = len(window)
-    if big % 2:
-        return None
-    n = big // 2
-    for i in range(1, n + 1):
-        if window[big - i] != big + 1 - window[i - 1]:
-            return None
-    return tuple(v if v <= n else v - big - 1 for v in window[:n])
+    n = len(window) // 2
+    signed = tuple(v if v <= n else v - 2 * n - 1 for v in window[:n])
+    return signed if _embed(signed) == tuple(window) else None
 
 
 class ConjugacyClass:
-    """A conjugacy class of a Weyl group, with its length and type data."""
+    """A conjugacy class of a Weyl group, with its length and type data.
+    ``min_elements`` holds its minimal-length elements in window order."""
 
     __slots__ = ("spec", "elements", "min_length", "min_elements", "elliptic", "label")
 
@@ -295,7 +303,7 @@ class ConjugacyClass:
         self.spec = spec
         self.elements = frozenset(elements)
         self.min_length = min_length
-        self.min_elements = frozenset(min_elements)
+        self.min_elements = tuple(sorted(min_elements, key=lambda w: w.window))
         self.elliptic = elliptic
         self.label = label
 
@@ -306,7 +314,7 @@ class ConjugacyClass:
     @property
     def representative(self) -> WeylElement:
         """The minimal-length element with lexicographically least window."""
-        return min(self.min_elements, key=lambda w: w.window)
+        return self.min_elements[0]
 
     def label_json(self):
         if self.label is None:
@@ -440,33 +448,29 @@ def _invert(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _window_length(window: tuple[int, ...], family: str) -> int:
+    if family != "A":
+        # see "Signed permutations through S_2n" in the module docstring
+        neg = sum(1 for v in window if v < 0)
+        return (_window_length(_embed(window), "A") + (neg if family == "BC" else -neg)) // 2
     n = len(window)
-    if family == "A":
-        total = 0
-        for i in range(n):
-            wi = window[i]
-            for j in range(i + 1, n):
-                if wi > window[j]:
-                    total += 1
-        return total
-    # signed families: count inverted roots e_i - e_j, e_i + e_j (i < j),
-    # plus one for each sign change in family BC
-    total = sum(1 for v in window if v < 0) if family == "BC" else 0
+    total = 0
     for i in range(n):
-        a = window[i]
+        wi = window[i]
         for j in range(i + 1, n):
-            b = window[j]
-            if a > 0:
-                if b > 0:
-                    if a > b:
-                        total += 1
-                elif a > -b:
-                    total += 1
-            elif b > 0:
-                total += 1 + (b > -a)
-            else:
-                total += 1 + (a > b)
+            if wi > window[j]:
+                total += 1
     return total
+
+
+def _embed(window: tuple[int, ...]) -> tuple[int, ...]:
+    # signed letter i goes to position i, -i to 2n+1-i (embed_in_symmetric)
+    big = 2 * len(window)
+    img = [0] * big
+    for i, v in enumerate(window, start=1):
+        target = v if v > 0 else big + 1 + v
+        img[i - 1] = target
+        img[big - i] = big + 1 - target
+    return tuple(img)
 
 
 def _cycles(window: tuple[int, ...]) -> list[list[int]]:

@@ -280,6 +280,32 @@ def test_c_root_machinery():
             assert len(inverted_roots(w)) == w.length()
 
 
+def test_inverted_roots_match_a_coefficient_vector_oracle():
+    # alpha is inverted by w when w^-1(alpha), as a vector in the e-basis,
+    # has a negative first nonzero coefficient
+    def vector(root, n):
+        v = [0] * n
+        if root[0] == "l":
+            v[root[1] - 1] = 2
+        else:
+            kind, i, j = root
+            v[i - 1], v[j - 1] = 1, (1 if kind == "s" else -1)
+        return v
+
+    for n in range(1, 5):
+        roots = c_positive_roots(n)
+        for w in GroupSpec("BC", n).elements():
+            inv = w.inverse().window
+            expected = []
+            for root in roots:
+                image = [0] * n
+                for i, c in enumerate(vector(root, n)):
+                    image[abs(inv[i]) - 1] += c if inv[i] > 0 else -c
+                if next(c for c in image if c) < 0:
+                    expected.append(root)
+            assert inverted_roots(w) == expected, w
+
+
 def test_sp_cells_partition_sp4_f2():
     # the eight symplectic cells tile Sp_4(F_2) with sizes q^l * |B|
     spec = GroupSpec("BC", 2)

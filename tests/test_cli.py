@@ -267,6 +267,48 @@ def test_verify_bad_prime_and_override(capsys):
     assert payload["theorem_a"][0]["advisory"] is True
 
 
+@pytest.mark.parametrize("args", [
+    ["sl", "2", "--q", "3", "--no-theorem-a"],
+    ["sl", "2", "--q", "3", "--q", "5", "--no-theorem-a", "--no-property-d"],
+])
+def test_verify_with_nothing_to_check_exits_2(capsys, args):
+    rc, out, err = run(capsys, ["verify", *args])
+    assert rc == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("error: nothing to verify")
+
+
+def test_verify_exits_1_when_a_spot_check_fails(capsys, monkeypatch):
+    real = fflab._spot_checks
+
+    def failing(*args, **kwargs):
+        return {**real(*args, **kwargs), "ok": False}
+
+    monkeypatch.setattr(fflab, "_spot_checks", failing)
+    rc, payload, _ = run_json(capsys, ["verify", "sl", "2", "--q", "3", "--seed", "1"])
+    assert rc == 1 and payload["ok"] is False
+    assert payload["theorem_a"][0]["all_match"] and payload["theorem_a"][0]["ok"] is False
+
+
+# np.unique of a plain array imports numpy.ma on numpy 2.x
+NUMPY_MA_PROBE = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from bruhatkit.cli import main
+rc = main(["verify", "sp", "4", "--q", "3", "--q", "5", "--no-theorem-a", "--seed", "1"])
+print(rc, before, "numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_property_d_run_leaves_numpy_ma_unloaded():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    rc, before, after = proc.stderr.split()
+    if before == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert rc == "0" and after == "False"
+
+
 def test_verify_refuses_property_d_on_gl_before_theorem_a(capsys, monkeypatch):
     def no_theorem_a(*args, **kwargs):
         raise AssertionError("theorem A ran before property D refused GL")

@@ -757,6 +757,32 @@ def test_bad_prime_guard():
         verify_property_d(parse_kind("sp", 4), [2, 3])
 
 
+def test_bad_prime_message_is_the_same_in_both_drivers():
+    message = "q = 2 is a bad prime for Sp(4); pass allow_bad_prime to explore anyway"
+    kind = parse_kind("sp", 4)
+    for refused in (lambda: verify_theorem_a(kind, 2), lambda: scan_property_d(kind, [3, 2]),
+                    lambda: verify_property_d(kind, [2, 3])):
+        with pytest.raises(ValueError) as info:
+            refused()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("method, spot_checks", [("table", "_spot_checks"),
+                                                 ("cells", "_spot_checks_from_cells")])
+def test_theorem_a_ok_covers_the_spot_checks(monkeypatch, method, spot_checks):
+    real = getattr(fflab, spot_checks)
+
+    def failing(*args, **kwargs):
+        return {**real(*args, **kwargs), "ok": False}
+
+    monkeypatch.setattr(fflab, spot_checks, failing)
+    report = verify_theorem_a(parse_kind("sl", 2), 3, seed=1, method=method)
+    assert report["method"] == method and report["all_match"]
+    assert all(c["ok"] for c in report["integrity"].values())
+    assert report["spot_checks"]["ok"] is False
+    assert report["ok"] is False
+
+
 def test_property_d_needs_semisimple_and_two_primes():
     with pytest.raises(ValueError):
         verify_property_d(parse_kind("gl", 2), [3, 5])
@@ -832,6 +858,15 @@ def test_partition_into_orbits_rejects_an_unstable_set():
         {key} for key in sorted(keys)]
     with pytest.raises(IntegrityError):
         _partition_into_orbits(b_orbit, group_generators(kind, 5), 5)
+
+
+def test_partition_into_orbits_rejects_a_repeated_matrix():
+    kind = parse_kind("sl", 2)
+    u = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    b_orbit = conjugation_orbit(u, borel_generators(kind, 5), 5)
+    for gens in (borel_generators(kind, 5), []):
+        with pytest.raises(IntegrityError, match="listed twice"):
+            _partition_into_orbits(np.concatenate([b_orbit, b_orbit[1:]]), gens, 5)
 
 
 def test_conjugation_orbit_limit():

@@ -100,6 +100,41 @@ def test_lengths():
             assert 0 <= w.length() <= n_roots
 
 
+def _positive_roots(family, n):
+    # e_i - e_j and e_i + e_j for i < j, and e_i for BC, as coefficient lists
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (-1, 1):
+                root = [0] * n
+                root[i], root[j] = 1, sign
+                roots.append(root)
+    if family == "BC":
+        for i in range(n):
+            root = [0] * n
+            root[i] = 1
+            roots.append(root)
+    return roots
+
+
+def _act(window, vector):
+    # w(e_i) = sign(w(i)) e_|w(i)|
+    image = [0] * len(window)
+    for i, c in enumerate(vector):
+        image[abs(window[i]) - 1] += c if window[i] > 0 else -c
+    return image
+
+
+def test_lengths_count_the_positive_roots_sent_negative():
+    # a root is negative when its first nonzero coefficient is
+    for family, ranks in (("BC", range(1, 5)), ("D", range(2, 6))):
+        for n in ranks:
+            roots = _positive_roots(family, n)
+            for w in GroupSpec(family, n).elements():
+                sent_negative = sum(next(c for c in _act(w.window, a) if c) < 0 for a in roots)
+                assert w.length() == sent_negative, w
+
+
 def test_generator_steps_change_length_by_one():
     for spec in [GroupSpec("A", 4), GroupSpec("BC", 4), GroupSpec("D", 4)]:
         gens = spec.generators()
@@ -239,6 +274,16 @@ def test_conjugacy_classes_partition_and_invariance():
                 g = rng.choice(elements)
                 w = rng.choice(members)
                 assert g * w * g.inverse() in c.elements
+
+
+def test_min_elements_come_in_window_order():
+    for spec in SMALL_SPECS + [GroupSpec("BC", 4), GroupSpec("D", 4)]:
+        for c in conjugacy_classes(spec):
+            assert isinstance(c.min_elements, tuple)
+            windows = [w.window for w in c.min_elements]
+            assert windows == sorted(windows)
+            assert set(c.min_elements) == {w for w in c.elements if w.length() == c.min_length}
+            assert c.representative == c.min_elements[0]
 
 
 def test_conjugacy_class_labels_match_cycle_structure():
