@@ -242,7 +242,8 @@ def inverted_roots(w: WeylElement) -> list[tuple]:
     alpha is inverted exactly when the window of the embedding of w^-1 in
     S_2n puts alpha's first position pair (r, c) (c_root_positions) out of
     order: that window sends the GL_2n root e_r - e_c negative, and alpha
-    with it.  The count is held to the length l_BC(w) = (inv(w~) + neg(w)) / 2,
+    with it.  The count is held to the length
+    l_BC(w) = inv(w~(1..n)) + sum over w(i) < 0 of (n + 1 - |w(i)|),
     read off the embedded window w~ of w by the weyl module.
     """
     if w.spec.family != "BC":

@@ -26,12 +26,13 @@ on 2n letters (_embed, behind embed_in_symmetric): signed letter i goes to
 position i and -i to position 2n+1-i.  Facts about signed permutations are
 read off the embedded window w~, as type A reads its own window:
 
-* Lengths: l_BC(w) = (inv(w~) + neg(w)) / 2 and l_D(w) = (inv(w~) - neg(w)) / 2,
-  with inv the type-A inversion count and neg(w) the number of negative
-  entries of the window.  Each inversion of w~ is one of the two positions
-  of a short root e_i +- e_j that w sends negative, or the one position of
-  a long root 2e_i that it does, and w sends 2e_i negative exactly when
-  w(i) < 0.
+* Lengths: l_BC(w) = inv(w~(1..n)) + sum over w(i) < 0 of (n + 1 - |w(i)|),
+  and l_D(w) = l_BC(w) - neg(w), with inv the type-A inversion count of the
+  first n letters of w~ and neg(w) the number of negative entries of the
+  window.  The inversions count the roots e_i - e_j (i < j) that w sends
+  negative.  A root e_i + e_j is sent negative exactly when its letter of
+  smaller absolute value is negative, which gives n - |w(i)| roots for each
+  w(i) < 0, and the long root 2e_i (absent in D) when w(i) < 0.
 * Inverted roots: a positive root of C_n is inverted by w exactly when the
   window of the embedding of w^-1 puts its first position pair (r, c)
   out of order (cells.inverted_roots).
@@ -295,17 +296,25 @@ def signed_window_from_symmetric(window: tuple[int, ...]) -> tuple[int, ...] | N
 
 class ConjugacyClass:
     """A conjugacy class of a Weyl group, with its length and type data.
-    ``min_elements`` holds its minimal-length elements in window order."""
+    ``min_elements`` holds its minimal-length elements in window order; the
+    elliptic flag and the label (cycle type for A, signed cycle type for BC,
+    none for D) are read off the first of them."""
 
     __slots__ = ("spec", "elements", "min_length", "min_elements", "elliptic", "label")
 
-    def __init__(self, spec, elements, min_length, min_elements, elliptic, label):
+    def __init__(self, spec, elements, min_length, min_elements):
         self.spec = spec
         self.elements = frozenset(elements)
         self.min_length = min_length
         self.min_elements = tuple(sorted(min_elements, key=lambda w: w.window))
-        self.elliptic = elliptic
-        self.label = label
+        rep = self.min_elements[0]
+        self.elliptic = rep.is_elliptic()
+        if spec.family == "A":
+            self.label = rep.cycle_type()
+        elif spec.family == "BC":
+            self.label = rep.signed_cycle_type()
+        else:
+            self.label = None
 
     @property
     def size(self) -> int:
@@ -368,16 +377,7 @@ def conjugacy_classes(spec: GroupSpec, rank_cap: int = DEFAULT_RANK_CAP) -> list
         d_min = min(lengths)
         elements = [WeylElement._make(spec, w) for w in windows]
         min_elements = [e for e, l in zip(elements, lengths) if l == d_min]
-        rep = min(min_elements, key=lambda w: w.window)
-        if spec.family == "A":
-            label = rep.cycle_type()
-        elif spec.family == "BC":
-            label = rep.signed_cycle_type()
-        else:
-            label = None
-        classes.append(
-            ConjugacyClass(spec, elements, d_min, min_elements, rep.is_elliptic(), label)
-        )
+        classes.append(ConjugacyClass(spec, elements, d_min, min_elements))
     classes.sort(key=lambda c: (c.min_length, c.representative.window))
     total = sum(c.size for c in classes)
     if total != spec.order():
@@ -448,11 +448,11 @@ def _invert(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _window_length(window: tuple[int, ...], family: str) -> int:
+    n = len(window)
     if family != "A":
         # see "Signed permutations through S_2n" in the module docstring
-        neg = sum(1 for v in window if v < 0)
-        return (_window_length(_embed(window), "A") + (neg if family == "BC" else -neg)) // 2
-    n = len(window)
+        top = n + 1 if family == "BC" else n
+        return _window_length(_embed(window)[:n], "A") + sum(top + v for v in window if v < 0)
     total = 0
     for i in range(n):
         wi = window[i]

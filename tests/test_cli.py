@@ -289,26 +289,6 @@ def test_verify_exits_1_when_a_spot_check_fails(capsys, monkeypatch):
     assert payload["theorem_a"][0]["all_match"] and payload["theorem_a"][0]["ok"] is False
 
 
-# np.unique of a plain array imports numpy.ma on numpy 2.x
-NUMPY_MA_PROBE = """
-import sys
-import numpy
-before = "numpy.ma" in sys.modules
-from bruhatkit.cli import main
-rc = main(["verify", "sp", "4", "--q", "3", "--q", "5", "--no-theorem-a", "--seed", "1"])
-print(rc, before, "numpy.ma" in sys.modules, file=sys.stderr)
-"""
-
-
-def test_property_d_run_leaves_numpy_ma_unloaded():
-    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
-    rc, before, after = proc.stderr.split()
-    if before == "True":
-        pytest.skip("import numpy alone loads numpy.ma")
-    assert rc == "0" and after == "False"
-
-
 def test_verify_refuses_property_d_on_gl_before_theorem_a(capsys, monkeypatch):
     def no_theorem_a(*args, **kwargs):
         raise AssertionError("theorem A ran before property D refused GL")
