@@ -2,8 +2,11 @@
 
 Groups GL_n, SL_n and Sp_2n over small prime fields are enumerated exactly
 (BFS closure from generators, orders cross-checked against the closed
-formulas), every element is assigned its Bruhat cell, and unipotent elements
-their Jordan type.  On top of that sit two verification drivers:
+formulas), and their unipotent elements are found and given their Jordan
+types.  The Bruhat cell window of an element is computed on demand, and
+verify computes only the windows it reports: those of the unipotent
+elements and of its spot-check samples.  On top of that sit two
+verification drivers:
 
 * verify_theorem_a: for every Weyl class C and every minimal-length w in C,
   the Jordan types meeting the cell of w have a unique dominance-least
@@ -83,6 +86,7 @@ the longest element (k = 8, 6,240 and 9,360 elements) by BFS.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -325,19 +329,20 @@ def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
 
 
 class FiniteGroupTable:
-    """The fully enumerated group with per-element cell and unipotent data.
+    """The fully enumerated group with its unipotent data; cell windows on
+    demand.
 
-    ``mats`` is an (N, n, n) int64 array of residues; ``cell_windows[i]`` is
-    the (signed, for Sp) window of the Bruhat cell of element i;
-    ``unipotent_types`` maps the indices of unipotent elements to their
-    Jordan types.
+    ``mats`` is an (N, n, n) int64 array of residues; ``unipotent_types``
+    maps the indices of unipotent elements to their Jordan types.
+    ``windows_of(indices)`` gives the (signed, for Sp) window of the Bruhat
+    cell of each given element, and ``cell_windows[i]`` that of element i,
+    all of them computed on first read.
     """
 
-    def __init__(self, kind: GroupKind, q: int, mats, cell_windows, unipotent_types):
+    def __init__(self, kind: GroupKind, q: int, mats, unipotent_types):
         self.kind = kind
         self.q = q
         self.mats = mats
-        self.cell_windows = cell_windows
         self.unipotent_types = unipotent_types
 
     def __len__(self):
@@ -349,12 +354,28 @@ class FiniteGroupTable:
     def unipotent_count(self) -> int:
         return len(self.unipotent_types)
 
+    def windows_of(self, indices) -> list[tuple[int, ...]]:
+        """The cell window of each element with these indices, one kernel
+        call (_cell_windows) per _CHUNK of them."""
+        indices = np.asarray(indices, dtype=np.int64)
+        windows = []
+        for start in range(0, len(indices), _CHUNK):
+            windows += _cell_windows(self.kind, self.mats[indices[start:start + _CHUNK]], self.q)
+        return windows
+
+    @functools.cached_property
+    def cell_windows(self) -> list[tuple[int, ...]]:
+        return self.windows_of(np.arange(len(self)))
+
 
 def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
-    """BFS the whole group and classify every element.
+    """BFS the whole group and find and type its unipotent elements; cell
+    windows are left to FiniteGroupTable, which computes them on demand.
 
     The element count must reproduce the closed order formula exactly; a
-    mismatch is an integrity failure, not a warning.
+    mismatch is an integrity failure, not a warning.  For GL and SL the
+    unipotent elements of each Jordan type must be as many as its class
+    has (_check_type_census); for Sp the report checks the total q^(2N).
     """
     _check_prime(q)
     expected = kind.order(q)
@@ -362,13 +383,14 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     mats = _mulclose(group_generators(kind, q), q, budget)
     if len(mats) != expected:
         raise IntegrityError(f"enumerated {len(mats)} elements of {kind}/GF({q}), formula gives {expected}")
-    cell_windows, unipotent = [], []
-    for start in range(0, len(mats), _CHUNK):
-        chunk = mats[start:start + _CHUNK]
-        cell_windows += _cell_windows(kind, chunk, q)
-        unipotent += (start + np.flatnonzero(_unipotent_mask(chunk, q))).tolist()
-    types = _jordan_types_mod_p(mats[unipotent], q)
-    return FiniteGroupTable(kind, q, mats, cell_windows, dict(zip(unipotent, types)))
+    unipotent = np.concatenate([start + np.flatnonzero(_unipotent_mask(mats[start:start + _CHUNK], q))
+                                for start in range(0, len(mats), _CHUNK)])
+    types, inverse = _distinct_jordan_types(mats[unipotent], q)
+    if kind.family != "Sp":
+        counts = np.bincount(inverse, minlength=len(types)).tolist()
+        _check_type_census(kind, q, Counter(dict(zip(types, counts))))
+    unipotent_types = dict(zip(unipotent.tolist(), (types[i] for i in inverse.tolist())))
+    return FiniteGroupTable(kind, q, mats, unipotent_types)
 
 
 def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
@@ -851,9 +873,11 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
 
     # the Jordan types met in each cell, by window
     if method == "table":
+        # the windows of the unipotent elements only: nothing else reads one
         type_sets: dict[tuple, set[Partition]] = {}
-        for i, jt in table.unipotent_types.items():
-            type_sets.setdefault(table.cell_windows[i], set()).add(jt)
+        uni = table.unipotent_types
+        for window, jt in zip(table.windows_of(list(uni)), uni.values()):
+            type_sets.setdefault(window, set()).add(jt)
         unipotent_count = table.unipotent_count()
         order_check = {"expected": kind.order(q), "enumerated": len(table),
                        "ok": len(table) == kind.order(q)}
@@ -932,24 +956,30 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
 def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, count: int = 20) -> dict:
     """Seeded consistency samples: the cell is constant on B g B, and Jordan
     types are conjugation invariants.  Same seed, same transcript.  The
-    Borel grid is built here; it is smaller than the enumerated group."""
+    Borel grid is built here; it is smaller than the enumerated group.  All
+    samples are drawn first, then the windows of the sampled elements and
+    of their moves come from two kernel calls, and the conjugates' types
+    from one."""
     rng = random.Random(seed)
     borel = borel_grid(kind, q)
-    records = []
     uni = sorted(table.unipotent_types)
+    picked, moved, unipotent, conjugates = [], [], [], []
     for _ in range(count):
         i = rng.randrange(len(table))
         b1 = borel[rng.randrange(len(borel))]
         b2 = borel[rng.randrange(len(borel))]
-        g = table.mats[i]
-        moved = (b1 @ g % q) @ b2 % q
-        cell_ok = _cell_windows(kind, moved[None], q)[0] == table.cell_windows[i]
+        picked.append(i)
+        moved.append((b1 @ table.mats[i] % q) @ b2 % q)
         u = uni[rng.randrange(len(uni))]
         h = table.mats[rng.randrange(len(table))]
-        conj = (h @ table.mats[u] % q) @ _inv_mod_p(h, q) % q
-        jt_ok = _jordan_types_mod_p(conj[None], q)[0] == table.unipotent_types[u]
-        records.append({"element": i, "cell_stable": bool(cell_ok), "unipotent": u, "type_stable": bool(jt_ok)})
-    return {"seed": seed, "count": count, "records": records, "ok": all(r["cell_stable"] and r["type_stable"] for r in records)}
+        unipotent.append(u)
+        conjugates.append((h @ table.mats[u] % q) @ _inv_mod_p(h, q) % q)
+    cell_ok = [a == b for a, b in zip(_cell_windows(kind, np.stack(moved), q), table.windows_of(picked))]
+    jt_ok = [jt == table.unipotent_types[u]
+             for jt, u in zip(_jordan_types_mod_p(np.stack(conjugates), q), unipotent)]
+    records = [{"element": i, "cell_stable": c, "unipotent": u, "type_stable": t}
+               for i, c, u, t in zip(picked, cell_ok, unipotent, jt_ok)]
+    return {"seed": seed, "count": count, "records": records, "ok": all(cell_ok) and all(jt_ok)}
 
 
 def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, seed: int,

@@ -450,9 +450,18 @@ def _invert(w: tuple[int, ...]) -> tuple[int, ...]:
 def _window_length(window: tuple[int, ...], family: str) -> int:
     n = len(window)
     if family != "A":
-        # see "Signed permutations through S_2n" in the module docstring
+        # see "Signed permutations through S_2n" in the module docstring:
+        # one pass builds the first n letters of _embed(window) and sums the
+        # roots e_i + e_j and 2e_i that the negative entries send negative
         top = n + 1 if family == "BC" else n
-        return _window_length(_embed(window)[:n], "A") + sum(top + v for v in window if v < 0)
+        letters, negative = [], 0
+        for v in window:
+            if v > 0:
+                letters.append(v)
+            else:
+                letters.append(2 * n + 1 + v)
+                negative += top + v
+        return _window_length(letters, "A") + negative
     total = 0
     for i in range(n):
         wi = window[i]

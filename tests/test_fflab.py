@@ -105,6 +105,56 @@ def test_table_matrices_and_cells():
             assert window == table.cell_windows[i]
 
 
+def _count_window_rows(monkeypatch):
+    # the number of matrices each call hands to the window kernel
+    real = fflab._cell_windows
+    rows = []
+
+    def counted(kind, stack, q):
+        rows.append(len(stack))
+        return real(kind, stack, q)
+
+    monkeypatch.setattr(fflab, "_cell_windows", counted)
+    return rows
+
+
+def test_table_windows_are_computed_on_demand(monkeypatch):
+    rows = _count_window_rows(monkeypatch)
+    table = enumerate_group(parse_kind("sp", 4), 3)
+    assert rows == []
+    picked = [0, 17, 51839, 17]
+    assert table.windows_of(picked) == [table.cell_windows[i] for i in picked]
+    # windows_of sends its 4 rows; cell_windows all 51,840 once, then caches
+    assert rows == [4, 51840]
+    assert len(table.cell_windows) == len(table) and rows == [4, 51840]
+
+
+def test_table_route_windows_only_the_unipotents_and_the_samples(monkeypatch):
+    # SL_3(F_3) has 5,616 elements, 729 of them unipotent; the report reads
+    # the windows of those and of the 20 spot-check samples and their moves
+    rows = _count_window_rows(monkeypatch)
+    report = verify_theorem_a(parse_kind("sl", 3), 3, seed=0)
+    assert report["method"] == "table" and report["ok"]
+    assert report["integrity"]["unipotent_count_check"]["found"] == 729
+    assert sum(rows) <= 729 + 2 * 20
+
+
+def test_table_type_census_catches_a_moved_element(monkeypatch):
+    # one table element moved to another Jordan type: the census of both
+    # types is off its class size
+    real = fflab._distinct_jordan_types
+
+    def moved(stack, p):
+        types, inverse = real(stack, p)
+        inverse = inverse.copy()
+        inverse[0] = (inverse[0] + 1) % len(types)
+        return types, inverse
+
+    monkeypatch.setattr(fflab, "_distinct_jordan_types", moved)
+    with pytest.raises(IntegrityError, match="unipotent census of SL\\(3\\)/GF\\(3\\)"):
+        verify_theorem_a(parse_kind("sl", 3), 3, method="table")
+
+
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sp", 4, 3)])
 def test_table_jordan_types_match_exact_oracle(name, n, q):
     table = enumerate_group(parse_kind(name, n), q)
