@@ -34,15 +34,19 @@ stay out of the verify report, whose format is fixed.
 Bulk scans run on int64 numpy arrays with explicit reductions mod p.
 Everything stays exact.  A reduced matrix has one key, its int64 code
 (_codes): its entries read row by row as base-p digits.  Groups, orbits and
-classes are stacks of matrices, and every dedup and membership test works
-on their codes with numpy sorting and binary search.  Groups and orbits
-are listed by one breadth-first closure, _closure, which runs on 1-D code
-arrays and takes a whole level at a time; a stack is decoded (_decode) once,
-at the end.  New elements keep the order a BFS taking one element at a time
-would give them, so tables and orbits come out in a fixed order.  A group
-closure multiplies on the right, which acts on each row alone: one table
-per generator maps the code of a row to the code of its image, so a matrix
-code moves by n table lookups on its base-p^n digits.  A conjugation orbit
+classes are stacks of matrices, and their dedup and membership tests work
+on codes.  Groups and orbits are listed by one breadth-first closure,
+_closure, which runs on 1-D code arrays and takes a whole level at a time;
+a stack is decoded (_decode) once, at the end.  A group closure marks the
+codes it has seen in a bitmap of all q^(n^2) codes, when that bitmap is no
+larger than an int64 array of as many codes as the budget admits (q^(n^2)
+<= 64 * budget); orbits, larger code spaces and the other member sets keep
+sorted code arrays, with numpy sorting and binary search.  New elements
+keep the order a BFS taking one element at a time would give them, so
+tables and orbits come out in a fixed order.  A group closure multiplies
+on the right, which acts on each row alone: one table per generator maps
+the code of a row to the code of its image, so a matrix code moves by n
+table lookups on its base-p^n digits.  A conjugation orbit
 decodes each level once and codes its products.  The codes are exact only
 while p^(n^2) <= 2^63, and coding a matrix past that bound raises a
 ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
@@ -222,38 +226,88 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
 
 
 def _closure(seeds: np.ndarray, step, limit: int | None = None,
-             phase: str = "closure") -> np.ndarray:
+             phase: str = "closure", space: int | None = None) -> np.ndarray:
     """Breadth-first closure of int64 matrix codes (_codes) under a step, as
     the 1-D array of the codes found, in the order found.
 
     ``step`` maps the codes of a level to the codes of their images, move by
     move: the images of the whole level under the first move, then under the
-    second, and so on.  The BFS goes one level at a time: the images are
-    sorted, those already seen (a binary search in the sorted seen codes)
-    are dropped, and the rest are kept at their first occurrence.  That is
-    the order of a BFS that takes one element at a time.  With ``limit``,
-    holding more elements than that raises a BudgetError naming the phase.
+    second, and so on.  Each move must be a bijection.  The BFS goes one
+    level at a time, and of a level's images only the first occurrence of
+    each code not yet seen is kept.  That is the order of a BFS that takes
+    one element at a time.  With ``limit``, holding more elements than that
+    raises a BudgetError naming the phase.
+
+    Codes lie in range(space) when ``space`` is given.  If the bitmap of
+    those codes is no larger than ``limit`` int64 codes (space <= 64 *
+    limit), seen codes are marked in it (_fresh_in_bitmap).  A bijection
+    sends the distinct codes of a level to distinct codes, so the set bits
+    must count the codes listed; if they do not, the closure raises
+    IntegrityError.  Otherwise the seen codes are kept as a sorted array,
+    which each level's images are sorted and binary-searched against
+    (_fresh_in_sorted).
     """
-    seen = np.empty(0, dtype=np.int64)  # sorted
+    bitmap = None
+    if limit is not None and space is not None and space <= 64 * limit:
+        bitmap = np.zeros(-(-space // 8), dtype=np.uint8)
+    seen = np.empty(0, dtype=np.int64)  # sorted, on the sorted path only
     levels = []
-    images = seeds
+    total = 0
+    images, block = seeds, len(seeds)
     while len(images):
-        order = np.argsort(images)
-        codes = images[order]
-        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        # argsort is not stable: the least index of a run of equal codes is
-        # its first occurrence
-        first = np.minimum.reduceat(order, starts)
-        codes = codes[starts]
-        at = np.searchsorted(seen, codes)
-        fresh = ~_found(seen, codes, at)
-        frontier = images[np.sort(first[fresh])]
-        seen = np.insert(seen, at[fresh], codes[fresh])
+        if bitmap is None:
+            frontier, seen = _fresh_in_sorted(images, seen)
+        else:
+            frontier = _fresh_in_bitmap(images, block, bitmap)
         levels.append(frontier)
+        total += len(frontier)
         if limit is not None:
-            check_budget(len(seen), limit, f"{phase} reached {len(seen)} elements")
-        images = step(frontier)
+            check_budget(total, limit, f"{phase} reached {total} elements")
+        images, block = step(frontier), len(frontier)
+    if bitmap is not None:
+        marked = _popcount(bitmap)
+        if marked != total:
+            raise IntegrityError(f"{phase} listed {total} codes but marked {marked}: "
+                                 f"a move is not a bijection")
     return np.concatenate(levels)
+
+
+def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The images not in the sorted ``seen``, each at its first occurrence,
+    and ``seen`` with them inserted: the images are sorted and looked up by
+    binary search."""
+    order = np.argsort(images)
+    codes = images[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    # argsort is not stable: the least index of a run of equal codes is its
+    # first occurrence
+    first = np.minimum.reduceat(order, starts)
+    codes = codes[starts]
+    at = np.searchsorted(seen, codes)
+    fresh = ~_found(seen, codes, at)
+    return images[np.sort(first[fresh])], np.insert(seen, at[fresh], codes[fresh])
+
+
+def _fresh_in_bitmap(images: np.ndarray, block: int, bitmap: np.ndarray) -> np.ndarray:
+    """The images whose bit in ``bitmap`` (bit c % 8 of byte c // 8 for code
+    c) is clear, in order, and those bits set.  The images come in blocks of
+    ``block`` codes, one per move, taken in turn; a block holds no code
+    twice, so a code seen in an earlier block is all there is to drop."""
+    kept = []
+    for start in range(0, len(images), block):
+        codes = images[start:start + block]
+        byte, bit = codes >> 3, (1 << (codes & 7)).astype(np.uint8)
+        fresh = (bitmap[byte] & bit) == 0
+        np.bitwise_or.at(bitmap, byte[fresh], bit[fresh])
+        kept.append(codes[fresh])
+    return np.concatenate(kept)
+
+
+def _popcount(bitmap: np.ndarray) -> int:
+    """The number of set bits in a uint8 array, by a table of the 256 bytes
+    looked up at its nonzero bytes."""
+    table = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+    return int(table[bitmap[bitmap != 0]].sum(dtype=np.int64))
 
 
 def _found(sorted_codes: np.ndarray, codes: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
@@ -301,18 +355,13 @@ def _conjugation_step(gens: list[np.ndarray], p: int, n: int):
     return step
 
 
-def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
-    """The group the generators produce, as the (N, n, n) stack of its
-    elements in BFS order from the identity, right multiplying by each.
+def _right_multiplication_step(gens: list[np.ndarray], p: int, n: int):
+    """The closure step right multiplying by each generator, x -> x g mod p.
 
     x -> x g acts on each row of x alone, so one table per generator, of
     the p^n row codes r -> code of r g mod p, moves a matrix code: its n
     base-p^n digits are the row codes, each is looked up, and the results
-    are put back in place.  The tables count against the limit, since they
-    hold p^n entries, as many as the group has at least elements."""
-    n = gens[0].shape[0]
-    seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
-    check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
+    are put back in place."""
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
     tables = [rows @ g % p @ digits for g in gens]
@@ -325,7 +374,25 @@ def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
             images[i * len(codes):(i + 1) * len(codes)] = table[row_codes] @ places
         return images
 
-    return _decode(_closure(seeds, step, limit=limit, phase="group closure"), p, n)
+    return step
+
+
+def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
+    """The group the generators produce, as the (N, n, n) stack of its
+    elements in BFS order from the identity, right multiplying by each
+    (_right_multiplication_step).
+
+    The closure is passed the code space, p^(n^2) codes, so seen codes are
+    marked in a bitmap of them when it is no larger than ``limit`` int64
+    codes, and kept as a sorted array otherwise (_closure).  The row tables
+    count against the limit, since they hold p^n entries, as many as the
+    group has at least elements."""
+    n = gens[0].shape[0]
+    seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
+    check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
+    codes = _closure(seeds, _right_multiplication_step(gens, p, n), limit=limit,
+                     phase="group closure", space=p ** (n * n))
+    return _decode(codes, p, n)
 
 
 class FiniteGroupTable:

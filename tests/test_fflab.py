@@ -648,6 +648,91 @@ def test_mulclose_holds_no_stack_per_level():
     assert peak < 1.5 * mats.nbytes, (peak, mats.nbytes)
 
 
+@pytest.fixture
+def closure_paths(monkeypatch):
+    """Counts the levels each membership path of fflab._closure takes."""
+    calls = Counter()
+    for name in ("_fresh_in_bitmap", "_fresh_in_sorted"):
+        def counted(*args, name=name, original=getattr(fflab, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(fflab, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 2, 5), ("sp", 4, 3), ("gl", 4, 2)])
+def test_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths, name, n, q):
+    # 3^16 codes for Sp_4(F_3) fit a bitmap under a limit of 10^6 (3^16 <=
+    # 64 * 10^6), though not under |Sp_4(F_3)| = 51,840
+    step = fflab._right_multiplication_step(group_generators(parse_kind(name, n), q), q, n)
+    seeds = _codes(np.eye(n, dtype=np.int64)[None], q)
+    by_bitmap = fflab._closure(seeds, step, limit=10**6, space=q ** (n * n))
+    assert closure_paths["_fresh_in_bitmap"] > 0 and closure_paths["_fresh_in_sorted"] == 0
+    by_sort = fflab._closure(seeds, step, limit=10**6)
+    assert closure_paths["_fresh_in_sorted"] > 0
+    assert len(by_bitmap) == parse_kind(name, n).order(q)
+    assert np.array_equal(by_bitmap, by_sort)
+
+
+def test_conjugation_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths):
+    # the regular unipotent class of SL_3(F_3), 624 of the 3^9 codes
+    gens = group_generators(parse_kind("sl", 3), 3)
+    u = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
+    step = fflab._conjugation_step(gens, 3, 3)
+    by_bitmap = fflab._closure(_codes(u[None], 3), step, limit=1000, space=3 ** 9)
+    assert closure_paths["_fresh_in_bitmap"] > 0 and closure_paths["_fresh_in_sorted"] == 0
+    assert np.array_equal(by_bitmap, _codes(conjugation_orbit(u, gens, 3), 3))
+    assert closure_paths["_fresh_in_sorted"] > 0
+
+
+def test_closure_takes_the_bitmap_path_only_within_64_codes_per_limit(closure_paths):
+    def step(codes):  # one move, c -> c xor 1
+        return codes ^ 1
+
+    seeds = np.array([6], dtype=np.int64)
+    assert fflab._closure(seeds, step, limit=2, space=128).tolist() == [6, 7]
+    assert closure_paths == {"_fresh_in_bitmap": 3}
+    assert fflab._closure(seeds, step, limit=2, space=129).tolist() == [6, 7]
+    assert closure_paths == {"_fresh_in_bitmap": 3, "_fresh_in_sorted": 3}
+
+
+def test_mulclose_of_the_sp6_borel_at_q2_takes_the_sorted_path(closure_paths):
+    # a bitmap of its 2^36 codes would be larger than 64 * |B| = 32,768 bits
+    kind = parse_kind("sp", 6)
+    assert len(_mulclose(borel_generators(kind, 2), 2, limit=kind.borel_order(2))) == 512
+    assert closure_paths["_fresh_in_bitmap"] == 0 and closure_paths["_fresh_in_sorted"] > 0
+
+
+def test_mulclose_budget_error_is_the_same_on_both_paths(closure_paths):
+    # 3^9 = 19,683 codes of SL_3(F_3) <= 64 * 1000, so _mulclose takes the
+    # bitmap path; the sorted path is the same closure without the space
+    gens = group_generators(parse_kind("sl", 3), 3)
+    with pytest.raises(BudgetError) as by_bitmap:
+        _mulclose(gens, 3, limit=1000)
+    assert closure_paths["_fresh_in_bitmap"] > 0 and closure_paths["_fresh_in_sorted"] == 0
+    with pytest.raises(BudgetError) as by_sort:
+        fflab._closure(_codes(np.eye(3, dtype=np.int64)[None], 3),
+                       fflab._right_multiplication_step(gens, 3, 3),
+                       limit=1000, phase="group closure")
+    assert closure_paths["_fresh_in_sorted"] > 0
+    assert str(by_bitmap.value) == str(by_sort.value)
+    assert str(by_bitmap.value).startswith("group closure reached ")
+    assert str(by_bitmap.value).endswith(" elements, over budget 1000")
+    assert by_bitmap.value.required == by_sort.value.required > 1000
+    assert by_bitmap.value.budget == by_sort.value.budget == 1000
+
+
+def test_closure_bitmap_path_refuses_a_singular_move():
+    # x -> x e11 sends I and diag(1, 2) to e11 in one block: the bitmap path
+    # lists e11 twice and marks it once, the sorted path drops the repeat
+    e11 = np.array([[1, 0], [0, 0]], dtype=np.int64)
+    step = fflab._right_multiplication_step([e11], 3, 2)
+    seeds = _codes(np.array([np.eye(2, dtype=np.int64), np.diag([1, 2])]), 3)
+    assert len(fflab._closure(seeds, step, limit=100)) == 3
+    with pytest.raises(IntegrityError, match="group closure listed 4 codes but marked 3"):
+        fflab._closure(seeds, step, limit=100, phase="group closure", space=3 ** 4)
+
+
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 3), ("gl", 4, 2)])
 def test_table_type_counts_match_the_class_sizes(name, n, q):
     # the unipotent class of type lam in GL_n(F_q) has |GL_n| / |Z(u_lam)|
