@@ -4,8 +4,9 @@ The Borel subgroup B is fixed once and for all as the invertible upper
 triangular matrices; every cell statement below is relative to that choice.
 Each invertible g lies in exactly one double coset B.w_rep.B, and this module
 recovers the indexing permutation w two independent ways: by one column pass
-(bruhat_decompose), which records b2 as it goes and reads b1 off the reduced
-columns, and from rank profiles of lower-left submatrices
+(bruhat_decompose), which eliminates on integer columns, each over one
+denominator, records b2 as it goes and reads b1 off the reduced columns, and
+from rank profiles of lower-left submatrices
 (bruhat_cell_rank_profile).  Every other window in this module comes from
 bruhat_decompose, so it arrives with a checked factorization.
 
@@ -24,9 +25,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .errors import IntegrityError, SingularMatrixError, check_budget
-from .exact import ExactMatrix, PrimeField, _clear_denominators, _echelon_mod_p, int_echelon
+from .exact import (
+    ExactMatrix,
+    PrimeField,
+    _clear_denominators,
+    _echelon_mod_p,
+    _integer_vector,
+    int_echelon,
+)
 from .weyl import GroupSpec, WeylElement, signed_window_from_symmetric
 
 DEFAULT_CELL_BUDGET = 10**7
@@ -56,17 +67,44 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
     below it were zero when the pivot was chosen, and each earlier pivot row
     was cleared to its right.  So b1 = a * w_rep^-1, the columns of a put in
     window order, is upper unitriangular.
+
+    Both fields share the pass on integer columns: each column of a is held
+    as an integer vector v over one denominator d, as v / d.  Over Q it
+    starts from the column scaled by the lcm of its denominators, over GF(p)
+    from the residues with d = 1.  Scaling column j to pivot 1 only sets its
+    denominator to v[piv], and clearing column j2 by it gives
+    (v2 * pv - c * v) / (d2 * pv) with pv = v[piv] and c = v2[piv]; over Q
+    the gcd of that vector and its denominator is divided out, over GF(p)
+    everything is reduced mod p.  Field elements are made only for the
+    entries of b2 and b1: Fraction(x, d), or x * d^-1 mod p.
     """
     if not g.is_square():
         raise ValueError("Bruhat decomposition needs a square matrix")
     f = g.field
     n = g.rows
-    cols = [list(col) for col in zip(*g.entries)]
-    b2 = [list(row) for row in ExactMatrix.identity(f, n).entries]
+    if isinstance(f, PrimeField):
+        p = f.p
+        cols = [(list(col), 1) for col in zip(*g.entries)]
+
+        def reduce(v, d):
+            return [x % p for x in v], d % p
+
+        def entry(x, d):
+            return x * pow(d, -1, p) % p
+    else:
+        cols = [_integer_vector(col) for col in zip(*g.entries)]
+
+        def reduce(v, d):
+            k = gcd(d, *v)
+            return ([x // k for x in v], d // k) if k != 1 else (v, d)
+
+        entry = Fraction
+    b2 = [[f.zero] * n for _ in range(n)]
     used = [False] * n
     window = [0] * n
-    for j, col in enumerate(cols):
-        piv = next((i for i in range(n - 1, -1, -1) if not used[i] and col[i] != f.zero), None)
+    for j in range(n):
+        v = cols[j][0]
+        piv = next((i for i in range(n - 1, -1, -1) if not used[i] and v[i]), None)
         if piv is None:
             raise SingularMatrixError(
                 f"matrix is singular: no unused nonzero pivot in column {j + 1}",
@@ -76,18 +114,22 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
         window[j] = piv + 1
         # row j of b2 is scaled by the pivot, then gains c * (row j2) for each
         # c = a[piv][j2] cleared below; each row j2 > j is still e_j2
-        b2[j][j:] = [cols[j2][piv] for j2 in range(j, n)]
-        inv = f.inv(col[piv])
-        cols[j] = col = [f.mul(x, inv) for x in col]
+        b2[j][j:] = [entry(v2[piv], d2) for v2, d2 in cols[j:]]
+        # scaling column j to pivot 1 turns v / d into v / pv
+        pv = v[piv]
+        cols[j] = (v, pv)
         for j2 in range(j + 1, n):
-            c = cols[j2][piv]
-            if c != f.zero:
-                cols[j2] = [f.sub(x, f.mul(c, y)) for x, y in zip(cols[j2], col)]
+            v2, d2 = cols[j2]
+            c = v2[piv]
+            if c:
+                # v2 / d2 - (c / d2) * (v / pv)
+                cols[j2] = reduce([x * pv - c * y for x, y in zip(v2, v)], d2 * pv)
     w = WeylElement(GroupSpec("A", n - 1), tuple(window))
     w_rep = ExactMatrix.permutation(f, window)
     # b1 = a * w_rep^-1 moves column j of a to column window[j]
-    b1 = ExactMatrix(f, list(zip(*(cols[j] for j in sorted(range(n), key=window.__getitem__)))))
-    fact = BruhatFactorization(w, w_rep, b1, ExactMatrix(f, b2))
+    a = (cols[j] for j in sorted(range(n), key=window.__getitem__))
+    b1 = ExactMatrix._reduced(f, tuple(zip(*([entry(x, d) for x in v] for v, d in a))))
+    fact = BruhatFactorization(w, w_rep, b1, ExactMatrix._reduced(f, tuple(map(tuple, b2))))
     if fact.product() != g:
         raise IntegrityError("factorization failed to reconstruct the input")
     return fact
@@ -372,6 +414,13 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
     as u * w_rep * b with u running over the free unipotent coordinates
     (one per positive root inverted by w) and b over the whole Borel, which
     is streamed once: the q^length(w) <= sqrt(budget) prefixes are kept.
+
+    Row i of u * w_rep * b is (row i of u * w_rep) * b, and the prefixes
+    share few rows (40 distinct rows among the 81 prefixes of the w0 cell of
+    BC_2 at q = 3).  So each prefix is kept as the ids of its rows among the
+    distinct rows of all prefixes; for each b, every distinct row is
+    multiplied by b once, mod q, and each element is assembled from those
+    images.
     """
     field = PrimeField(q)
     size = cell_order(w, q)
@@ -403,6 +452,10 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
         borel = sp_borel_matrices(field, n)
     else:
         raise ValueError("no matrix group wired for family D")
+    rows = {}
+    prefix_rows = [tuple(rows.setdefault(r, len(rows)) for r in uw.entries) for uw in prefixes]
     for b in borel:
-        for uw in prefixes:
-            yield uw * b
+        cols = list(zip(*b.entries))
+        images = [tuple([sum(map(mul, r, c)) % q for c in cols]) for r in rows]
+        for ids in prefix_rows:
+            yield ExactMatrix._reduced(field, tuple([images[i] for i in ids]))

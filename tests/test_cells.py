@@ -6,8 +6,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatkit.cells import (
+    BruhatFactorization,
     Flag,
     borel_order,
     bruhat_cell_rank_profile,
@@ -16,16 +19,19 @@ from bruhatkit.cells import (
     c_root_element,
     cell_order,
     enumerate_cell,
+    gl_borel_matrices,
+    gl_free_positions,
     inverted_roots,
     relative_position,
+    sp_borel_matrices,
     sp_bruhat_decompose,
     sp_weyl_matrix,
     symplectic_form,
     symplectic_membership,
 )
-from bruhatkit.errors import BudgetError, SingularMatrixError
+from bruhatkit.errors import BudgetError, IntegrityError, SingularMatrixError
 from bruhatkit.exact import GF, QQ, ExactMatrix, enumerate_matrices, random_invertible
-from bruhatkit.weyl import GroupSpec
+from bruhatkit.weyl import GroupSpec, WeylElement
 
 
 def invertible_matrices(field, n):
@@ -346,3 +352,168 @@ def test_sp_cell_spot_checks_q3():
         for g in itertools.islice(enumerate_cell(w, 3), 0, None, 7):
             assert symplectic_membership(g)
             assert sp_bruhat_decompose(g) == w
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the Fraction-by-Fraction column pass and the plain
+# product loop of the cell enumerator, kept as they were before the pass
+# moved to integer columns and the enumerator to shared row products
+
+
+def _reference_decompose(g: ExactMatrix) -> BruhatFactorization:
+    if not g.is_square():
+        raise ValueError("Bruhat decomposition needs a square matrix")
+    f = g.field
+    n = g.rows
+    cols = [list(col) for col in zip(*g.entries)]
+    b2 = [list(row) for row in ExactMatrix.identity(f, n).entries]
+    used = [False] * n
+    window = [0] * n
+    for j, col in enumerate(cols):
+        piv = next((i for i in range(n - 1, -1, -1) if not used[i] and col[i] != f.zero), None)
+        if piv is None:
+            raise SingularMatrixError(
+                f"matrix is singular: no unused nonzero pivot in column {j + 1}",
+                column=j + 1,
+            )
+        used[piv] = True
+        window[j] = piv + 1
+        # row j of b2 is scaled by the pivot, then gains c * (row j2) for each
+        # c = a[piv][j2] cleared below; each row j2 > j is still e_j2
+        b2[j][j:] = [cols[j2][piv] for j2 in range(j, n)]
+        inv = f.inv(col[piv])
+        cols[j] = col = [f.mul(x, inv) for x in col]
+        for j2 in range(j + 1, n):
+            c = cols[j2][piv]
+            if c != f.zero:
+                cols[j2] = [f.sub(x, f.mul(c, y)) for x, y in zip(cols[j2], col)]
+    w = WeylElement(GroupSpec("A", n - 1), tuple(window))
+    w_rep = ExactMatrix.permutation(f, window)
+    # b1 = a * w_rep^-1 moves column j of a to column window[j]
+    b1 = ExactMatrix(f, list(zip(*(cols[j] for j in sorted(range(n), key=window.__getitem__)))))
+    fact = BruhatFactorization(w, w_rep, b1, ExactMatrix(f, b2))
+    if fact.product() != g:
+        raise IntegrityError("factorization failed to reconstruct the input")
+    return fact
+
+
+def _reference_cell(w, q):
+    field = GF(q)
+    if w.spec.family == "A":
+        n = w.spec.degree
+        w_rep = ExactMatrix.permutation(field, w.window)
+        free = gl_free_positions(w.window)
+        prefixes = []
+        for params in itertools.product(range(q), repeat=len(free)):
+            mat = [list(row) for row in ExactMatrix.identity(field, n).entries]
+            for (i, j), t in zip(free, params):
+                mat[i][j] = t
+            prefixes.append(ExactMatrix(field, mat) * w_rep)
+        borel = gl_borel_matrices(field, n)
+    else:
+        n = w.spec.rank
+        w_rep = sp_weyl_matrix(w, field)
+        free = inverted_roots(w)
+        prefixes = []
+        for params in itertools.product(range(q), repeat=len(free)):
+            u = ExactMatrix.identity(field, 2 * n)
+            for root, t in zip(free, params):
+                if t:
+                    u = u * c_root_element(field, n, root, t)
+            prefixes.append(u * w_rep)
+        borel = sp_borel_matrices(field, n)
+    return (uw * b for b in borel for uw in prefixes)
+
+
+def _outcome(decompose, g):
+    """What a decomposition gives: the factors and their JSON, or the column
+    and message of the singular-matrix error."""
+    try:
+        fact = decompose(g)
+    except SingularMatrixError as err:
+        return "singular", err.column, str(err)
+    return (fact.w, fact.w_rep, fact.b1, fact.b2,
+            json.dumps([fact.b1.to_json(), fact.b2.to_json()], sort_keys=True))
+
+
+def _assert_matches_reference(g):
+    got, expected = _outcome(bruhat_decompose, g), _outcome(_reference_decompose, g)
+    assert got == expected
+    if got[0] != "singular":
+        # the factors hold exactly the reduced entries the reference built
+        for ours, ref in zip(got[2:4], expected[2:4]):
+            assert [list(map(type, row)) for row in ours.entries] == \
+                [list(map(type, row)) for row in ref.entries]
+
+
+_RATIONALS = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def _rational_matrices(draw):
+    n = draw(st.integers(2, 7))
+    rows = draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n))
+    return ExactMatrix(QQ, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices())
+def test_decompose_matches_the_fraction_pass_over_q(g):
+    _assert_matches_reference(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 101]), n=st.integers(2, 7), seed=st.integers(0, 2**32))
+def test_decompose_matches_the_fraction_pass_over_gf_p(p, n, seed):
+    g = random_invertible(GF(p), n, random.Random(seed))
+    _assert_matches_reference(g)
+
+
+def test_decompose_matches_the_fraction_pass_on_hilbert_8():
+    # entries of the reduced columns grow fast here, and the gcd step has
+    # something to divide out at almost every clearing
+    hilbert = ExactMatrix(QQ, [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)])
+    _assert_matches_reference(hilbert)
+    assert bruhat_decompose(hilbert).product() == hilbert
+
+
+def test_decompose_singular_at_column_k_matches_the_reference():
+    # column k a combination of the earlier columns reduces to zero in the
+    # column pass, so the pass stops at column k and not before
+    rng = random.Random(12)
+    for field in (QQ, GF(2), GF(5), GF(101)):
+        for n in range(2, 7):
+            for k in range(1, n + 1):
+                g = random_invertible(field, n, rng)
+                coeffs = [rng.randrange(-3, 4) for _ in range(k - 1)]
+                rows = [list(row) for row in g.entries]
+                for row in rows:
+                    row[k - 1] = sum(c * x for c, x in zip(coeffs, row))
+                singular = ExactMatrix(field, rows)
+                with pytest.raises(SingularMatrixError) as info:
+                    bruhat_decompose(singular)
+                assert info.value.column == k
+                with pytest.raises(SingularMatrixError) as ref:
+                    _reference_decompose(singular)
+                assert str(info.value) == str(ref.value)
+
+
+def test_decompose_raises_when_the_factors_do_not_reconstruct(monkeypatch):
+    monkeypatch.setattr(BruhatFactorization, "product", lambda fact: fact.b1)
+    for field in (QQ, GF(7)):
+        g = random_invertible(field, 4, random.Random(13))
+        with pytest.raises(IntegrityError, match="factorization failed to reconstruct the input"):
+            bruhat_decompose(g)
+
+
+@pytest.mark.parametrize("family, rank, q", [("A", 1, 2), ("A", 1, 3), ("A", 2, 2), ("A", 2, 3),
+                                             ("BC", 2, 2), ("BC", 2, 3)])
+def test_enumerate_cell_matches_the_product_loop(family, rank, q):
+    for w in GroupSpec(family, rank).elements():
+        got = enumerate_cell(w, q)
+        expected = _reference_cell(w, q)
+        for k, (ours, ref) in enumerate(itertools.zip_longest(got, expected)):
+            assert ours == ref, (w, k)
