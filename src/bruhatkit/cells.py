@@ -392,19 +392,26 @@ def gl_borel_matrices(field, n: int):
             yield ExactMatrix(field, mat)
 
 
+def _root_products(field, n: int, starts, roots):
+    # each start times one element of each root subgroup in roots, in that
+    # order, for every choice of parameters; each root element is built once
+    q = field.p
+    elements = {(root, t): c_root_element(field, n, root, t) for root in roots for t in range(1, q)}
+    for start in starts:
+        for params in itertools.product(range(q), repeat=len(roots)):
+            b = start
+            for root, t in zip(roots, params):
+                if t:
+                    b = b * elements[root, t]
+            yield b
+
+
 def sp_borel_matrices(field, n: int):
     """Every element of the symplectic Borel over a prime field: a torus
     element times the positive root elements in a fixed order."""
-    q = field.p
-    roots = c_positive_roots(n)
-    for diag in itertools.product(range(1, q), repeat=n):
-        torus = sp_torus_matrix(field, n, diag)
-        for params in itertools.product(range(q), repeat=len(roots)):
-            b = torus
-            for root, t in zip(roots, params):
-                if t:
-                    b = b * c_root_element(field, n, root, t)
-            yield b
+    diags = itertools.product(range(1, field.p), repeat=n)
+    tori = (sp_torus_matrix(field, n, diag) for diag in diags)
+    return _root_products(field, n, tori, c_positive_roots(n))
 
 
 def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
@@ -441,14 +448,9 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
     elif w.spec.family == "BC":
         n = w.spec.rank
         w_rep = sp_weyl_matrix(w, field)
-        free = inverted_roots(w)
-        prefixes = []
-        for params in itertools.product(range(q), repeat=len(free)):
-            u = ExactMatrix.identity(field, 2 * n)
-            for root, t in zip(free, params):
-                if t:
-                    u = u * c_root_element(field, n, root, t)
-            prefixes.append(u * w_rep)
+        unipotents = _root_products(field, n, [ExactMatrix.identity(field, 2 * n)],
+                                    inverted_roots(w))
+        prefixes = [u * w_rep for u in unipotents]
         borel = sp_borel_matrices(field, n)
     else:
         raise ValueError("no matrix group wired for family D")

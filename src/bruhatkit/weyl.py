@@ -36,15 +36,27 @@ read off the embedded window w~, as type A reads its own window:
 * Inverted roots: a positive root of C_n is inverted by w exactly when the
   window of the embedding of w^-1 puts its first position pair (r, c)
   out of order (cells.inverted_roots).
-* Classes of BC: the class-to-unipotent map takes the cycle type of w~ as
-  the Jordan type (phimap.map_i).
+
+Classes
+-------
+A class is keyed by one walk of the cycles of w (_class_key; Carter,
+"Conjugacy classes in the Weyl group", Compositio Math. 25, 1972): its cycle
+type in A, and in BC the pair (positive, negative cycle lengths), where a
+cycle is negative when the product of the signs of w along it is -1.  A BC
+class in D is one D class, except that a class of only even, positive
+cycles splits in two, told apart by the parity of the sign changes e that
+make e w e^-1 unsigned.  Each class must have |W| / |Z_W(w)| elements, with
+|Z_W(w)| = prod k^m_k m_k! over the m_k k-cycles in A and prod (2k)^a_k a_k!
+(2k)^b_k b_k! over the a_k positive and b_k negative k-cycles in BC; a D
+class has the size of its BC class, halved when it splits.  phimap.map_i
+takes the cycle type of w~ as the Jordan type of a BC class.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .errors import IntegrityError
 from .exact import PRIME_TEST_BOUND, int_echelon, integer_root, is_prime
@@ -102,20 +114,14 @@ class GroupSpec:
     def generators(self) -> list["WeylElement"]:
         """The simple reflections s_1 .. s_rank, each of length 1."""
         d = self.degree
-        gens = []
-        for i in range(1, d):
-            window = list(range(1, d + 1))
-            window[i - 1], window[i] = window[i], window[i - 1]
-            gens.append(WeylElement._make(self, tuple(window)))
+        windows = [list(range(1, d + 1)) for _ in range(self.rank)]
+        for i in range(d - 1):
+            windows[i][i:i + 2] = i + 2, i + 1
         if self.family == "BC":
-            window = list(range(1, d + 1))
-            window[-1] = -d
-            gens.append(WeylElement._make(self, tuple(window)))
+            windows[-1][-1] = -d
         elif self.family == "D":
-            window = list(range(1, d + 1))
-            window[-2], window[-1] = -d, -(d - 1)
-            gens.append(WeylElement._make(self, tuple(window)))
-        return gens
+            windows[-1][-2:] = -d, 1 - d
+        return [WeylElement._make(self, tuple(window)) for window in windows]
 
     def longest_element(self) -> "WeylElement":
         d = self.degree
@@ -234,12 +240,8 @@ class WeylElement:
         mat = [[0] * (d - 1) for _ in range(d - 1)]
         for i in range(1, d):
             a, b = self.window[i - 1], self.window[i]
-            if a < b:
-                for k in range(a, b):
-                    mat[k - 1][i - 1] += 1
-            else:
-                for k in range(b, a):
-                    mat[k - 1][i - 1] -= 1
+            for k in range(min(a, b), max(a, b)):
+                mat[k - 1][i - 1] += 1 if a < b else -1
         return tuple(map(tuple, mat))
 
     def is_elliptic(self) -> bool:
@@ -255,7 +257,7 @@ class WeylElement:
         """Cycle type of a family-A element, as a partition of the degree."""
         if self.spec.family != "A":
             raise ValueError("cycle_type is for family A; see signed_cycle_type")
-        return Partition(len(c) for c in _cycles(self.window))
+        return Partition(_class_key(self.window, "A"))
 
     def signed_cycle_type(self) -> tuple[Partition, Partition]:
         """For family BC: (positive-cycle lengths, negative-cycle lengths).
@@ -265,14 +267,7 @@ class WeylElement:
         """
         if self.spec.family != "BC":
             raise ValueError("signed_cycle_type is for family BC")
-        pos, neg = [], []
-        for cycle in _cycles(tuple(abs(v) for v in self.window)):
-            sign = 1
-            for i in cycle:
-                if self.window[i - 1] < 0:
-                    sign = -sign
-            (pos if sign > 0 else neg).append(len(cycle))
-        return Partition(pos), Partition(neg)
+        return _class_label(_class_key(self.window, "BC"), "BC")
 
     def embed_in_symmetric(self) -> "WeylElement":
         """The image of a BC element in the symmetric group on 2n letters.
@@ -297,24 +292,18 @@ def signed_window_from_symmetric(window: tuple[int, ...]) -> tuple[int, ...] | N
 class ConjugacyClass:
     """A conjugacy class of a Weyl group, with its length and type data.
     ``min_elements`` holds its minimal-length elements in window order; the
-    elliptic flag and the label (cycle type for A, signed cycle type for BC,
-    none for D) are read off the first of them."""
+    elliptic flag is read off the first of them, and the label (cycle type
+    for A, signed cycle type for BC, none for D) comes from the class key."""
 
     __slots__ = ("spec", "elements", "min_length", "min_elements", "elliptic", "label")
 
-    def __init__(self, spec, elements, min_length, min_elements):
+    def __init__(self, spec, elements, min_length, min_elements, label):
         self.spec = spec
         self.elements = frozenset(elements)
         self.min_length = min_length
         self.min_elements = tuple(sorted(min_elements, key=lambda w: w.window))
-        rep = self.min_elements[0]
-        self.elliptic = rep.is_elliptic()
-        if spec.family == "A":
-            self.label = rep.cycle_type()
-        elif spec.family == "BC":
-            self.label = rep.signed_cycle_type()
-        else:
-            self.label = None
+        self.elliptic = self.min_elements[0].is_elliptic()
+        self.label = label
 
     @property
     def size(self) -> int:
@@ -326,12 +315,9 @@ class ConjugacyClass:
         return self.min_elements[0]
 
     def label_json(self):
-        if self.label is None:
-            return None
-        if isinstance(self.label, Partition):
-            return self.label.to_json()
-        lam, mu = self.label
-        return [lam.to_json(), mu.to_json()]
+        if isinstance(self.label, tuple):
+            return [part.to_json() for part in self.label]
+        return None if self.label is None else self.label.to_json()
 
     def __repr__(self):
         return (
@@ -341,47 +327,32 @@ class ConjugacyClass:
 
 
 def conjugacy_classes(spec: GroupSpec, rank_cap: int = DEFAULT_RANK_CAP) -> list[ConjugacyClass]:
-    """Partition the group into conjugacy classes by generator-conjugation.
+    """Partition the group into conjugacy classes by (signed) cycle type.
 
-    Pure orbit closure: conjugate by each simple reflection until stable.
-    Classes come back sorted by (min length, least window) and carry labels
-    for families A (cycle type) and BC (signed cycle type); D classes are
-    label-free.
+    See "Classes" in the module docstring; a class whose size is not
+    |W| / |Z_W(w)| raises IntegrityError.  Classes come back sorted by (min
+    length, least window) and carry labels for families A (cycle type) and
+    BC (signed cycle type); D classes are label-free.
     """
     if spec.rank > rank_cap:
         raise ValueError(f"rank {spec.rank} exceeds cap {rank_cap}")
-    gen_windows = [g.window for g in spec.generators()]
-    seen: set[tuple[int, ...]] = set()
-    class_window_sets: list[list[tuple[int, ...]]] = []
-    for start in _all_windows(spec):
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit = [start]
-        frontier = [start]
-        while frontier:
-            new_frontier = []
-            for w in frontier:
-                for s in gen_windows:
-                    c = _compose(s, _compose(w, s))
-                    if c not in seen:
-                        seen.add(c)
-                        orbit.append(c)
-                        new_frontier.append(c)
-            frontier = new_frontier
-        class_window_sets.append(orbit)
-
+    family = spec.family
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for w in _all_windows(spec):
+        groups.setdefault(_class_key(w, family), []).append(w)
     classes = []
-    for windows in class_window_sets:
-        lengths = [_window_length(w, spec.family) for w in windows]
+    for key, windows in groups.items():
+        expected = _class_size(key, spec)
+        if len(windows) != expected:
+            raise IntegrityError(f"class {key} of {spec} has {len(windows)} elements, "
+                                 f"not |W|/|Z_W(w)| = {expected}")
+        lengths = [_window_length(w, family) for w in windows]
         d_min = min(lengths)
         elements = [WeylElement._make(spec, w) for w in windows]
         min_elements = [e for e, l in zip(elements, lengths) if l == d_min]
-        classes.append(ConjugacyClass(spec, elements, d_min, min_elements))
+        classes.append(ConjugacyClass(spec, elements, d_min, min_elements,
+                                      _class_label(key, family)))
     classes.sort(key=lambda c: (c.min_length, c.representative.window))
-    total = sum(c.size for c in classes)
-    if total != spec.order():
-        raise IntegrityError(f"classes of {spec} cover {total} of {spec.order()} elements")
     return classes
 
 
@@ -440,10 +411,7 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def _invert(w: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(w)
     for i, v in enumerate(w, start=1):
-        if v > 0:
-            out[v - 1] = i
-        else:
-            out[-v - 1] = -i
+        out[abs(v) - 1] = i if v > 0 else -i
     return tuple(out)
 
 
@@ -482,22 +450,51 @@ def _embed(window: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(img)
 
 
-def _cycles(window: tuple[int, ...]) -> list[list[int]]:
-    # cycles of the underlying (unsigned) permutation, on letters 1..n
-    n = len(window)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cycle = []
-        i = start
+def _class_key(window: tuple[int, ...], family: str) -> tuple:
+    # "Classes" in the module docstring.  Along a cycle, sign is the sign change
+    # at letter i that makes w positive so far; flips counts those that are -1
+    seen = [False] * (len(window) + 1)
+    pos, neg, flips = [], [], 0
+    for start in range(1, len(window) + 1):
+        length, sign, i = 0, 1, start
         while not seen[i]:
             seen[i] = True
-            cycle.append(i)
-            i = abs(window[i - 1])
-        cycles.append(cycle)
-    return cycles
+            length += 1
+            flips += sign < 0
+            i = window[i - 1]
+            if i < 0:
+                sign, i = -sign, -i
+        if length:
+            (pos if sign > 0 else neg).append(length)
+    pos.sort(reverse=True)
+    neg.sort(reverse=True)
+    if family == "A":
+        return tuple(pos)
+    if family == "D" and _splits_in_d(pos, neg):
+        return tuple(pos), (), flips % 2
+    return tuple(pos), tuple(neg)
+
+
+def _splits_in_d(pos, neg) -> bool:
+    return not neg and all(k % 2 == 0 for k in pos)
+
+
+def _class_label(key: tuple, family: str):
+    if family == "A":
+        return Partition(key)
+    return (Partition(key[0]), Partition(key[1])) if family == "BC" else None
+
+
+def _class_size(key: tuple, spec: GroupSpec) -> int:
+    # |W| / |Z_W(w)| ("Classes" in the module docstring)
+    def centralizer(parts, base):
+        return prod((base * k) ** parts.count(k) * factorial(parts.count(k)) for k in set(parts))
+
+    if spec.family == "A":
+        return spec.order() // centralizer(key, 1)
+    pos, neg = key[:2]
+    size = 2**spec.rank * factorial(spec.rank) // (centralizer(pos, 2) * centralizer(neg, 2))
+    return size // 2 if spec.family == "D" and _splits_in_d(pos, neg) else size
 
 
 def _all_windows(spec: GroupSpec):

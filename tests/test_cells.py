@@ -25,6 +25,7 @@ from bruhatkit.cells import (
     relative_position,
     sp_borel_matrices,
     sp_bruhat_decompose,
+    sp_torus_matrix,
     sp_weyl_matrix,
     symplectic_form,
     symplectic_membership,
@@ -397,6 +398,19 @@ def _reference_decompose(g: ExactMatrix) -> BruhatFactorization:
     return fact
 
 
+def _rebuilt_sp_borel(field, n):
+    # the symplectic Borel with every root element rebuilt for each element
+    roots = c_positive_roots(n)
+    for diag in itertools.product(range(1, field.p), repeat=n):
+        torus = sp_torus_matrix(field, n, diag)
+        for params in itertools.product(range(field.p), repeat=len(roots)):
+            b = torus
+            for root, t in zip(roots, params):
+                if t:
+                    b = b * c_root_element(field, n, root, t)
+            yield b
+
+
 def _reference_cell(w, q):
     field = GF(q)
     if w.spec.family == "A":
@@ -421,7 +435,7 @@ def _reference_cell(w, q):
                 if t:
                     u = u * c_root_element(field, n, root, t)
             prefixes.append(u * w_rep)
-        borel = sp_borel_matrices(field, n)
+        borel = _rebuilt_sp_borel(field, n)
     return (uw * b for b in borel for uw in prefixes)
 
 
@@ -517,3 +531,11 @@ def test_enumerate_cell_matches_the_product_loop(family, rank, q):
         expected = _reference_cell(w, q)
         for k, (ours, ref) in enumerate(itertools.zip_longest(got, expected)):
             assert ours == ref, (w, k)
+
+
+@pytest.mark.parametrize("rank, q", [(1, 3), (1, 5), (2, 3)])
+def test_sp_borel_stream_matches_the_per_element_rebuild(rank, q):
+    field = GF(q)
+    got = list(sp_borel_matrices(field, rank))
+    assert got == list(_rebuilt_sp_borel(field, rank))
+    assert len(got) == len(set(got)) == borel_order("BC", rank, q)

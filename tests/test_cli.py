@@ -394,6 +394,18 @@ def test_theorem_a_report_bytes_are_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["classes", "BC", "6"], "0ae86be8dde6f7a3ac4c014c397588b7051144efaf863e0a90009378820550ea"),
+    (["classes", "D", "6"], "b367fb29ca7e81407688f0859052c18d4f558142cbda25d1576a1f9ec0f49a15"),
+    (["phi", "A", "6"], "3180b648b924562b003bfb5a54ffa41284d86d40bab74fb6176cc26f6b533cdf"),
+])
+def test_class_listing_bytes_are_pinned(capsys, args, digest):
+    # SHA-256 of the whole stdout: order, sizes, labels, d_C, elliptic flags, phi
+    rc, out, _ = run(capsys, args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_seed_reproducibility(capsys):
     rc1, out1, _ = run(capsys, ["verify", "sl", "2", "--q", "3", "--seed", "9"])
     rc2, out2, _ = run(capsys, ["verify", "sl", "2", "--q", "3", "--seed", "9"])

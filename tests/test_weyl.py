@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from bruhatkit import weyl
+from bruhatkit.errors import IntegrityError
 from bruhatkit.partitions import Partition, partitions_of
 from bruhatkit.weyl import (
     GroupSpec,
@@ -299,6 +301,98 @@ def test_conjugacy_class_labels_match_cycle_structure():
             len(partitions_of(k)) * len(partitions_of(n - k)) for k in range(n + 1)
         )
         assert len(classes) == expected
+
+
+def _compose(a, b):
+    # (a o b)(i) = a(b(i)) on signed windows
+    return tuple(a[k - 1] if k > 0 else -a[-k - 1] for k in b)
+
+
+def _bfs_classes(spec):
+    # brute-force class oracle: close each element under conjugation by the
+    # simple reflections, one frontier at a time
+    gens = [g.window for g in spec.generators()]
+    seen, classes = set(), []
+    for start in (w.window for w in spec.elements()):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit, frontier = [start], [start]
+        while frontier:
+            new_frontier = []
+            for w in frontier:
+                for s in gens:
+                    c = _compose(s, _compose(w, s))
+                    if c not in seen:
+                        seen.add(c)
+                        orbit.append(c)
+                        new_frontier.append(c)
+            frontier = new_frontier
+        classes.append(orbit)
+    return classes
+
+
+def _walked_label(window, family):
+    # (signed) cycle type by its own cycle walk, for the oracle's labels
+    pos, neg, seen = [], [], set()
+    for start in range(1, len(window) + 1):
+        cycle, i = [], start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(window[i - 1])
+            i = abs(window[i - 1])
+        if cycle:
+            (neg if sum(v < 0 for v in cycle) % 2 else pos).append(len(cycle))
+    if family == "A":
+        return Partition(pos)
+    return (Partition(pos), Partition(neg)) if family == "BC" else None
+
+
+ORACLE_SPECS = ([GroupSpec("A", n) for n in range(1, 8)]
+                + [GroupSpec("BC", n) for n in range(1, 7)]
+                + [GroupSpec("D", n) for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_classes_match_the_bfs_oracle(spec):
+    classes = conjugacy_classes(spec)
+    oracle = []
+    for orbit in _bfs_classes(spec):
+        elements = [WeylElement(spec, w) for w in orbit]
+        d_min = min(w.length() for w in elements)
+        min_elements = sorted((w for w in elements if w.length() == d_min), key=lambda w: w.window)
+        oracle.append((d_min, min_elements, set(orbit)))
+    oracle.sort(key=lambda c: (c[0], c[1][0].window))
+    assert len(classes) == len(oracle)
+    for cls, (d_min, min_elements, orbit) in zip(classes, oracle):
+        assert {w.window for w in cls.elements} == orbit
+        assert cls.min_length == d_min
+        assert list(cls.min_elements) == min_elements
+        assert cls.label == _walked_label(min_elements[0].window, spec.family)
+        assert cls.elliptic == min_elements[0].is_elliptic()
+
+
+def test_d4_splits_two_classes_by_the_sign_change_parity():
+    spec = GroupSpec("D", 4)
+    keys = {weyl._class_key(w.window, "D") for w in spec.elements()}
+    assert len(keys) == len(conjugacy_classes(spec)) == 13
+    assert len({key[:2] for key in keys}) == 11
+    assert {key for key in keys if len(key) == 3} == {
+        ((2, 2), (), 0), ((2, 2), (), 1), ((4,), (), 0), ((4,), (), 1)}
+
+
+def test_size_check_catches_a_d_key_without_the_parity(monkeypatch):
+    key = weyl._class_key
+    monkeypatch.setattr(weyl, "_class_key", lambda w, family: key(w, family)[:2])
+    with pytest.raises(IntegrityError, match="elements, not"):
+        conjugacy_classes(GroupSpec("D", 4))
+
+
+def test_size_check_catches_an_a_key_by_the_number_of_cycles(monkeypatch):
+    key = weyl._class_key
+    monkeypatch.setattr(weyl, "_class_key", lambda w, family: (len(key(w, family)),))
+    with pytest.raises(IntegrityError, match="elements, not"):
+        conjugacy_classes(GroupSpec("A", 3))
 
 
 def test_rank_cap():
