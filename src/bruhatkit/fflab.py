@@ -36,8 +36,9 @@ Everything stays exact.  A reduced matrix has one key, its int64 code
 (_codes): its entries read row by row as base-p digits.  Groups, orbits and
 classes are stacks of matrices, and their dedup and membership tests work
 on codes.  Groups and orbits are listed by one breadth-first closure,
-_closure, which runs on 1-D code arrays and takes a whole level at a time;
-a stack is decoded (_decode) once, at the end.  A group closure marks the
+_closure, which runs on 1-D code arrays and takes a whole level at a time.
+An orbit is decoded (_decode) once, at the end; the group table keeps
+codes and decodes rows on demand.  A group closure marks the
 codes it has seen in a bitmap of all q^(n^2) codes, when that bitmap is no
 larger than an int64 array of as many codes as the budget admits (q^(n^2)
 <= 64 * budget); orbits, larger code spaces and the other member sets keep
@@ -47,7 +48,13 @@ tables and orbits come out in a fixed order.  A group closure multiplies
 on the right, which acts on each row alone: one table per generator maps
 the code of a row to the code of its image, so a matrix code moves by n
 table lookups on its base-p^n digits.  A conjugation orbit
-decodes each level once and codes its products.  The codes are exact only
+decodes each level once and codes its products.  Unipotent elements are
+found by two exact prefilters before (g - 1)^n = 0 decides: the trace must
+be n and e2, the sum of the principal 2 x 2 minors, C(n, 2) mod p, as the
+characteristic polynomial (x - 1)^n of a unipotent matrix has them
+(_unipotent_mask).  The table reads each trace off its code, the diagonal
+digits, and decodes only the elements that pass; in SL_3(F_5) that is
+74,500 of 372,000.  The codes are exact only
 while p^(n^2) <= 2^63, and coding a matrix past that bound raises a
 ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
 is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
@@ -360,26 +367,35 @@ def _right_multiplication_step(gens: list[np.ndarray], p: int, n: int):
 
     x -> x g acts on each row of x alone, so one table per generator, of
     the p^n row codes r -> code of r g mod p, moves a matrix code: its n
-    base-p^n digits are the row codes, each is looked up, and the results
-    are put back in place."""
+    base-p^n digits are the row codes, each is looked up, and the images
+    are put back together by Horner's rule, one gather and one multiply-add
+    per row (an int64 matrix product has no BLAS path)."""
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
     tables = [rows @ g % p @ digits for g in gens]
-    places = (p ** n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    base = p ** n
 
     def step(codes):
-        row_codes = codes[:, None] // places % p ** n
+        row_codes, rest = [], codes
+        for j in range(n - 1, 0, -1):
+            row, rest = np.divmod(rest, base ** j)
+            row_codes.append(row)
+        row_codes.append(rest)
         images = np.empty(len(tables) * len(codes), dtype=np.int64)
         for i, table in enumerate(tables):
-            images[i * len(codes):(i + 1) * len(codes)] = table[row_codes] @ places
+            out = images[i * len(codes):(i + 1) * len(codes)]
+            out[:] = table[row_codes[0]]
+            for row in row_codes[1:]:
+                out *= base
+                out += table[row]
         return images
 
     return step
 
 
-def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
-    """The group the generators produce, as the (N, n, n) stack of its
-    elements in BFS order from the identity, right multiplying by each
+def _group_codes(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
+    """The codes (_codes) of the group the generators produce, in BFS order
+    from the identity, right multiplying by each
     (_right_multiplication_step).
 
     The closure is passed the code space, p^(n^2) codes, so seen codes are
@@ -390,36 +406,70 @@ def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
     n = gens[0].shape[0]
     seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
     check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
-    codes = _closure(seeds, _right_multiplication_step(gens, p, n), limit=limit,
-                     phase="group closure", space=p ** (n * n))
-    return _decode(codes, p, n)
+    return _closure(seeds, _right_multiplication_step(gens, p, n), limit=limit,
+                    phase="group closure", space=p ** (n * n))
+
+
+def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
+    """The group the generators produce, as the (N, n, n) stack of its
+    elements in BFS order from the identity: _group_codes, decoded."""
+    return _decode(_group_codes(gens, p, limit), p, gens[0].shape[0])
+
+
+def _code_traces(codes: np.ndarray, p: int, n: int) -> np.ndarray:
+    """tr mod p of the n x n matrices with these codes (_codes), without
+    decoding them: entry (i, i) is the base-p digit of p^(n^2 - 1 - i(n + 1))."""
+    trace = np.zeros(len(codes), dtype=np.int64)
+    for i in range(n):
+        trace += codes // p ** (n * n - 1 - i * (n + 1)) % p
+    return trace % p
 
 
 class FiniteGroupTable:
-    """The fully enumerated group with its unipotent data; cell windows on
-    demand.
+    """The fully enumerated group, kept as codes, with its unipotent data;
+    matrices and cell windows on demand.
 
-    ``mats`` is an (N, n, n) int64 array of residues; ``unipotent_types``
-    maps the indices of unipotent elements to their Jordan types.
-    ``windows_of(indices)`` gives the (signed, for Sp) window of the Bruhat
-    cell of each given element, and ``cell_windows[i]`` that of element i,
-    all of them computed on first read.
+    ``codes`` holds the int64 code (_codes) of each element, in the
+    closure's BFS order, and ``rows(indices)`` decodes only those elements.
+    ``unipotent`` holds the indices of the unipotent elements, ascending,
+    ``types`` their distinct Jordan types, and ``type_index`` for each of
+    them the index of its type in ``types``.  ``mats``, the whole (N, n, n)
+    int64 stack of residues, and ``unipotent_types``, which maps the index
+    of each unipotent element to its Jordan type, are views built on first
+    read.  ``windows_of(indices)`` gives the (signed, for Sp) window of the
+    Bruhat cell of each given element, and ``cell_windows[i]`` that of
+    element i, all of them computed on first read.
     """
 
-    def __init__(self, kind: GroupKind, q: int, mats, unipotent_types):
+    def __init__(self, kind: GroupKind, q: int, codes: np.ndarray, unipotent: np.ndarray,
+                 types: list[Partition], type_index: np.ndarray):
         self.kind = kind
         self.q = q
-        self.mats = mats
-        self.unipotent_types = unipotent_types
+        self.codes = codes
+        self.unipotent = unipotent
+        self.types = types
+        self.type_index = type_index
 
     def __len__(self):
-        return len(self.mats)
+        return len(self.codes)
+
+    def rows(self, indices) -> np.ndarray:
+        """The (k, n, n) stack of the elements with these indices."""
+        return _decode(self.codes[np.asarray(indices, dtype=np.int64)], self.q, self.kind.n)
+
+    @functools.cached_property
+    def mats(self) -> np.ndarray:
+        return _decode(self.codes, self.q, self.kind.n)
+
+    @functools.cached_property
+    def unipotent_types(self) -> dict[int, Partition]:
+        return dict(zip(self.unipotent.tolist(), (self.types[i] for i in self.type_index.tolist())))
 
     def matrix(self, i: int) -> ExactMatrix:
-        return ExactMatrix(GF(self.q), self.mats[i].tolist())
+        return ExactMatrix(GF(self.q), self.rows([i])[0].tolist())
 
     def unipotent_count(self) -> int:
-        return len(self.unipotent_types)
+        return len(self.unipotent)
 
     def windows_of(self, indices) -> list[tuple[int, ...]]:
         """The cell window of each element with these indices, one kernel
@@ -427,37 +477,63 @@ class FiniteGroupTable:
         indices = np.asarray(indices, dtype=np.int64)
         windows = []
         for start in range(0, len(indices), _CHUNK):
-            windows += _cell_windows(self.kind, self.mats[indices[start:start + _CHUNK]], self.q)
+            windows += _cell_windows(self.kind, self.rows(indices[start:start + _CHUNK]), self.q)
         return windows
 
     @functools.cached_property
     def cell_windows(self) -> list[tuple[int, ...]]:
         return self.windows_of(np.arange(len(self)))
 
+    def types_by_window(self) -> dict[tuple[int, ...], set[Partition]]:
+        """The Jordan types of the unipotent elements of each cell met, by
+        window.  Only the unipotent elements are decoded and windowed, one
+        kernel call (_distinct_cell_windows) per _CHUNK of them, and each
+        distinct (window, type) pair is found by one np.bincount."""
+        met: dict[tuple[int, ...], set[Partition]] = {}
+        width = len(self.types)
+        for start in range(0, len(self.unipotent), _CHUNK):
+            windows, inverse = _distinct_cell_windows(
+                self.kind, self.rows(self.unipotent[start:start + _CHUNK]), self.q)
+            pairs = np.bincount(inverse * width + self.type_index[start:start + _CHUNK],
+                                minlength=len(windows) * width)
+            for pair in np.flatnonzero(pairs).tolist():
+                met.setdefault(windows[pair // width], set()).add(self.types[pair % width])
+        return met
+
 
 def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
-    """BFS the whole group and find and type its unipotent elements; cell
-    windows are left to FiniteGroupTable, which computes them on demand.
+    """BFS the whole group and find and type its unipotent elements; the
+    table keeps the codes, and matrices and cell windows are left to
+    FiniteGroupTable, which decodes and computes them on demand.
 
     The element count must reproduce the closed order formula exactly; a
-    mismatch is an integrity failure, not a warning.  For GL and SL the
-    unipotent elements of each Jordan type must be as many as its class
-    has (_check_type_census); for Sp the report checks the total q^(2N).
+    mismatch is an integrity failure, not a warning.  The traces are read
+    off the codes (_code_traces), and only the elements with trace n mod p,
+    as every unipotent element has, are decoded and handed to
+    _unipotent_mask.  For GL and SL the unipotent elements of each Jordan
+    type must be as many as its class has (_check_type_census); for Sp the
+    report checks the total q^(2N).
     """
     _check_prime(q)
     expected = kind.order(q)
     check_budget(expected, budget, f"{kind} over GF({q}) has {expected} elements")
-    mats = _mulclose(group_generators(kind, q), q, budget)
-    if len(mats) != expected:
-        raise IntegrityError(f"enumerated {len(mats)} elements of {kind}/GF({q}), formula gives {expected}")
-    unipotent = np.concatenate([start + np.flatnonzero(_unipotent_mask(mats[start:start + _CHUNK], q))
-                                for start in range(0, len(mats), _CHUNK)])
-    types, inverse = _distinct_jordan_types(mats[unipotent], q)
+    codes = _group_codes(group_generators(kind, q), q, budget)
+    if len(codes) != expected:
+        raise IntegrityError(f"enumerated {len(codes)} elements of {kind}/GF({q}), formula gives {expected}")
+    n = kind.n
+    unipotent, stacks = [], []
+    for start in range(0, len(codes), _CHUNK):
+        chunk = codes[start:start + _CHUNK]
+        passed = np.flatnonzero(_code_traces(chunk, q, n) == n % q)
+        batch = _decode(chunk[passed], q, n)
+        mask = _unipotent_mask(batch, q)
+        unipotent.append(start + passed[mask])
+        stacks.append(batch[mask])
+    types, inverse = _distinct_jordan_types(np.concatenate(stacks), q)
     if kind.family != "Sp":
         counts = np.bincount(inverse, minlength=len(types)).tolist()
         _check_type_census(kind, q, Counter(dict(zip(types, counts))))
-    unipotent_types = dict(zip(unipotent.tolist(), (types[i] for i in inverse.tolist())))
-    return FiniteGroupTable(kind, q, mats, unipotent_types)
+    return FiniteGroupTable(kind, q, codes, np.concatenate(unipotent), types, inverse)
 
 
 def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
@@ -500,6 +576,15 @@ def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
 
 def _cell_windows(kind: GroupKind, stack: np.ndarray, q: int) -> list[tuple[int, ...]]:
     """The Bruhat cell window of each matrix in the stack (signed for Sp)."""
+    windows, inverse = _distinct_cell_windows(kind, stack, q)
+    return [windows[i] for i in inverse.tolist()]
+
+
+def _distinct_cell_windows(kind: GroupKind, stack: np.ndarray, q: int
+                           ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct Bruhat cell windows of the matrices in a stack (signed
+    for Sp), and for each matrix the index of its window among them, from
+    one kernel call."""
     pivots = _column_pivots(stack, q)
     if (pivots < 0).any():
         raise SingularMatrixError("a singular matrix: some column has no unused nonzero pivot")
@@ -511,7 +596,7 @@ def _cell_windows(kind: GroupKind, stack: np.ndarray, q: int) -> list[tuple[int,
             outside = windows[signed.index(None)]
             raise IntegrityError(f"symplectic element in GL cell {outside}, outside the embedded group")
         windows = signed
-    return [windows[i] for i in inverse.tolist()]
+    return windows, inverse
 
 
 def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
@@ -691,13 +776,24 @@ def _monomial(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
     """Which matrices of a (B, n, n) stack mod p are unipotent: those with
-    (g - 1)^n = 0 mod p.  A unipotent matrix has trace n mod p in every
-    characteristic, so the powers are taken only for the matrices that pass
-    that test; the test discards no unipotent matrix."""
+    (g - 1)^n = 0 mod p.
+
+    A unipotent matrix has characteristic polynomial (x - 1)^n, so in every
+    characteristic its trace is n and its e2, the sum of its principal 2 x 2
+    minors, is C(n, 2) mod p.  The powers are taken only for the matrices
+    that pass both tests, which discard no unipotent matrix; the powers
+    decide.  e2 is (tr(g)^2 - tr(g g)) / 2, taken over the integers from the
+    reduced entries, where the halving is exact, and only then reduced mod
+    p, so the test holds at p = 2 too."""
     n = batch.shape[1]
-    mask = np.trace(batch, axis1=1, axis2=2) % p == n % p
+    trace = np.trace(batch, axis1=1, axis2=2)
+    mask = trace % p == n % p
+    batch, trace = batch[mask], trace[mask]
+    e2 = (trace * trace - np.einsum("kij,kji->k", batch, batch)) // 2
+    passed = e2 % p == n * (n - 1) // 2 % p
+    mask[mask] = passed
     # reduced in place: two candidate-sized arrays alive at a time, not three
-    power = batch[mask] - np.eye(n, dtype=np.int64)
+    power = batch[passed] - np.eye(n, dtype=np.int64)
     power %= p
     steps = max(1, int(log2(n - 1)) + 1) if n > 1 else 1
     for _ in range(steps):
@@ -941,10 +1037,7 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     # the Jordan types met in each cell, by window
     if method == "table":
         # the windows of the unipotent elements only: nothing else reads one
-        type_sets: dict[tuple, set[Partition]] = {}
-        uni = table.unipotent_types
-        for window, jt in zip(table.windows_of(list(uni)), uni.values()):
-            type_sets.setdefault(window, set()).add(jt)
+        type_sets = table.types_by_window()
         unipotent_count = table.unipotent_count()
         order_check = {"expected": kind.order(q), "enumerated": len(table),
                        "ok": len(table) == kind.order(q)}
@@ -1024,28 +1117,28 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
     """Seeded consistency samples: the cell is constant on B g B, and Jordan
     types are conjugation invariants.  Same seed, same transcript.  The
     Borel grid is built here; it is smaller than the enumerated group.  All
-    samples are drawn first, then the windows of the sampled elements and
-    of their moves come from two kernel calls, and the conjugates' types
-    from one."""
+    samples are drawn first and only their rows are decoded; then the
+    windows of the sampled elements and of their moves come from two kernel
+    calls, and the conjugates' types from one."""
     rng = random.Random(seed)
     borel = borel_grid(kind, q)
-    uni = sorted(table.unipotent_types)
-    picked, moved, unipotent, conjugates = [], [], [], []
+    picked, left, right, drawn, conjugators = [], [], [], [], []
     for _ in range(count):
-        i = rng.randrange(len(table))
-        b1 = borel[rng.randrange(len(borel))]
-        b2 = borel[rng.randrange(len(borel))]
-        picked.append(i)
-        moved.append((b1 @ table.mats[i] % q) @ b2 % q)
-        u = uni[rng.randrange(len(uni))]
-        h = table.mats[rng.randrange(len(table))]
-        unipotent.append(u)
-        conjugates.append((h @ table.mats[u] % q) @ _inv_mod_p(h, q) % q)
-    cell_ok = [a == b for a, b in zip(_cell_windows(kind, np.stack(moved), q), table.windows_of(picked))]
-    jt_ok = [jt == table.unipotent_types[u]
-             for jt, u in zip(_jordan_types_mod_p(np.stack(conjugates), q), unipotent)]
+        picked.append(rng.randrange(len(table)))
+        left.append(borel[rng.randrange(len(borel))])
+        right.append(borel[rng.randrange(len(borel))])
+        # a position in table.unipotent, which is ascending
+        drawn.append(rng.randrange(len(table.unipotent)))
+        conjugators.append(rng.randrange(len(table)))
+    unipotent = table.unipotent[drawn]
+    moved = (np.stack(left) @ table.rows(picked) % q) @ np.stack(right) % q
+    conjugates = [(h @ u % q) @ _inv_mod_p(h, q) % q
+                  for h, u in zip(table.rows(conjugators), table.rows(unipotent))]
+    cell_ok = [a == b for a, b in zip(_cell_windows(kind, moved, q), table.windows_of(picked))]
+    jt_ok = [jt == table.types[k]
+             for jt, k in zip(_jordan_types_mod_p(np.stack(conjugates), q), table.type_index[drawn])]
     records = [{"element": i, "cell_stable": c, "unipotent": u, "type_stable": t}
-               for i, c, u, t in zip(picked, cell_ok, unipotent, jt_ok)]
+               for i, c, u, t in zip(picked, cell_ok, unipotent.tolist(), jt_ok)]
     return {"seed": seed, "count": count, "records": records, "ok": all(cell_ok) and all(jt_ok)}
 
 

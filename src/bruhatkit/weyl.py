@@ -55,6 +55,7 @@ takes the cycle type of w~ as the Jordan type of a BC class.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial, prod
 
@@ -498,16 +499,19 @@ def _class_size(key: tuple, spec: GroupSpec) -> int:
 
 
 def _all_windows(spec: GroupSpec):
+    """Every window of the group: the permutations in lexicographic order,
+    and for BC and D each of them under every sign tuple in product order,
+    D keeping only the tuples with an even number of -1s.  The sign tuples
+    are built once per call."""
     d = spec.degree
     if spec.family == "A":
         yield from itertools.permutations(range(1, d + 1))
         return
-    even_only = spec.family == "D"
+    signings = [signs for signs in itertools.product((1, -1), repeat=d)
+                if spec.family != "D" or signs.count(-1) % 2 == 0]
     for perm in itertools.permutations(range(1, d + 1)):
-        for signs in itertools.product((1, -1), repeat=d):
-            if even_only and signs.count(-1) % 2:
-                continue
-            yield tuple(s * v for s, v in zip(signs, perm))
+        for signs in signings:
+            yield tuple(map(operator.mul, signs, perm))
 
 
 def _validate_window(spec: GroupSpec, window: tuple[int, ...]):

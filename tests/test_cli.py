@@ -386,12 +386,26 @@ def test_property_d_report_bytes_are_pinned(capsys, args, digest):
     (["sl", "4", "--q", "5"], "59d3ee162afae87d339d0adc71f32c19800392d99a1ba8a370fedfc372cf81f5"),
     # the benchmark's table workload: its spot checks index the closure's order
     (["sl", "3", "--q", "5"], "9e24639a43240a70b4b615cea27b351baeecf8a8a40f769dedcd7383e9f5bb81"),
+    # a symplectic table, and a GL table whose closure takes the torus generator
+    (["sp", "4", "--q", "3"], "8a884aa7702d3c719847d7cde71b66aac83fc3ca1884a467706a5d3d2f67071a"),
+    (["gl", "3", "--q", "3"], "592ba20e0837e93daf686571886df36d0bf482e91f1d242f15cfcd9c7aaff05e"),
 ])
 def test_theorem_a_report_bytes_are_pinned(capsys, args, digest):
     # SHA-256 of the whole stdout of the theorem-A run
     rc, out, _ = run(capsys, ["verify", *args, "--seed", "1"])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_does_not_import_numpy_ma():
+    # in numpy 2.x a plain np.unique(x), without return_index or
+    # return_inverse, imports numpy.ma, which costs about 25 ms in a cold run
+    script = ("import sys\nfrom bruhatkit.cli import main\n"
+              "rc = main(['verify', 'sl', '3', '--q', '3', '--seed', '1'])\n"
+              "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stderr.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("args,digest", [

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import operator
 import random
 import tracemalloc
@@ -105,16 +106,16 @@ def test_table_matrices_and_cells():
             assert window == table.cell_windows[i]
 
 
-def _count_window_rows(monkeypatch):
-    # the number of matrices each call hands to the window kernel
-    real = fflab._cell_windows
+def _count_window_rows(monkeypatch, name="_cell_windows"):
+    # the number of matrices each call hands to the window function ``name``
+    real = getattr(fflab, name)
     rows = []
 
     def counted(kind, stack, q):
         rows.append(len(stack))
         return real(kind, stack, q)
 
-    monkeypatch.setattr(fflab, "_cell_windows", counted)
+    monkeypatch.setattr(fflab, name, counted)
     return rows
 
 
@@ -131,12 +132,56 @@ def test_table_windows_are_computed_on_demand(monkeypatch):
 
 def test_table_route_windows_only_the_unipotents_and_the_samples(monkeypatch):
     # SL_3(F_3) has 5,616 elements, 729 of them unipotent; the report reads
-    # the windows of those and of the 20 spot-check samples and their moves
-    rows = _count_window_rows(monkeypatch)
+    # the windows of those and of the 20 spot-check samples and their moves.
+    # Every window passes through _distinct_cell_windows
+    rows = _count_window_rows(monkeypatch, "_distinct_cell_windows")
     report = verify_theorem_a(parse_kind("sl", 3), 3, seed=0)
     assert report["method"] == "table" and report["ok"]
     assert report["integrity"]["unipotent_count_check"]["found"] == 729
-    assert sum(rows) <= 729 + 2 * 20
+    assert 729 <= sum(rows) <= 729 + 2 * 20
+
+
+def test_table_route_decodes_only_the_trace_survivors(monkeypatch):
+    # SL_3(F_5) has 372,000 elements, 74,500 of them of trace 3; the table
+    # decodes those and the spot-check rows, not the whole group
+    real = fflab._decode
+    rows = []
+
+    def counted(codes, p, n):
+        rows.append(len(codes))
+        return real(codes, p, n)
+
+    monkeypatch.setattr(fflab, "_decode", counted)
+    report = verify_theorem_a(parse_kind("sl", 3), 5, seed=1)
+    assert report["method"] == "table" and report["ok"]
+    assert 74_500 <= sum(rows) < 100_000
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 3), ("sp", 4, 3)])
+def test_table_matches_the_full_stack_computation(name, n, q):
+    # oracle: the whole group decoded, every element put to the plain
+    # (g - 1)^n = 0 test, and the windows of every element
+    kind = parse_kind(name, n)
+    table = enumerate_group(kind, q)
+    mats = _mulclose(group_generators(kind, q), q, limit=10**6)
+    assert len(table) == len(mats) == kind.order(q)
+    assert np.array_equal(table.mats, mats)
+    assert np.array_equal(table.rows([7, 0, 7]), mats[[7, 0, 7]])
+    unipotent = np.flatnonzero(_nilpotent_mask(mats, q))
+    assert table.unipotent.tolist() == unipotent.tolist()
+    expected = dict(zip(unipotent.tolist(), _jordan_types_mod_p(mats[unipotent], q)))
+    assert list(table.unipotent_types.items()) == list(expected.items())
+    met = {}
+    for i, jt in expected.items():
+        met.setdefault(table.cell_windows[i], set()).add(jt)
+    assert table.types_by_window() == met
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 2, 7), ("sl", 3, 2), ("sp", 4, 3), ("gl", 4, 2)])
+def test_code_traces_match_the_decoded_traces(name, n, q):
+    codes = fflab._group_codes(group_generators(parse_kind(name, n), q), q, limit=10**6)
+    traces = np.trace(_decode(codes, q, n), axis1=1, axis2=2) % q
+    assert np.array_equal(fflab._code_traces(codes, q, n), traces)
 
 
 def test_table_type_census_catches_a_moved_element(monkeypatch):
@@ -418,6 +463,44 @@ def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
         assert census == expected_census == q ** (2 * kind.num_positive_roots())
         # the table path's mask on the whole grid, and on non-unipotent input
         assert np.array_equal(fflab._unipotent_mask(borel, q), _nilpotent_mask(borel, q))
+
+
+def _principal_minor_sum(stack):
+    # e2: the sum of the principal 2 x 2 minors, over the integers
+    n = stack.shape[1]
+    return sum(stack[:, i, i] * stack[:, j, j] - stack[:, i, j] * stack[:, j, i]
+               for i, j in itertools.combinations(range(n), 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_unipotent_mask_matches_the_power_oracle(n, p):
+    rng = np.random.default_rng(100 * n + p)
+    count = 400
+    uniform = rng.integers(0, p, size=(count, n, n))
+    # unipotent: upper unitriangular matrices under a permutation similarity
+    upper = np.triu(rng.integers(0, p, size=(count, n, n)), 1) + np.eye(n, dtype=np.int64)
+    perms = np.array([rng.permutation(n) for _ in range(count)])
+    unipotent = upper[np.arange(count)[:, None, None], perms[:, :, None], perms[:, None, :]]
+    # companion matrices of x^n - n x^(n-1) + C(n, 2) x^(n-2) + ..., the
+    # lower coefficients random: each passes the trace and e2 tests, and is
+    # unipotent only when its polynomial is (x - 1)^n
+    companion = np.zeros((count, n, n), dtype=np.int64)
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1
+    coeffs = rng.integers(0, p, size=(count, n))  # a_0 .. a_(n-1)
+    coeffs[:, n - 1] = -n
+    coeffs[:, n - 2] = math.comb(n, 2)
+    companion[:, :, n - 1] = -coeffs
+    stack = np.concatenate([uniform, unipotent, companion]) % p
+    stack = stack[rng.permutation(len(stack))]
+    expected = _nilpotent_mask(stack, p)
+    assert np.array_equal(fflab._unipotent_mask(stack, p), expected)
+    assert expected.sum() >= count
+    passed = ((np.trace(stack, axis1=1, axis2=2) - n) % p == 0) & (
+        (_principal_minor_sum(stack) - math.comb(n, 2)) % p == 0)
+    assert not (expected & ~passed).any()
+    if n >= 3:
+        assert (passed & ~expected).any()
 
 
 def test_weyl_rep_must_be_monomial():

@@ -466,3 +466,16 @@ def test_signed_cycle_type_examples():
     assert WeylElement(C2, (2, -1)).signed_cycle_type() == (Partition(), Partition([2]))
     assert WeylElement(C2, (-1, 2)).signed_cycle_type() == (Partition([1]), Partition([1]))
     assert WeylElement(C2, (-1, -2)).signed_cycle_type() == (Partition(), Partition([1, 1]))
+
+
+@pytest.mark.parametrize("family", ["BC", "D"])
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_all_windows_match_the_filtered_product(family, rank):
+    # oracle: every sign tuple under every permutation, the odd ones dropped
+    # for D afterwards
+    degree = GroupSpec(family, rank).degree
+    expected = [tuple(s * v for s, v in zip(signs, perm))
+                for perm in itertools.permutations(range(1, degree + 1))
+                for signs in itertools.product((1, -1), repeat=degree)
+                if family == "BC" or signs.count(-1) % 2 == 0]
+    assert list(weyl._all_windows(GroupSpec(family, rank))) == expected
