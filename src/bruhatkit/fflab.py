@@ -34,39 +34,40 @@ stay out of the verify report, whose format is fixed.
 Bulk scans run on int64 numpy arrays with explicit reductions mod p.
 Everything stays exact.  A reduced matrix has one key, its int64 code
 (_codes): its entries read row by row as base-p digits.  Groups, orbits and
-classes are stacks of matrices, and their dedup and membership tests work
-on codes.  Groups and orbits are listed by one breadth-first closure,
-_closure, which runs on 1-D code arrays and takes a whole level at a time.
-An orbit is decoded (_decode) once, at the end; the group table keeps
-codes and decodes rows on demand.  A group closure marks the
-codes it has seen in a bitmap of all q^(n^2) codes, when that bitmap is no
-larger than an int64 array of as many codes as the budget admits (q^(n^2)
-<= 64 * budget); orbits, larger code spaces and the other member sets keep
-sorted code arrays, with numpy sorting and binary search.  New elements
-keep the order a BFS taking one element at a time would give them, so
-tables and orbits come out in a fixed order.  A group closure multiplies
-on the right, which acts on each row alone: one table per generator maps
-the code of a row to the code of its image, so a matrix code moves by n
-table lookups on its base-p^n digits.  A conjugation orbit
-decodes each level once and codes its products.  Unipotent elements are
-found by two exact prefilters before (g - 1)^n = 0 decides: the trace must
-be n and e2, the sum of the principal 2 x 2 minors, C(n, 2) mod p, as the
-characteristic polynomial (x - 1)^n of a unipotent matrix has them
+classes are stacks of matrices, and their dedup and membership tests work on
+codes.  Groups and orbits are listed by one breadth-first closure, _closure,
+which runs on 1-D code arrays and takes a whole level at a time.  An orbit
+is decoded (_decode) once, at the end; the group table keeps codes and
+decodes rows on demand.  A level's images are made one move (generator) at
+a time.  The table's group closure is told the group order by the closed
+formula, and marks the codes it has seen in a byte map of all q^(n^2) codes
+when that map holds at most 8 codes per element (q^(n^2) <= 8 * |G|), so
+that it is no larger than the int64 codes of the group; orbits, groups of
+unknown order, larger code spaces and the other member sets keep sorted
+code arrays, with numpy sorting and binary search.  New elements keep the
+order a BFS taking one element at a time would give them, so tables and
+orbits come out in a fixed order.  A group closure multiplies on the right,
+which acts on each row alone: one table per generator maps the code of a
+row to the code of its image, so a matrix code moves by n table lookups on its base-p^n digits.  A
+conjugation orbit decodes each level once and codes its products.  Unipotent
+elements are found by two exact prefilters before (g - 1)^n = 0 decides: the
+trace must be n and e2, the sum of the principal 2 x 2 minors, C(n, 2) mod
+p, as the characteristic polynomial (x - 1)^n of a unipotent matrix has them
 (_unipotent_mask).  The table reads each trace off its code, the diagonal
-digits, and decodes only the elements that pass; in SL_3(F_5) that is
-74,500 of 372,000.  The codes are exact only
-while p^(n^2) <= 2^63, and coding a matrix past that bound raises a
-ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
-is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
-kernel, _column_pivots, eliminates whole (B, n, n) stacks at once, laid out
-batch-last so that each step runs over contiguous rows of B entries: its
-pivot rows are the Bruhat cell windows, and its pivot counts on the powers
-of g - 1 are the ranks that give Jordan types.  The ExactMatrix
-paths (the window of bruhat_decompose, checked by its factorization;
-jordan_type; ExactMatrix.rank) share no code with it and serve as its
-oracles in the tests.  Every group is built from one-parameter root
-subgroups by one set of helpers (_roots, _root_family, _torus): the
-generators of G, B and B_w, and B(F_q) itself.
+digits, and decodes only the elements that pass; in SL_3(F_5) that is 74,500
+of 372,000.  The codes are exact only while p^(n^2) <= 2^63, and coding a
+matrix past that bound raises a ValueError.  Under the default budgets only
+Sp_8 at the bad prime 2 (2^64) is past it; a raised cell budget also reaches
+Sp_4(F_17).  One batched pivot kernel, _column_pivots, eliminates whole
+(B, n, n) stacks at once, laid out batch-last so that each step runs over
+contiguous rows of B entries: its pivot rows are the Bruhat cell windows,
+and its pivot counts on the powers of g - 1, one call per power, are the
+ranks that give Jordan types.  The ExactMatrix paths (the window of
+bruhat_decompose, checked by its factorization; jordan_type;
+ExactMatrix.rank) share no code with it and serve as its oracles in the
+tests.  Every group is built from one-parameter root subgroups by one set of
+helpers (_roots, _root_family, _torus): the generators of G, B and B_w, and
+B(F_q) itself.
 
 No cell is built whole.  Each g in BwB is u w_rep b for one u in U_w (the
 product of the root subgroups that w inverts) and one b in B, and u^-1 g u =
@@ -237,42 +238,42 @@ def _closure(seeds: np.ndarray, step, limit: int | None = None,
     """Breadth-first closure of int64 matrix codes (_codes) under a step, as
     the 1-D array of the codes found, in the order found.
 
-    ``step`` maps the codes of a level to the codes of their images, move by
-    move: the images of the whole level under the first move, then under the
-    second, and so on.  Each move must be a bijection.  The BFS goes one
-    level at a time, and of a level's images only the first occurrence of
-    each code not yet seen is kept.  That is the order of a BFS that takes
-    one element at a time.  With ``limit``, holding more elements than that
-    raises a BudgetError naming the phase.
+    ``step`` maps the codes of a level to their images move by move: it
+    yields one block of codes per move, the images of the whole level under
+    the first move, then under the second, and so on, so that a level's
+    images are never all alive at once.  Each move must be a bijection.
+    The BFS goes one level at a time, and of a level's images only the
+    first occurrence of each code not yet seen is kept.  That is the order
+    of a BFS that takes one element at a time.  With ``limit``, holding
+    more elements than that raises a BudgetError naming the phase.
 
-    Codes lie in range(space) when ``space`` is given.  If the bitmap of
-    those codes is no larger than ``limit`` int64 codes (space <= 64 *
-    limit), seen codes are marked in it (_fresh_in_bitmap).  A bijection
-    sends the distinct codes of a level to distinct codes, so the set bits
-    must count the codes listed; if they do not, the closure raises
-    IntegrityError.  Otherwise the seen codes are kept as a sorted array,
-    which each level's images are sorted and binary-searched against
-    (_fresh_in_sorted).
+    With ``space``, codes lie in range(space), and seen codes are marked in
+    a bool map of that many bytes (_fresh_in_map).  A bijection sends the
+    distinct codes of a level to distinct codes, so the marks must count the
+    codes listed; if they do not, the closure raises IntegrityError.
+    Without it, the blocks of a level are joined, and the seen codes are
+    kept as a sorted array, which the images are sorted and binary-searched
+    against (_fresh_in_sorted).
     """
-    bitmap = None
-    if limit is not None and space is not None and space <= 64 * limit:
-        bitmap = np.zeros(-(-space // 8), dtype=np.uint8)
-    seen = np.empty(0, dtype=np.int64)  # sorted, on the sorted path only
+    seen = np.zeros(space, dtype=bool) if space is not None else np.empty(0, dtype=np.int64)
     levels = []
     total = 0
-    images, block = seeds, len(seeds)
-    while len(images):
-        if bitmap is None:
+    blocks = [seeds]
+    while True:
+        if space is None:
+            images = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
             frontier, seen = _fresh_in_sorted(images, seen)
         else:
-            frontier = _fresh_in_bitmap(images, block, bitmap)
+            frontier = _fresh_in_map(blocks, seen)
+        if not len(frontier):
+            break
         levels.append(frontier)
         total += len(frontier)
         if limit is not None:
             check_budget(total, limit, f"{phase} reached {total} elements")
-        images, block = step(frontier), len(frontier)
-    if bitmap is not None:
-        marked = _popcount(bitmap)
+        blocks = step(frontier)
+    if space is not None:
+        marked = int(np.count_nonzero(seen))
         if marked != total:
             raise IntegrityError(f"{phase} listed {total} codes but marked {marked}: "
                                  f"a move is not a bijection")
@@ -283,6 +284,8 @@ def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, 
     """The images not in the sorted ``seen``, each at its first occurrence,
     and ``seen`` with them inserted: the images are sorted and looked up by
     binary search."""
+    if not len(images):  # a step without moves
+        return images, seen
     order = np.argsort(images)
     codes = images[order]
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
@@ -295,26 +298,17 @@ def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, 
     return images[np.sort(first[fresh])], np.insert(seen, at[fresh], codes[fresh])
 
 
-def _fresh_in_bitmap(images: np.ndarray, block: int, bitmap: np.ndarray) -> np.ndarray:
-    """The images whose bit in ``bitmap`` (bit c % 8 of byte c // 8 for code
-    c) is clear, in order, and those bits set.  The images come in blocks of
-    ``block`` codes, one per move, taken in turn; a block holds no code
-    twice, so a code seen in an earlier block is all there is to drop."""
+def _fresh_in_map(blocks, seen: np.ndarray) -> np.ndarray:
+    """The codes of the blocks, taken in turn, that are not marked in the
+    bool map ``seen``, in order, and those marks set.  A block holds no
+    code twice, so a code seen in an earlier block is all there is to
+    drop."""
     kept = []
-    for start in range(0, len(images), block):
-        codes = images[start:start + block]
-        byte, bit = codes >> 3, (1 << (codes & 7)).astype(np.uint8)
-        fresh = (bitmap[byte] & bit) == 0
-        np.bitwise_or.at(bitmap, byte[fresh], bit[fresh])
-        kept.append(codes[fresh])
-    return np.concatenate(kept)
-
-
-def _popcount(bitmap: np.ndarray) -> int:
-    """The number of set bits in a uint8 array, by a table of the 256 bytes
-    looked up at its nonzero bytes."""
-    table = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
-    return int(table[bitmap[bitmap != 0]].sum(dtype=np.int64))
+    for codes in blocks:
+        fresh = codes[~seen[codes]]
+        seen[fresh] = True
+        kept.append(fresh)
+    return np.concatenate([np.empty(0, dtype=np.int64), *kept])
 
 
 def _found(sorted_codes: np.ndarray, codes: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
@@ -349,15 +343,14 @@ def _decode(codes: np.ndarray, p: int, n: int) -> np.ndarray:
 
 def _conjugation_step(gens: list[np.ndarray], p: int, n: int):
     """The closure step conjugating by each generator, x -> g x g^-1 mod p:
-    the level is decoded once and each product is coded."""
+    the level is decoded once, and the codes of its products are yielded
+    one generator at a time."""
     pairs = [(g, _inv_mod_p(g, p)) for g in gens]
 
     def step(codes):
         batch = _decode(codes, p, n)
-        images = np.empty(len(pairs) * len(codes), dtype=np.int64)
-        for i, (g, ginv) in enumerate(pairs):
-            images[i * len(codes):(i + 1) * len(codes)] = _codes((g @ batch % p) @ ginv % p, p)
-        return images
+        for g, ginv in pairs:
+            yield _codes((g @ batch % p) @ ginv % p, p)
 
     return step
 
@@ -369,7 +362,9 @@ def _right_multiplication_step(gens: list[np.ndarray], p: int, n: int):
     the p^n row codes r -> code of r g mod p, moves a matrix code: its n
     base-p^n digits are the row codes, each is looked up, and the images
     are put back together by Horner's rule, one gather and one multiply-add
-    per row (an int64 matrix product has no BLAS path)."""
+    per row (an int64 matrix product has no BLAS path).  The row codes are
+    split off once per level, and the images yielded one generator at a
+    time."""
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
     tables = [rows @ g % p @ digits for g in gens]
@@ -381,33 +376,36 @@ def _right_multiplication_step(gens: list[np.ndarray], p: int, n: int):
             row, rest = np.divmod(rest, base ** j)
             row_codes.append(row)
         row_codes.append(rest)
-        images = np.empty(len(tables) * len(codes), dtype=np.int64)
-        for i, table in enumerate(tables):
-            out = images[i * len(codes):(i + 1) * len(codes)]
-            out[:] = table[row_codes[0]]
+        for table in tables:
+            out = table[row_codes[0]]
             for row in row_codes[1:]:
                 out *= base
                 out += table[row]
-        return images
+            yield out
 
     return step
 
 
-def _group_codes(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
+def _group_codes(gens: list[np.ndarray], p: int, limit: int,
+                 order: int | None = None) -> np.ndarray:
     """The codes (_codes) of the group the generators produce, in BFS order
     from the identity, right multiplying by each
     (_right_multiplication_step).
 
-    The closure is passed the code space, p^(n^2) codes, so seen codes are
-    marked in a bitmap of them when it is no larger than ``limit`` int64
-    codes, and kept as a sorted array otherwise (_closure).  The row tables
-    count against the limit, since they hold p^n entries, as many as the
-    group has at least elements."""
+    ``order`` is the group's order, when the closed formula gives it.  Seen
+    codes are marked in a byte map of the code space, p^(n^2) codes, when
+    that holds at most 8 codes per element, p^(n^2) <= 8 * order: then the
+    map is no larger than the int64 codes of the group the closure returns.
+    Otherwise, and when the order is not given, they are kept as a sorted
+    array (_closure).  The row tables count against the limit, since they
+    hold p^n entries, as many as the group has at least elements."""
     n = gens[0].shape[0]
     seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
     check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
+    space = p ** (n * n)
     return _closure(seeds, _right_multiplication_step(gens, p, n), limit=limit,
-                    phase="group closure", space=p ** (n * n))
+                    phase="group closure",
+                    space=space if order is not None and space <= 8 * order else None)
 
 
 def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
@@ -506,21 +504,34 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     table keeps the codes, and matrices and cell windows are left to
     FiniteGroupTable, which decodes and computes them on demand.
 
-    The element count must reproduce the closed order formula exactly; a
-    mismatch is an integrity failure, not a warning.  The traces are read
-    off the codes (_code_traces), and only the elements with trace n mod p,
-    as every unipotent element has, are decoded and handed to
-    _unipotent_mask.  For GL and SL the unipotent elements of each Jordan
-    type must be as many as its class has (_check_type_census); for Sp the
-    report checks the total q^(2N).
+    The closure is told the order from the closed formula, which sizes its
+    seen-map (_group_codes).  The element count must reproduce the formula
+    exactly; a mismatch is an integrity failure, not a warning.  For GL and
+    SL the unipotent elements of each Jordan type must be as many as its
+    class has (_check_type_census); for Sp the report checks the total
+    q^(2N).
     """
     _check_prime(q)
     expected = kind.order(q)
     check_budget(expected, budget, f"{kind} over GF({q}) has {expected} elements")
-    codes = _group_codes(group_generators(kind, q), q, budget)
+    codes = _group_codes(group_generators(kind, q), q, budget, order=expected)
     if len(codes) != expected:
         raise IntegrityError(f"enumerated {len(codes)} elements of {kind}/GF({q}), formula gives {expected}")
-    n = kind.n
+    unipotent, stack = _table_unipotents(codes, q, kind.n)
+    types, inverse = _distinct_jordan_types(stack, q)
+    if kind.family != "Sp":
+        counts = np.bincount(inverse, minlength=len(types)).tolist()
+        _check_type_census(kind, q, Counter(dict(zip(types, counts))))
+    return FiniteGroupTable(kind, q, codes, unipotent, types, inverse)
+
+
+def _table_unipotents(codes: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the unipotent elements among these codes, ascending,
+    and the (k, n, n) stack of them.  Per _CHUNK of codes, the traces are
+    read off the codes (_code_traces), and only the elements with trace n
+    mod p, as every unipotent element has, are decoded and handed to
+    _unipotent_mask.  Each chunk's decoded batch is dropped before the next
+    is decoded, and the last one on return."""
     unipotent, stacks = [], []
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
@@ -529,11 +540,8 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
         mask = _unipotent_mask(batch, q)
         unipotent.append(start + passed[mask])
         stacks.append(batch[mask])
-    types, inverse = _distinct_jordan_types(np.concatenate(stacks), q)
-    if kind.family != "Sp":
-        counts = np.bincount(inverse, minlength=len(types)).tolist()
-        _check_type_census(kind, q, Counter(dict(zip(types, counts))))
-    return FiniteGroupTable(kind, q, codes, np.concatenate(unipotent), types, inverse)
+        del batch
+    return np.concatenate(unipotent), np.concatenate(stacks)
 
 
 def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
@@ -607,19 +615,32 @@ def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
 
 def _distinct_jordan_types(stack: np.ndarray, p: int) -> tuple[list[Partition], np.ndarray]:
     """The distinct Jordan types of the unipotent matrices in a (B, n, n)
-    stack mod p, and for each matrix the index of its type among them.  They
-    are read off the ranks of (g - 1)^k for k = 1..n, all from one kernel
-    call; one Partition is built per distinct rank sequence."""
+    stack mod p, and for each matrix the index of its type among them.
+
+    With N = g - 1, the types are read off the ranks of N^k for k = 1..n-1,
+    one power at a time, so that besides N only one power and its
+    batch-last copy are alive.  The ranks of N^k for k < n - 1 take one
+    kernel call (_column_pivots) each.  N^(n-1) of a nilpotent N has rank 1
+    when N is one Jordan block and 0 otherwise, so its rank is whether it is
+    nonzero.  N^n = 0 is checked by one more product, which never enters the
+    kernel; a matrix that fails it is not unipotent and raises ValueError.
+    One Partition is built per distinct rank sequence."""
     count, n = stack.shape[:2]
-    nil = (stack - np.eye(n, dtype=np.int64)) % p
-    powers = [nil]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ nil % p)
-    ranks = (_column_pivots(np.concatenate(powers), p) >= 0).sum(axis=1).reshape(n, count).T
-    if ranks[:, -1].any():
+    nil = stack - np.eye(n, dtype=np.int64)
+    nil %= p
+    ranks = np.empty((count, n - 1), dtype=np.int64)
+    power = nil
+    for k in range(n - 1):
+        if k < n - 2:
+            ranks[:, k] = (_column_pivots(power, p) >= 0).sum(axis=1)
+        else:
+            ranks[:, k] = power.any(axis=(1, 2))
+        power = power @ nil
+        power %= p
+    if power.any():
         raise ValueError("matrix is not unipotent mod p")
     distinct, inverse = _distinct_rows(ranks)
-    types = [Partition(a - b for a, b in zip([n] + row, row) if a != b).conjugate()
+    types = [Partition(a - b for a, b in zip([n] + row, row + [0]) if a != b).conjugate()
              for row in distinct.tolist()]
     return types, inverse
 

@@ -208,6 +208,24 @@ def test_table_jordan_types_match_exact_oracle(name, n, q):
         assert jordan_type(table.matrix(i)) == jt
 
 
+@pytest.mark.parametrize("name,n,q", [("gl", 2, 3), ("sl", 3, 3), ("gl", 4, 2)])
+def test_distinct_jordan_types_match_the_exact_oracle(name, n, q):
+    # every unipotent element, found by the plain power test, against
+    # jordan_type on ExactMatrix; then one element that is not unipotent,
+    # put in the middle of them, must make the whole stack raise
+    mats = _mulclose(group_generators(parse_kind(name, n), q), q, limit=10**6)
+    mask = _nilpotent_mask(mats, q)
+    stack = mats[mask]
+    assert len(stack) == q ** (n * (n - 1))
+    types, inverse = fflab._distinct_jordan_types(stack, q)
+    assert len(set(types)) == len(types)
+    assert [types[i] for i in inverse.tolist()] == [
+        jordan_type(ExactMatrix(GF(q), g.tolist())) for g in stack]
+    mixed = np.insert(stack, len(stack) // 2, mats[~mask][-1], axis=0)
+    with pytest.raises(ValueError, match="not unipotent"):
+        fflab._distinct_jordan_types(mixed, q)
+
+
 @pytest.mark.parametrize("p", [2, 3, 1048573])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_kernel_ranks_match_exact_rank(p, n):
@@ -731,13 +749,31 @@ def test_mulclose_holds_no_stack_per_level():
     assert peak < 1.5 * mats.nbytes, (peak, mats.nbytes)
 
 
+def test_enumerate_group_peak_stays_near_its_codes():
+    # the closure's byte map, one move's images at a time, and one power of
+    # g - 1 at a time in the Jordan types: the traced peak of the whole
+    # table build of SL_3(F_5) stays under 16 MiB
+    tracemalloc.start()
+    try:
+        table = enumerate_group(parse_kind("sl", 3), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 372000 and table.unipotent_count() == 5 ** 6
+    assert peak < 16 * 2 ** 20, peak
+
+
 @pytest.fixture
 def closure_paths(monkeypatch):
-    """Counts the levels each membership path of fflab._closure takes."""
+    """Counts the levels each membership path of fflab._closure takes, and
+    records the byte size of each seen-map the map path is handed."""
     calls = Counter()
-    for name in ("_fresh_in_bitmap", "_fresh_in_sorted"):
+    calls.maps = []
+    for name in ("_fresh_in_map", "_fresh_in_sorted"):
         def counted(*args, name=name, original=getattr(fflab, name)):
             calls[name] += 1
+            if name == "_fresh_in_map":
+                calls.maps.append(args[1].nbytes)
             return original(*args)
         monkeypatch.setattr(fflab, name, counted)
     return calls
@@ -745,16 +781,17 @@ def closure_paths(monkeypatch):
 
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 2, 5), ("sp", 4, 3), ("gl", 4, 2)])
 def test_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths, name, n, q):
-    # 3^16 codes for Sp_4(F_3) fit a bitmap under a limit of 10^6 (3^16 <=
-    # 64 * 10^6), though not under |Sp_4(F_3)| = 51,840
+    # _closure takes the map path whenever it is given the code space, here
+    # for Sp_4(F_3) a map of 3^16 bytes that _group_codes would not ask for
+    # (3^16 > 8 * 51,840)
     step = fflab._right_multiplication_step(group_generators(parse_kind(name, n), q), q, n)
     seeds = _codes(np.eye(n, dtype=np.int64)[None], q)
-    by_bitmap = fflab._closure(seeds, step, limit=10**6, space=q ** (n * n))
-    assert closure_paths["_fresh_in_bitmap"] > 0 and closure_paths["_fresh_in_sorted"] == 0
+    by_map = fflab._closure(seeds, step, limit=10**6, space=q ** (n * n))
+    assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
     by_sort = fflab._closure(seeds, step, limit=10**6)
     assert closure_paths["_fresh_in_sorted"] > 0
-    assert len(by_bitmap) == parse_kind(name, n).order(q)
-    assert np.array_equal(by_bitmap, by_sort)
+    assert len(by_map) == parse_kind(name, n).order(q)
+    assert np.array_equal(by_map, by_sort)
 
 
 def test_conjugation_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths):
@@ -762,51 +799,66 @@ def test_conjugation_closure_bitmap_path_lists_the_sorted_path_codes(closure_pat
     gens = group_generators(parse_kind("sl", 3), 3)
     u = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
     step = fflab._conjugation_step(gens, 3, 3)
-    by_bitmap = fflab._closure(_codes(u[None], 3), step, limit=1000, space=3 ** 9)
-    assert closure_paths["_fresh_in_bitmap"] > 0 and closure_paths["_fresh_in_sorted"] == 0
-    assert np.array_equal(by_bitmap, _codes(conjugation_orbit(u, gens, 3), 3))
+    by_map = fflab._closure(_codes(u[None], 3), step, limit=1000, space=3 ** 9)
+    assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
+    assert np.array_equal(by_map, _codes(conjugation_orbit(u, gens, 3), 3))
     assert closure_paths["_fresh_in_sorted"] > 0
 
 
-def test_closure_takes_the_bitmap_path_only_within_64_codes_per_limit(closure_paths):
-    def step(codes):  # one move, c -> c xor 1
-        return codes ^ 1
+def test_group_codes_takes_the_map_path_only_within_8_codes_per_element(closure_paths):
+    # the swap generates a group of order 2 in GL_2(F_2), whose 2^4 codes
+    # are exactly 8 per element: the map path.  The identity alone
+    # generates the trivial group, 16 codes per element: the sorted path,
+    # as for any group whose order is not given
+    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    eye = np.eye(2, dtype=np.int64)
+    assert fflab._group_codes([swap], 2, limit=4, order=2).tolist() == [9, 6]
+    assert closure_paths == {"_fresh_in_map": 3} and closure_paths.maps == [16] * 3
+    assert fflab._group_codes([eye], 2, limit=4, order=1).tolist() == [9]
+    assert closure_paths == {"_fresh_in_map": 3, "_fresh_in_sorted": 2}
+    assert fflab._group_codes([swap], 2, limit=4).tolist() == [9, 6]
+    assert closure_paths == {"_fresh_in_map": 3, "_fresh_in_sorted": 5}
 
-    seeds = np.array([6], dtype=np.int64)
-    assert fflab._closure(seeds, step, limit=2, space=128).tolist() == [6, 7]
-    assert closure_paths == {"_fresh_in_bitmap": 3}
-    assert fflab._closure(seeds, step, limit=2, space=129).tolist() == [6, 7]
-    assert closure_paths == {"_fresh_in_bitmap": 3, "_fresh_in_sorted": 3}
+
+@pytest.mark.parametrize("name,n,q,path", [("sp", 4, 3, "_fresh_in_sorted"),
+                                           ("sl", 3, 5, "_fresh_in_map")])
+def test_enumerate_group_sizes_its_seen_map_by_the_group_order(closure_paths, name, n, q, path):
+    # Sp_4(F_3): 3^16 codes are more than 8 * 51,840, so no map; SL_3(F_5):
+    # 5^9 codes are at most 8 * 372,000, a map of 5^9 bytes
+    kind = parse_kind(name, n)
+    assert len(enumerate_group(kind, q)) == kind.order(q)
+    assert set(closure_paths) == {path}
+    assert all(size <= 8 * kind.order(q) for size in closure_paths.maps)
+    assert set(closure_paths.maps) == ({q ** (n * n)} if path == "_fresh_in_map" else set())
 
 
 def test_mulclose_of_the_sp6_borel_at_q2_takes_the_sorted_path(closure_paths):
-    # a bitmap of its 2^36 codes would be larger than 64 * |B| = 32,768 bits
+    # _mulclose is told no order, and a map of these 2^36 codes would hold
+    # far more than 8 per element of |B| = 512
     kind = parse_kind("sp", 6)
     assert len(_mulclose(borel_generators(kind, 2), 2, limit=kind.borel_order(2))) == 512
-    assert closure_paths["_fresh_in_bitmap"] == 0 and closure_paths["_fresh_in_sorted"] > 0
+    assert closure_paths["_fresh_in_map"] == 0 and closure_paths["_fresh_in_sorted"] > 0
 
 
 def test_mulclose_budget_error_is_the_same_on_both_paths(closure_paths):
-    # 3^9 = 19,683 codes of SL_3(F_3) <= 64 * 1000, so _mulclose takes the
-    # bitmap path; the sorted path is the same closure without the space
+    # 3^9 = 19,683 codes <= 8 * |SL_3(F_3)| = 44,928, so told the order
+    # _group_codes takes the map path; _mulclose, told none, the sorted one
     gens = group_generators(parse_kind("sl", 3), 3)
-    with pytest.raises(BudgetError) as by_bitmap:
-        _mulclose(gens, 3, limit=1000)
-    assert closure_paths["_fresh_in_bitmap"] > 0 and closure_paths["_fresh_in_sorted"] == 0
+    with pytest.raises(BudgetError) as by_map:
+        fflab._group_codes(gens, 3, limit=1000, order=5616)
+    assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
     with pytest.raises(BudgetError) as by_sort:
-        fflab._closure(_codes(np.eye(3, dtype=np.int64)[None], 3),
-                       fflab._right_multiplication_step(gens, 3, 3),
-                       limit=1000, phase="group closure")
+        _mulclose(gens, 3, limit=1000)
     assert closure_paths["_fresh_in_sorted"] > 0
-    assert str(by_bitmap.value) == str(by_sort.value)
-    assert str(by_bitmap.value).startswith("group closure reached ")
-    assert str(by_bitmap.value).endswith(" elements, over budget 1000")
-    assert by_bitmap.value.required == by_sort.value.required > 1000
-    assert by_bitmap.value.budget == by_sort.value.budget == 1000
+    assert str(by_map.value) == str(by_sort.value)
+    assert str(by_map.value).startswith("group closure reached ")
+    assert str(by_map.value).endswith(" elements, over budget 1000")
+    assert by_map.value.required == by_sort.value.required > 1000
+    assert by_map.value.budget == by_sort.value.budget == 1000
 
 
 def test_closure_bitmap_path_refuses_a_singular_move():
-    # x -> x e11 sends I and diag(1, 2) to e11 in one block: the bitmap path
+    # x -> x e11 sends I and diag(1, 2) to e11 in one block: the map path
     # lists e11 twice and marks it once, the sorted path drops the repeat
     e11 = np.array([[1, 0], [0, 0]], dtype=np.int64)
     step = fflab._right_multiplication_step([e11], 3, 2)
