@@ -76,7 +76,9 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
     (v2 * pv - c * v) / (d2 * pv) with pv = v[piv] and c = v2[piv]; over Q
     the gcd of that vector and its denominator is divided out, over GF(p)
     everything is reduced mod p.  Field elements are made only for the
-    entries of b2 and b1: Fraction(x, d), or x * d^-1 mod p.
+    entries of b2 and b1: the field's zero and one where x is 0 or d, else
+    Fraction(x, d), or x * d^-1 mod p.  The factors are then checked against
+    g (_reconstructs).
     """
     if not g.is_square():
         raise ValueError("Bruhat decomposition needs a square matrix")
@@ -89,7 +91,7 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
         def reduce(v, d):
             return [x % p for x in v], d % p
 
-        def entry(x, d):
+        def quotient(x, d):
             return x * pow(d, -1, p) % p
     else:
         cols = [_integer_vector(col) for col in zip(*g.entries)]
@@ -98,7 +100,11 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
             k = gcd(d, *v)
             return ([x // k for x in v], d // k) if k != 1 else (v, d)
 
-        entry = Fraction
+        quotient = Fraction
+
+    def entry(x, d):
+        return f.zero if not x else f.one if x == d else quotient(x, d)
+
     b2 = [[f.zero] * n for _ in range(n)]
     used = [False] * n
     window = [0] * n
@@ -130,9 +136,33 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
     a = (cols[j] for j in sorted(range(n), key=window.__getitem__))
     b1 = ExactMatrix._reduced(f, tuple(zip(*([entry(x, d) for x in v] for v, d in a))))
     fact = BruhatFactorization(w, w_rep, b1, ExactMatrix._reduced(f, tuple(map(tuple, b2))))
-    if fact.product() != g:
+    if not _reconstructs(fact, g):
         raise IntegrityError("factorization failed to reconstruct the input")
     return fact
+
+
+def _reconstructs(fact: BruhatFactorization, g: ExactMatrix) -> bool:
+    """Whether b1 * w_rep * b2 == g, with w_rep the permutation matrix of w.
+
+    Over GF(p) this is the mod-p product.  Over Q no Fraction is made: row i
+    of b1 * w_rep (row i of b1 with its columns put in window order) is an
+    integer vector v1 over one denominator d1, column j of b2 is v2 / d2 and
+    row i of g is gn / dg, so entry (i, j) holds when
+    gn[j] * d1 * d2 == dg * (v1 . v2).
+    """
+    if isinstance(g.field, PrimeField):
+        return fact.product() == g
+    window = fact.w.window
+    rows1 = []
+    for row in fact.b1.entries:
+        v, d = _integer_vector(row)
+        rows1.append(([v[k - 1] for k in window], d))
+    cols2 = [_integer_vector(col) for col in zip(*fact.b2.entries)]
+    return all(
+        gn[j] * d1 * d2 == dg * sum(map(mul, v1, v2))
+        for (gn, dg), (v1, d1) in zip(map(_integer_vector, g.entries), rows1)
+        for j, (v2, d2) in enumerate(cols2)
+    )
 
 
 def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:

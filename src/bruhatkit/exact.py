@@ -233,7 +233,7 @@ class ExactMatrix:
         mat = [[field.zero] * n for _ in range(n)]
         for j, image in enumerate(window):
             mat[image - 1][j] = field.one
-        return cls(field, mat)
+        return cls._reduced(field, tuple(map(tuple, mat)))
 
     def __getitem__(self, ij):
         i, j = ij

@@ -94,6 +94,15 @@ generators (conjugation_orbit), within the cell budget, and |Z_G| =
 tests hold the two routes against each other.  In Sp_4 the Coxeter classes
 (k = 4, 187,200 elements at q = 5) go by the commutant, and the classes of
 the longest element (k = 8, 6,240 and 9,360 elements) by BFS.
+
+This module holds the package's only numpy import, and it imports numpy
+with one OpenBLAS thread: nothing here uses BLAS or floats (every product is
+on int64 arrays), and an OpenBLAS worker thread busy-waits for about 60 ms
+of CPU time after start-up.  The rule applies only when numpy is not
+imported yet and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS is set, and it leaves os.environ as it found it.  To keep
+OpenBLAS's own thread count, set one of those variables or import numpy
+before bruhatkit.
 """
 
 from __future__ import annotations
@@ -101,13 +110,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
-
-import numpy as np
 
 from .cells import (
     DEFAULT_CELL_BUDGET,
@@ -131,6 +140,21 @@ from .weyl import (
     gl_order,
     signed_window_from_symmetric,
 )
+
+# numpy with one OpenBLAS thread (see the module docstring).  The variable
+# is set for the import alone, so child processes inherit the caller's
+# environment.  Keep this the package's only numpy import: a copy that
+# imported numpy first thing in __init__ skipped this rule, and its
+# `import bruhatkit` peaked at 32.0 MB RSS against 28.7 MB.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 DEFAULT_ENUM_BUDGET = 10**8
 # the largest distance of a growth exponent from d_C that a property-D row

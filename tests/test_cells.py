@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from bruhatkit.cells import (
     BruhatFactorization,
     Flag,
+    _reconstructs,
     borel_order,
     bruhat_cell_rank_profile,
     bruhat_decompose,
@@ -515,12 +517,45 @@ def test_decompose_singular_at_column_k_matches_the_reference():
                 assert str(info.value) == str(ref.value)
 
 
+def _bumped(m, i, j, delta):
+    """m with delta added to entry (i, j)."""
+    rows = [list(row) for row in m.entries]
+    rows[i][j] += delta
+    return ExactMatrix(m.field, rows)
+
+
 def test_decompose_raises_when_the_factors_do_not_reconstruct(monkeypatch):
-    monkeypatch.setattr(BruhatFactorization, "product", lambda fact: fact.b1)
-    for field in (QQ, GF(7)):
+    # bruhat_decompose checks the factors it returns, so a factorization that
+    # comes out with one upper entry of b1 or b2 off must be rejected
+    for field, delta in ((QQ, Fraction(1, 7)), (GF(7), 1)):
         g = random_invertible(field, 4, random.Random(13))
-        with pytest.raises(IntegrityError, match="factorization failed to reconstruct the input"):
-            bruhat_decompose(g)
+        for factor in ("b1", "b2"):
+            def corrupted(w, w_rep, b1, b2, factor=factor, delta=delta):
+                fact = BruhatFactorization(w, w_rep, b1, b2)
+                return dataclasses.replace(fact, **{factor: _bumped(getattr(fact, factor), 0, 3, delta)})
+
+            monkeypatch.setattr("bruhatkit.cells.BruhatFactorization", corrupted)
+            with pytest.raises(IntegrityError, match="factorization failed to reconstruct the input"):
+                bruhat_decompose(g)
+        monkeypatch.undo()
+        assert bruhat_decompose(g).product() == g
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reconstruction_check_agrees_with_the_product(seed):
+    # over Q the check cross-multiplies integer vectors; the Fraction product
+    # is its oracle, on the factorizations and on mutants of one entry
+    rng = random.Random(seed)
+    for _ in range(10):
+        g = random_invertible(QQ, 5, rng)
+        fact = bruhat_decompose(g)
+        assert _reconstructs(fact, g) and fact.product() == g
+        factor = rng.choice(("b1", "b2"))
+        i = rng.randrange(5)
+        mutant = dataclasses.replace(fact, **{factor: _bumped(getattr(fact, factor), i, rng.randrange(i, 5),
+                                                               Fraction(1, 7))})
+        assert not _reconstructs(mutant, g)
+        assert mutant.product() != g
 
 
 @pytest.mark.parametrize("family, rank, q", [("A", 1, 2), ("A", 1, 3), ("A", 2, 2), ("A", 2, 3),

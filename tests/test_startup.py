@@ -1,0 +1,76 @@
+"""How bruhatkit starts numpy: with one OpenBLAS thread unless told otherwise.
+
+fflab imports numpy with OPENBLAS_NUM_THREADS=1 set for that import alone,
+when numpy is not imported yet and no BLAS thread variable is set.  Each
+test starts a fresh interpreter with a controlled environment and counts
+the threads in /proc/self/task right after the imports.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# off Linux there is no /proc/self/task; on one CPU OpenBLAS starts no worker
+counts_threads = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="needs Linux's /proc/self/task and at least 2 CPUs",
+)
+
+
+def _after(imports: str, **variables: str) -> tuple[int, dict]:
+    """(thread count, BLAS thread variables) of a fresh interpreter after
+    running `imports`, started with only the given BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=str(SRC))
+    probe = (f"{imports}\nimport json, os\n"
+             f"print(json.dumps([len(os.listdir('/proc/self/task')), "
+             f"{{k: os.environ.get(k) for k in {BLAS_THREAD_VARIABLES!r}}}]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    threads, seen = json.loads(proc.stdout)
+    return threads, seen
+
+
+@counts_threads
+def test_import_starts_no_blas_worker_and_restores_the_environment():
+    threads, seen = _after("import bruhatkit")
+    assert threads == 1
+    assert seen == dict.fromkeys(BLAS_THREAD_VARIABLES)
+
+
+@counts_threads
+@pytest.mark.parametrize("variable", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+def test_a_callers_thread_count_is_kept(variable):
+    threads, seen = _after("import bruhatkit", **{variable: "2"})
+    assert threads == _after("import numpy", **{variable: "2"})[0]
+    assert seen == {**dict.fromkeys(BLAS_THREAD_VARIABLES), variable: "2"}
+
+
+@counts_threads
+def test_numpy_imported_first_keeps_its_threads():
+    threads, seen = _after("import numpy\nimport bruhatkit")
+    assert threads == _after("import numpy")[0]
+    assert seen == dict.fromkeys(BLAS_THREAD_VARIABLES)
+
+
+# one BLAS thread costs nothing only while the package does no float work
+_FLOAT_WORK = re.compile(r"\blinalg\b|\bfloat(?:16|32|64|128)\b|\bnp\.float|\bnp\.double\b"
+                         r"|dtype\s*=\s*float\b|astype\(\s*float\b")
+
+
+def test_the_package_does_no_float_or_blas_work():
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((SRC / "bruhatkit").glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _FLOAT_WORK.search(line)
+    ]
+    assert not hits, "float or BLAS work in bruhatkit:\n" + "\n".join(hits)
