@@ -25,19 +25,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import IntegrityError, SingularMatrixError, check_budget
-from .exact import (
-    ExactMatrix,
-    PrimeField,
-    _clear_denominators,
-    _echelon_mod_p,
-    _integer_vector,
-    int_echelon,
-)
+from .exact import GF, ExactMatrix
 from .weyl import GroupSpec, WeylElement, signed_window_from_symmetric
 
 DEFAULT_CELL_BUDGET = 10**7
@@ -68,42 +59,24 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
     was cleared to its right.  So b1 = a * w_rep^-1, the columns of a put in
     window order, is upper unitriangular.
 
-    Both fields share the pass on integer columns: each column of a is held
-    as an integer vector v over one denominator d, as v / d.  Over Q it
-    starts from the column scaled by the lcm of its denominators, over GF(p)
-    from the residues with d = 1.  Scaling column j to pivot 1 only sets its
-    denominator to v[piv], and clearing column j2 by it gives
-    (v2 * pv - c * v) / (d2 * pv) with pv = v[piv] and c = v2[piv]; over Q
-    the gcd of that vector and its denominator is divided out, over GF(p)
-    everything is reduced mod p.  Field elements are made only for the
-    entries of b2 and b1: the field's zero and one where x is 0 or d, else
-    Fraction(x, d), or x * d^-1 mod p.  The factors are then checked against
-    g (_reconstructs).
+    The pass works on the field's integer form (see the exact module): each
+    column of a is held as an integer vector v over one denominator d, as
+    v / d, starting from the field's integers of the column.  Scaling column
+    j to pivot 1 only sets its denominator to v[piv], and clearing column j2
+    by it gives (v2 * pv - c * v) / (d2 * pv) with pv = v[piv] and
+    c = v2[piv], which the field then normalizes.  Field elements are made
+    only for the entries of b2 and b1: the field's zero and one where x is
+    0 or d, else the field's quotient x / d.  The factors are then checked
+    against g (_reconstructs).
     """
     if not g.is_square():
         raise ValueError("Bruhat decomposition needs a square matrix")
     f = g.field
     n = g.rows
-    if isinstance(f, PrimeField):
-        p = f.p
-        cols = [(list(col), 1) for col in zip(*g.entries)]
-
-        def reduce(v, d):
-            return [x % p for x in v], d % p
-
-        def quotient(x, d):
-            return x * pow(d, -1, p) % p
-    else:
-        cols = [_integer_vector(col) for col in zip(*g.entries)]
-
-        def reduce(v, d):
-            k = gcd(d, *v)
-            return ([x // k for x in v], d // k) if k != 1 else (v, d)
-
-        quotient = Fraction
+    cols = [f.integers(col) for col in zip(*g.entries)]
 
     def entry(x, d):
-        return f.zero if not x else f.one if x == d else quotient(x, d)
+        return f.zero if not x else f.one if x == d else f.quotient(x, d)
 
     b2 = [[f.zero] * n for _ in range(n)]
     used = [False] * n
@@ -129,7 +102,7 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
             c = v2[piv]
             if c:
                 # v2 / d2 - (c / d2) * (v / pv)
-                cols[j2] = reduce([x * pv - c * y for x, y in zip(v2, v)], d2 * pv)
+                cols[j2] = f.normalized([x * pv - c * y for x, y in zip(v2, v)], d2 * pv)
     w = WeylElement(GroupSpec("A", n - 1), tuple(window))
     w_rep = ExactMatrix.permutation(f, window)
     # b1 = a * w_rep^-1 moves column j of a to column window[j]
@@ -144,23 +117,22 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
 def _reconstructs(fact: BruhatFactorization, g: ExactMatrix) -> bool:
     """Whether b1 * w_rep * b2 == g, with w_rep the permutation matrix of w.
 
-    Over GF(p) this is the mod-p product.  Over Q no Fraction is made: row i
-    of b1 * w_rep (row i of b1 with its columns put in window order) is an
-    integer vector v1 over one denominator d1, column j of b2 is v2 / d2 and
-    row i of g is gn / dg, so entry (i, j) holds when
-    gn[j] * d1 * d2 == dg * (v1 . v2).
+    No field element is made: in the field's integer form, row i of
+    b1 * w_rep (row i of b1 with its columns put in window order) is
+    v1 / d1, column j of b2 is v2 / d2 and row i of g is gn / dg, so entry
+    (i, j) holds when the field takes gn[j] * d1 * d2 and dg * (v1 . v2) for
+    the same element.
     """
-    if isinstance(g.field, PrimeField):
-        return fact.product() == g
+    f = g.field
     window = fact.w.window
     rows1 = []
     for row in fact.b1.entries:
-        v, d = _integer_vector(row)
+        v, d = f.integers(row)
         rows1.append(([v[k - 1] for k in window], d))
-    cols2 = [_integer_vector(col) for col in zip(*fact.b2.entries)]
+    cols2 = [f.integers(col) for col in zip(*fact.b2.entries)]
     return all(
-        gn[j] * d1 * d2 == dg * sum(map(mul, v1, v2))
-        for (gn, dg), (v1, d1) in zip(map(_integer_vector, g.entries), rows1)
+        f.same(gn[j] * d1 * d2, dg * sum(map(mul, v1, v2)))
+        for (gn, dg), (v1, d1) in zip(map(f.integers, g.entries), rows1)
         for j, (v2, d2) in enumerate(cols2)
     )
 
@@ -174,29 +146,19 @@ def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:
 
     Each row start i takes one echelon of rows i..n, left to right, which
     gives every rank of that row block at once: the rank of its leading j
-    columns is the number of pivot columns before column j.  Over Q the
-    denominators are cleared once, each row of g scaled to integers by the
-    lcm of its denominators; scaling a row by a nonzero number keeps the
-    rank of every submatrix, so the echelon is int_echelon on the integer
-    rows.  Over GF(p) it is _echelon_mod_p.
+    columns is the number of pivot columns before column j.  The rows of g
+    are put in the field's integer form once, which scales each by a nonzero
+    number and so keeps the rank of every submatrix, and each echelon is the
+    field's echelon of integer rows.
     """
     if not g.is_square():
         raise ValueError("rank profile needs a square matrix")
     n = g.rows
-    if isinstance(g.field, PrimeField):
-        p = g.field.p
-        rows = g.entries
-
-        def pivots(block):
-            return _echelon_mod_p(block, p)[2]
-    else:
-        rows = _clear_denominators(g.entries)[0]
-
-        def pivots(block):
-            return int_echelon(block)[2]
+    f = g.field
+    rows = [f.integers(row)[0] for row in g.entries]
     ranks = [[0] * (n + 1) for _ in range(n + 2)]
     for i in range(n, 0, -1):
-        cols = pivots(rows[i - 1:])
+        cols = f.echelon(rows[i - 1:])[2]
         ranks[i] = [sum(c < j for c in cols) for j in range(n + 1)]
     if ranks[1][n] != n:
         raise SingularMatrixError("matrix is singular: full rank profile missing")
@@ -459,7 +421,7 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
     multiplied by b once, mod q, and each element is assembled from those
     images.
     """
-    field = PrimeField(q)
+    field = GF(q)
     size = cell_order(w, q)
     check_budget(size, budget, f"cell of {w} over GF({q}) has {size} elements")
     if w.spec.family == "A":

@@ -14,18 +14,31 @@ transposes, submatrices) hold reduced entries already, so they are built
 without the entry coercion and shape checks of ExactMatrix(field, entries),
 which every other matrix still passes through.
 
-Elimination over Q is fraction-free: rows are scaled to integers and
-determinants and ranks come from one fraction-free (one-step Bareiss)
-echelon pass, int_echelon, which keeps intermediate entries polynomially
-bounded.  Over GF(p) the same pass is plain modular arithmetic
-(_echelon_mod_p), which can also return a nullspace basis.
+Each field also owns its integer form, so that exact elimination is
+written once for both fields.  A vector of field elements is held as an
+integer vector v over one denominator d, standing for v / d:
+  integers(xs)      (v, d) for the elements xs: over Q v = d * xs with d
+                    the lcm of their denominators, over GF(p) the residues
+                    over d = 1;
+  normalized(v, d)  the same value with smaller integers: over Q the gcd of
+                    v and d divided out, over GF(p) everything reduced mod p;
+  quotient(x, d)    the field element x / d: Fraction(x, d) over Q,
+                    x * d^-1 mod p over GF(p);
+  same(a, b)        whether the integers a and b stand for the same element:
+                    a == b over Q, a = b mod p over GF(p);
+  echelon(rows)     (rank, det, pivots) of integer rows, read in the field.
+Over Q the echelon is one fraction-free (one-step Bareiss) pass, int_echelon,
+which keeps intermediate entries polynomially bounded; scaling a row by a
+nonzero number keeps the rank of every submatrix.  Over GF(p) the same pass
+is plain modular arithmetic (_echelon_mod_p), which can also return a
+nullspace basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import SingularMatrixError
@@ -129,6 +142,25 @@ class RationalField:
     def to_json(self):
         return "Q"
 
+    # the integer form (module docstring)
+    def integers(self, xs) -> tuple[list[int], int]:
+        d = lcm(*(x.denominator for x in xs))
+        if d == 1:
+            return [x.numerator for x in xs], 1
+        return [x.numerator * (d // x.denominator) for x in xs], d
+
+    def normalized(self, v, d) -> tuple[list[int], int]:
+        k = gcd(d, *v)
+        return ([x // k for x in v], d // k) if k != 1 else (v, d)
+
+    quotient = Fraction
+
+    def same(self, a: int, b: int) -> bool:
+        return a == b
+
+    def echelon(self, rows):
+        return int_echelon(rows)
+
 
 class PrimeField:
     """GF(p) for a prime p < 2^31; elements are residues 0..p-1."""
@@ -182,6 +214,23 @@ class PrimeField:
 
     def to_json(self):
         return {"p": self.p}
+
+    # the integer form (module docstring)
+    def integers(self, xs) -> tuple[list[int], int]:
+        return list(xs), 1
+
+    def normalized(self, v, d) -> tuple[list[int], int]:
+        p = self.p
+        return [x % p for x in v], d % p
+
+    def quotient(self, x: int, d: int) -> int:
+        return x * pow(d, -1, self.p) % self.p
+
+    def same(self, a: int, b: int) -> bool:
+        return (a - b) % self.p == 0
+
+    def echelon(self, rows):
+        return _echelon_mod_p(rows, self.p)
 
 
 QQ = RationalField()
@@ -281,10 +330,10 @@ class ExactMatrix:
             cols = list(zip(*other.entries))
             out = tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in self.entries])
         else:
-            cols = [_integer_vector(col) for col in zip(*other.entries)]
+            cols = [f.integers(col) for col in zip(*other.entries)]
             out = tuple(
                 tuple(Fraction(sum(map(mul, row, col)), den * col_den) for col, col_den in cols)
-                for row, den in map(_integer_vector, self.entries)
+                for row, den in map(f.integers, self.entries)
             )
         return ExactMatrix._reduced(f, out)
 
@@ -333,16 +382,13 @@ class ExactMatrix:
     def det(self):
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        if isinstance(self.field, PrimeField):
-            return _echelon_mod_p(self.entries, self.field.p)[1]
-        int_rows, scale = _clear_denominators(self.entries)
-        return Fraction(int_echelon(int_rows)[1], scale)
+        f = self.field
+        rows, dens = zip(*map(f.integers, self.entries))
+        return f.quotient(f.echelon(rows)[1], prod(dens))
 
     def rank(self) -> int:
-        if isinstance(self.field, PrimeField):
-            return _echelon_mod_p(self.entries, self.field.p)[0]
-        int_rows, _ = _clear_denominators(self.entries)
-        return int_echelon(int_rows)[0]
+        f = self.field
+        return f.echelon([f.integers(row)[0] for row in self.entries])[0]
 
     def inverse(self) -> "ExactMatrix":
         """Gauss-Jordan inverse; raises SingularMatrixError on singular input."""
@@ -449,26 +495,6 @@ def int_echelon(rows: list[list[int]]) -> tuple[int, int, list[int]]:
         if r == nr:
             break
     return r, sign * prev if r == nr == nc else 0, pivot_cols
-
-
-def _integer_vector(xs) -> tuple[list[int], int]:
-    """(v, d) with v = d * xs an integer vector and d the lcm of the
-    denominators of the rationals xs."""
-    d = lcm(*(x.denominator for x in xs))
-    if d == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _clear_denominators(entries) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; returns (rows, product of the scalings)."""
-    out = []
-    scale = 1
-    for row in entries:
-        row, d = _integer_vector(row)
-        out.append(row)
-        scale *= d
-    return out, scale
 
 
 def _echelon_mod_p(entries, p: int, nullspace: bool = False):

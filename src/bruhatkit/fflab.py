@@ -1063,9 +1063,11 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     Jordan types and the first hit the spot checks sample.  The census
     budget and the cell budget, which bounds |B|, are checked before the
     classes are listed; then one Borel grid is built, which the walk and the
-    spot checks share.  The whole-group order check is reported as skipped
-    rather than pretended.  The report's ``ok`` covers the class matches
-    (unless q is a bad prime), the integrity checks and the spot checks.
+    spot checks share.  The table method checks the cell budget before it
+    enumerates the group, as its spot checks build a Borel grid too.  The
+    whole-group order check is reported as skipped rather than pretended.
+    The report's ``ok`` covers the class matches (unless q is a bad prime),
+    the integrity checks and the spot checks.
     """
     advisory = _admit(kind, q, allow_bad_prime)
     if method not in ("auto", "table", "cells"):
@@ -1074,8 +1076,8 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         method = "table" if kind.order(q) <= min(budget, _TABLE_THRESHOLD) else "cells"
     if method == "cells":
         _check_census_budget(kind, q, budget)
-        _check_grid_budget(kind, q, cell_budget)
-    else:
+    _check_grid_budget(kind, q, cell_budget)
+    if method == "table":
         table = enumerate_group(kind, q, budget=budget)
     classes = conjugacy_classes(kind.weyl_spec, rank_cap=rank_cap)
 
@@ -1193,24 +1195,26 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, 
     under two-sided Borel moves (drawn from the grid ``borel``) and Jordan
     types under Borel conjugation.  The samples are the first unipotent
     element of each minimal slice that has one (``first_hits``, by window),
-    in class order, then by window."""
+    in class order, then by window.  All samples are drawn first; then the
+    windows of the moved samples come from one kernel call, and the types of
+    the samples and of their conjugates from one."""
     rng = random.Random(seed)
     samples = [(w.window, first_hits[w.window]) for cls in classes
                for w in cls.min_elements if w.window in first_hits]
-    records = []
-    for _ in range(count):
-        window, g = samples[rng.randrange(len(samples))]
-        b1 = borel[rng.randrange(len(borel))]
-        b2 = borel[rng.randrange(len(borel))]
-        moved = (b1 @ g % q) @ b2 % q
-        cell_ok = _cell_windows(kind, moved[None], q)[0] == window
-        h = borel[rng.randrange(len(borel))]
-        conj = (h @ g % q) @ _inv_mod_p(h, q) % q
-        before, after = _jordan_types_mod_p(np.stack([g, conj]), q)
-        jt_ok = before == after
-        records.append({"w": list(window), "cell_stable": bool(cell_ok), "type_stable": bool(jt_ok)})
+    # each draw is a sample, two Borel moves and a Borel conjugator, in turn
+    sizes = (len(samples), len(borel), len(borel), len(borel))
+    at, b1, b2, h = np.array([[rng.randrange(n) for n in sizes] for _ in range(count)]).T
+    windows = [samples[i][0] for i in at]
+    picked = np.stack([samples[i][1] for i in at])
+    moved = (borel[b1] @ picked % q) @ borel[b2] % q
+    conjugates = (borel[h] @ picked % q) @ np.stack([_inv_mod_p(x, q) for x in borel[h]]) % q
+    types = _jordan_types_mod_p(np.concatenate([picked, conjugates]), q)
+    cell_ok = [a == b for a, b in zip(_cell_windows(kind, moved, q), windows)]
+    jt_ok = [a == b for a, b in zip(types[:count], types[count:])]
+    records = [{"w": list(window), "cell_stable": c, "type_stable": t}
+               for window, c, t in zip(windows, cell_ok, jt_ok)]
     return {"seed": seed, "count": count, "conjugators": "borel", "records": records,
-            "ok": all(r["cell_stable"] and r["type_stable"] for r in records)}
+            "ok": all(cell_ok) and all(jt_ok)}
 
 
 @dataclass(frozen=True)

@@ -543,19 +543,20 @@ def test_decompose_raises_when_the_factors_do_not_reconstruct(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_reconstruction_check_agrees_with_the_product(seed):
-    # over Q the check cross-multiplies integer vectors; the Fraction product
-    # is its oracle, on the factorizations and on mutants of one entry
+    # the check cross-multiplies the fields' integer vectors; the matrix
+    # product is its oracle, on the factorizations and on mutants of one entry
     rng = random.Random(seed)
-    for _ in range(10):
-        g = random_invertible(QQ, 5, rng)
-        fact = bruhat_decompose(g)
-        assert _reconstructs(fact, g) and fact.product() == g
-        factor = rng.choice(("b1", "b2"))
-        i = rng.randrange(5)
-        mutant = dataclasses.replace(fact, **{factor: _bumped(getattr(fact, factor), i, rng.randrange(i, 5),
-                                                               Fraction(1, 7))})
-        assert not _reconstructs(mutant, g)
-        assert mutant.product() != g
+    for field, delta in ((QQ, Fraction(1, 7)), (GF(2), 1), (GF(7), 1)):
+        for _ in range(10):
+            g = random_invertible(field, 5, rng)
+            fact = bruhat_decompose(g)
+            assert _reconstructs(fact, g) and fact.product() == g
+            factor = rng.choice(("b1", "b2"))
+            i = rng.randrange(5)
+            mutant = dataclasses.replace(fact, **{factor: _bumped(getattr(fact, factor), i,
+                                                                   rng.randrange(i, 5), delta)})
+            assert not _reconstructs(mutant, g)
+            assert mutant.product() != g
 
 
 @pytest.mark.parametrize("family, rank, q", [("A", 1, 2), ("A", 1, 3), ("A", 2, 2), ("A", 2, 3),

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +291,59 @@ def test_constructor_and_arithmetic_reject_bad_shapes():
                 op(wide)
         with pytest.raises(ValueError, match="shape mismatch"):
             wide * m
+
+
+# ---------------------------------------------------------------------------
+# the integer form of each field against determinant and minor oracles
+
+FORM_FIELDS = (QQ, GF(2), GF(7))
+# odd and prime to 7, so nonzero in every field of FORM_FIELDS
+SCALES = st.sampled_from([1, -1, 3, -5, 9, 2**31 - 1])
+
+
+def _leibniz(field, rows):
+    # the determinant as a sum over permutations, reduced in the field
+    n = len(rows)
+    return _naive(field, sum(
+        (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        * prod(rows[i][perm[i]] for i in range(n))
+        for perm in itertools.permutations(range(n))))
+
+
+def _minor_rank(field, rows):
+    # the largest k with a nonzero k x k minor
+    return max((k for k in range(1, min(len(rows), len(rows[0])) + 1)
+                if any(_leibniz(field, [[rows[i][j] for j in cols] for i in rws])
+                       for rws in itertools.combinations(range(len(rows)), k)
+                       for cols in itertools.combinations(range(len(rows[0])), k))), default=0)
+
+
+@st.composite
+def integer_forms(draw):
+    """A field of FORM_FIELDS, a k x m matrix over it and a scale nonzero in it."""
+    field = draw(st.sampled_from(FORM_FIELDS))
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return field, ExactMatrix(field, draw(_grid(_entries(field), k, m))), draw(SCALES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_forms())
+def test_the_integer_form_keeps_each_value(case):
+    field, m, c = case
+    forms = [field.integers(row) for row in m.entries]
+    for row, (v, d) in zip(m.entries, forms):
+        assert [field.quotient(x, d) for x in v] == list(row)
+        # normalized keeps v / d, from a scaled copy too, in a reduced form
+        for w, e in (field.normalized(v, d), field.normalized([c * x for x in v], c * d)):
+            assert [field.quotient(x, e) for x in w] == list(row)
+            if field == QQ:
+                assert gcd(e, *w) == 1
+            else:
+                assert all(0 <= x < field.p for x in (*w, e))
+            # cross-multiplied integers agree exactly where the entries do
+            assert [[field.same(x * e, y * d) for y in w] for x in v] == [
+                [a == b for b in row] for a in row]
+    rank, det, pivots = field.echelon([v for v, _ in forms])
+    assert rank == len(pivots) == _minor_rank(field, m.entries) == m.rank()
+    if m.is_square():
+        assert field.quotient(det, prod(d for _, d in forms)) == _leibniz(field, m.entries) == m.det()

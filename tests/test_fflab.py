@@ -381,7 +381,7 @@ def _no_work_before_the_budget_checks(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the budget checks")
 
-    for name in ("_slice_unipotents", "conjugacy_classes", "borel_grid"):
+    for name in ("_slice_unipotents", "conjugacy_classes", "borel_grid", "enumerate_group"):
         monkeypatch.setattr(fflab, name, no_work)
 
 
@@ -422,6 +422,11 @@ def test_grid_budget_is_checked_before_any_work(monkeypatch):
     with pytest.raises(BudgetError) as info:
         verify_theorem_a(kind, 5, cell_budget=1000)
     assert str(info.value) == message
+    # the table run's spot checks build a grid too: SL_3(F_5) is enumerated
+    # outright, and its |B| = 2000 is checked before the group closure
+    with pytest.raises(BudgetError) as info:
+        verify_theorem_a(parse_kind("sl", 3), 5, cell_budget=1000)
+    assert str(info.value) == "Borel grid of SL(3)/GF(5) holds |B| = 2000 matrices, over budget 1000"
 
 
 def test_drivers_build_one_grid_per_prime_and_free_it(monkeypatch):

@@ -6,6 +6,7 @@ test starts a fresh interpreter with a controlled environment and counts
 the threads in /proc/self/task right after the imports.
 """
 
+import ast
 import json
 import os
 import re
@@ -74,3 +75,22 @@ def test_the_package_does_no_float_or_blas_work():
         if _FLOAT_WORK.search(line)
     ]
     assert not hits, "float or BLAS work in bruhatkit:\n" + "\n".join(hits)
+
+
+def test_cells_leaves_the_field_to_exact():
+    # how each field's entries become integers and come back lives behind
+    # the field classes of exact; cells names no field type and no private
+    # name of exact
+    text = (SRC / "bruhatkit" / "cells.py").read_text()
+    assert not re.search(r"\b(?:PrimeField|RationalField)\b", text)
+    nodes = list(ast.walk(ast.parse(text)))
+    private = [
+        alias.name for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.module in ("exact", "bruhatkit.exact")
+        for alias in node.names if alias.name.startswith("_")
+    ] + [
+        node.attr for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "exact" and node.attr.startswith("_")
+    ]
+    assert not private, f"cells.py uses private names of exact: {private}"
