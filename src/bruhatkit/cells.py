@@ -29,7 +29,7 @@ from operator import mul
 
 from .errors import IntegrityError, SingularMatrixError, check_budget
 from .exact import GF, ExactMatrix
-from .weyl import GroupSpec, WeylElement, signed_window_from_symmetric
+from .weyl import GroupSpec, WeylElement, symplectic_signed_window
 
 DEFAULT_CELL_BUDGET = 10**7
 
@@ -239,18 +239,13 @@ def symplectic_membership(g: ExactMatrix, form: ExactMatrix | None = None) -> bo
 def sp_bruhat_decompose(g: ExactMatrix) -> WeylElement:
     """The signed-permutation cell of a symplectic matrix.
 
-    Extracts the GL cell of g and converts the window through the embedding;
-    a symplectic matrix whose GL cell fell outside the embedded group would
-    falsify the setup, so that raises IntegrityError rather than returning.
+    Extracts the GL cell of g and converts the window through the embedding
+    (weyl.symplectic_signed_window, which raises IntegrityError for a window
+    outside the embedded group).
     """
     if not symplectic_membership(g):
         raise ValueError("matrix does not preserve the symplectic form")
-    window = bruhat_decompose(g).w.window
-    signed = signed_window_from_symmetric(window)
-    if signed is None:
-        raise IntegrityError(
-            f"symplectic matrix landed in GL cell {window}, outside the embedded group"
-        )
+    signed = symplectic_signed_window(bruhat_decompose(g).w.window)
     return WeylElement(GroupSpec("BC", g.rows // 2), signed)
 
 

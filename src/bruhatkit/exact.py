@@ -23,15 +23,20 @@ integer vector v over one denominator d, standing for v / d:
   normalized(v, d)  the same value with smaller integers: over Q the gcd of
                     v and d divided out, over GF(p) everything reduced mod p;
   quotient(x, d)    the field element x / d: Fraction(x, d) over Q,
-                    x * d^-1 mod p over GF(p);
+                    x * d^-1 mod p over GF(p); quotients(v, d) does a whole
+                    vector, over GF(p) with one inverse;
   same(a, b)        whether the integers a and b stand for the same element:
                     a == b over Q, a = b mod p over GF(p);
-  echelon(rows)     (rank, det, pivots) of integer rows, read in the field.
-Over Q the echelon is one fraction-free (one-step Bareiss) pass, int_echelon,
-which keeps intermediate entries polynomially bounded; scaling a row by a
-nonzero number keeps the rank of every submatrix.  Over GF(p) the same pass
-is plain modular arithmetic (_echelon_mod_p), which can also return a
-nullspace basis.
+  echelon(rows)     (rank, det, pivots) of integer rows, read in the field;
+  reduced_echelon(rows)
+                    (rank, det, pivots, rows, scale) of the reduced pass;
+  nullspace(rows)   a basis of the solutions x of rows . x = 0.
+All three are one fraction-free pass, _echelon, given the field's modulus:
+Bareiss's elimination over Q, and over GF(p) the pivot rows scaled to 1.
+The reduced pass clears the rows above each pivot too, leaving each pivot
+equal to one scale, so the nullspace and ExactMatrix.inverse (of the rows
+[v_i | d_i e_i]) are read off with quotients(x, scale).  Scaling a row by a
+nonzero number keeps the rank of every submatrix.
 """
 
 from __future__ import annotations
@@ -90,7 +95,33 @@ def integer_root(n: int, k: int) -> int:
         x = y
 
 
-class RationalField:
+class _Field:
+    """The elimination both fields share: each passes its modulus, None over Q."""
+
+    modulus = None
+
+    def echelon(self, rows) -> tuple[int, int, list[int]]:
+        return _echelon(rows, self.modulus)[:3]
+
+    def reduced_echelon(self, rows):
+        return _echelon(rows, self.modulus, reduced=True)
+
+    def nullspace(self, rows) -> list[list]:
+        """One solution x of rows . x = 0 per free column f, in order of f:
+        x_f = 1, 0 at the other free columns, and at the pivot column of
+        reduced row i minus that row's entry f over the scale."""
+        _, _, pivots, m, scale = self.reduced_echelon(rows)
+        basis = []
+        for f in sorted(set(range(len(m[0]))) - set(pivots)):
+            x = [0] * len(m[0])
+            x[f] = scale
+            for row, c in zip(m, pivots):
+                x[c] = -row[f]
+            basis.append(self.quotients(x, scale))
+        return basis
+
+
+class RationalField(_Field):
     """The field of rationals; a stateless singleton (see QQ)."""
 
     name = "Q"
@@ -155,20 +186,20 @@ class RationalField:
 
     quotient = Fraction
 
+    def quotients(self, v, d) -> list[Fraction]:
+        return [Fraction(x, d) for x in v]
+
     def same(self, a: int, b: int) -> bool:
         return a == b
 
-    def echelon(self, rows):
-        return int_echelon(rows)
 
-
-class PrimeField:
+class PrimeField(_Field):
     """GF(p) for a prime p < 2^31; elements are residues 0..p-1."""
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= _MAX_PRIME or not is_prime(p):
             raise ValueError(f"p must be a prime below 2^31, got {p}")
-        self.p = p
+        self.p = self.modulus = p
         self.name = f"GF({p})"
         self.zero = 0
         self.one = 1 % p
@@ -226,11 +257,13 @@ class PrimeField:
     def quotient(self, x: int, d: int) -> int:
         return x * pow(d, -1, self.p) % self.p
 
+    def quotients(self, v, d) -> list[int]:
+        p = self.p
+        inv = pow(d, -1, p)
+        return [x * inv % p for x in v]
+
     def same(self, a: int, b: int) -> bool:
         return (a - b) % self.p == 0
-
-    def echelon(self, rows):
-        return _echelon_mod_p(rows, self.p)
 
 
 QQ = RationalField()
@@ -391,30 +424,23 @@ class ExactMatrix:
         return f.echelon([f.integers(row)[0] for row in self.entries])[0]
 
     def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse; raises SingularMatrixError on singular input."""
+        """The reduced pass over the rows [v_i | d_i e_i], which are the rows
+        of [self | 1] in the integer form, leaves scale * [1 | self^-1];
+        raises SingularMatrixError, naming the first column without a
+        pivot, on singular input."""
         if not self.is_square():
             raise ValueError("inverse needs a square matrix")
         f = self.field
         n = self.rows
-        work = [list(row) + list(ident_row) for row, ident_row in zip(self.entries, ExactMatrix.identity(f, n).entries)]
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if work[i][col] != f.zero:
-                    piv = i
-                    break
-            if piv is None:
-                raise SingularMatrixError(
-                    f"matrix is singular: no nonzero pivot in column {col + 1}", column=col + 1
-                )
-            work[col], work[piv] = work[piv], work[col]
-            inv_piv = f.inv(work[col][col])
-            work[col] = [f.mul(inv_piv, x) for x in work[col]]
-            for i in range(n):
-                if i != col and work[i][col] != f.zero:
-                    c = work[i][col]
-                    work[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(work[i], work[col])]
-        return ExactMatrix(f, [row[n:] for row in work])
+        rows = [v + [d if j == i else 0 for j in range(n)]
+                for i, (v, d) in enumerate(map(f.integers, self.entries))]
+        _, _, pivots, m, scale = f.reduced_echelon(rows)
+        col = next((j for j, c in enumerate(pivots) if c != j), n)
+        if col < n:
+            raise SingularMatrixError(
+                f"matrix is singular: no nonzero pivot in column {col + 1}", column=col + 1
+            )
+        return ExactMatrix._reduced(f, tuple(tuple(f.quotients(row[n:], scale)) for row in m))
 
     def to_json(self):
         return {
@@ -460,21 +486,24 @@ def matrix_from_json(obj) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# integer fraction-free elimination
+# the exact elimination
 
 
-def int_echelon(rows: list[list[int]]) -> tuple[int, int, list[int]]:
-    """One-step fraction-free row echelon form of an integer matrix:
-    (rank, det, pivots), where det is 0 unless the matrix is square and of
-    full rank, and pivots lists the pivot columns from left to right, so
-    that the rank of the leading j columns is the number of pivots below j.
-    Every division is exact (Sylvester's identity)."""
-    m = [list(r) for r in rows]
+def _echelon(rows, p: int | None = None, reduced: bool = False):
+    """(rank, det, pivots, rows, scale) of integer rows over Q (p None) or
+    GF(p): det is 0 unless the matrix is square and of full rank, pivots
+    are the pivot columns from left to right (the rank of the leading j
+    columns is the number of pivots below j), and row i of rows holds pivot
+    column pivots[i].  Over Q a step is Bareiss's m[i][j] <- (m[i][j] *
+    pivot - m[i][c] * m[r][j]) / prev, prev the pivot before, each division
+    exact (Sylvester's identity) and det the last pivot up to sign; over
+    GF(p) det is the signed product of the pivots.  With ``reduced`` the
+    rows above each pivot are cleared too, and every pivot entry equals
+    ``scale``: the last pivot over Q, 1 over GF(p)."""
+    m = [[x % p for x in row] for row in rows] if p else [list(row) for row in rows]
     nr, nc = len(m), len(m[0])
-    r = 0
-    sign = 1
-    prev = 1
-    pivot_cols = []
+    r, sign, det, prev = 0, 1, 1, 1
+    pivots = []
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
@@ -482,66 +511,40 @@ def int_echelon(rows: list[list[int]]) -> tuple[int, int, list[int]]:
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        pivot = m[r][c]
-        for i in range(r + 1, nr):
-            factor = m[i][c]
-            for j in range(c + 1, nc):
-                q, rem = divmod(m[i][j] * pivot - factor * m[r][j], prev)
-                assert rem == 0
-                m[i][j] = q
+        top = m[r]
+        pivot = top[c]
+        rest = range(0 if reduced else r + 1, nr)
+        if p:
+            det = det * pivot % p
+            if pivot != 1:
+                inv = pow(pivot, -1, p)
+                top[c:] = [x * inv % p for x in top[c:]]
+            # the pivot row is 0 left of column c, so only columns c.. change
+            tail = top[c:] if c else top
+            for i in rest:
+                row = m[i]
+                factor = row[c]
+                if factor and i != r:
+                    row[c:] = [(x - factor * y) % p for x, y in zip(row[c:] if c else row, tail)]
+        else:
+            for i in rest:
+                if i == r:
+                    continue
+                row = m[i]
+                factor = row[c]
+                # a row above the pivot is scaled by pivot / prev from column 0
+                for j in range(c + 1 if i > r else 0, nc):
+                    q, rem = divmod(row[j] * pivot - factor * top[j], prev)
+                    assert rem == 0
+                    row[j] = q
+                row[c] = 0
         prev = pivot
-        pivot_cols.append(c)
+        pivots.append(c)
         r += 1
         if r == nr:
             break
-    return r, sign * prev if r == nr == nc else 0, pivot_cols
-
-
-def _echelon_mod_p(entries, p: int, nullspace: bool = False):
-    """Row echelon form mod p: (rank, det, pivots), where det is 0 unless the
-    matrix is square and of full rank, and pivots lists the pivot columns
-    from left to right, as in int_echelon.
-
-    With ``nullspace`` the pass goes on to the reduced form (each pivot row
-    scaled to 1 and cleared out of the rows above too) and returns (rank,
-    det, pivots, basis): one vector x with m x = 0 per free column f, x_f = 1 and
-    x_c = -m[i][f] at the pivot column c of row i, in order of f."""
-    m = [list(r) for r in entries]
-    nr, nc = len(m), len(m[0])
-    r = 0
-    det = 1
-    pivot_cols = []
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det = det * m[r][c] % p
-        inv = pow(m[r][c], -1, p)
-        if nullspace:
-            m[r] = [a * inv % p for a in m[r]]
-            inv = 1
-        for i in range(0 if nullspace else r + 1, nr):
-            factor = m[i][c] * inv % p
-            if factor and i != r:
-                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    det = det if r == nr == nc else 0
-    if not nullspace:
-        return r, det, pivot_cols
-    basis = []
-    for f in sorted(set(range(nc)) - set(pivot_cols)):
-        x = [0] * nc
-        x[f] = 1
-        for i, c in enumerate(pivot_cols):
-            x[c] = -m[i][f] % p
-        basis.append(x)
-    return r, det, pivot_cols, basis
+    det = (sign * det % p if p else sign * prev) if r == nr == nc else 0
+    return r, det, pivots, m, 1 if p else prev
 
 
 def random_invertible(field, n: int, rng, entry_pool=None) -> ExactMatrix:

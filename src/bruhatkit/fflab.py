@@ -83,7 +83,7 @@ a direct commuting scan of B, is its oracle in the tests.
 
 Centralizers in G take one of two routes.  Z_G(g) is the part of G in the
 commutant {X : X g = g X}, a linear space of some dimension k whose basis
-is one n^2 x n^2 nullspace mod p (exact._echelon_mod_p); its q^k members
+is one n^2 x n^2 nullspace mod p (GF(p).nullspace); its q^k members
 are enumerated in numpy batches and kept when in G (X^T J X = J for Sp, det
 1 for SL).  b is G-conjugate to g when some X in G solves X g = b X, a space
 of the same kind.  This route is taken when q^(2k) <= |G|, so that the q^k
@@ -127,9 +127,9 @@ from .cells import (
     symplectic_form,
 )
 from .errors import IntegrityError, SingularMatrixError, check_budget
-from .exact import ExactMatrix, GF, _echelon_mod_p, is_prime
+from .exact import ExactMatrix, GF, is_prime
 from .partitions import Partition, dominance_leq, partitions_of
-from .phimap import phi
+from .phimap import PhiRow, phi
 from .weyl import (
     DEFAULT_RANK_CAP,
     ConjugacyClass,
@@ -138,7 +138,7 @@ from .weyl import (
     chevalley_order,
     conjugacy_classes,
     gl_order,
-    signed_window_from_symmetric,
+    symplectic_signed_window,
 )
 
 # numpy with one OpenBLAS thread (see the module docstring).  The variable
@@ -623,11 +623,7 @@ def _distinct_cell_windows(kind: GroupKind, stack: np.ndarray, q: int
     distinct, inverse = _distinct_rows(pivots + 1)
     windows = [tuple(w) for w in distinct.tolist()]
     if kind.family == "Sp":
-        signed = [signed_window_from_symmetric(w) for w in windows]
-        if None in signed:
-            outside = windows[signed.index(None)]
-            raise IntegrityError(f"symplectic element in GL cell {outside}, outside the embedded group")
-        windows = signed
+        windows = [symplectic_signed_window(w) for w in windows]
     return windows, inverse
 
 
@@ -908,8 +904,8 @@ def _commutant(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     is kron(1, a^T) - kron(b, 1), one n^2 x n^2 matrix."""
     n = len(a)
     eye = np.eye(n, dtype=np.int64)
-    system = (np.kron(eye, a.T) - np.kron(b, eye)) % p
-    basis = _echelon_mod_p(system.tolist(), p, nullspace=True)[3]
+    system = np.kron(eye, a.T) - np.kron(b, eye)
+    basis = GF(p).nullspace(system.tolist())
     return np.array(basis, dtype=np.int64).reshape(-1, n, n)
 
 
@@ -1099,7 +1095,7 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     class_rows = []
     all_match = True
     for cls in classes:
-        target = phi(cls).jordan_type
+        image = phi(cls)
         cells = []
         minima = []
         for w in cls.min_elements:
@@ -1118,20 +1114,11 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
         match = (
             all(m is not None for m in minima)
             and len({m.parts for m in minima}) == 1
-            and minima[0] == target
+            and minima[0] == image.jordan_type
         )
         all_match = all_match and match
-        class_rows.append(
-            {
-                "class_label": cls.label_json(),
-                "size": cls.size,
-                "d_C": cls.min_length,
-                "elliptic": cls.elliptic,
-                "phi": target.to_json(),
-                "cells": cells,
-                "match": match,
-            }
-        )
+        # the class columns are phimap's table row, so the class format lives there
+        class_rows.append({**PhiRow(cls, image).to_json(), "cells": cells, "match": match})
     integrity = {
         "order_check": order_check,
         "unipotent_count_check": {

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import IntegrityError
-from .exact import PRIME_TEST_BOUND, int_echelon, integer_root, is_prime
+from .exact import PRIME_TEST_BOUND, QQ, integer_root, is_prime
 from .partitions import Partition
 from .polynomial import Poly
 
@@ -252,7 +252,7 @@ class WeylElement:
         rows = [list(row) for row in mat]
         for i in range(len(rows)):
             rows[i][i] -= 1
-        return int_echelon(rows)[1] != 0
+        return QQ.echelon(rows)[1] != 0
 
     def cycle_type(self) -> Partition:
         """Cycle type of a family-A element, as a partition of the degree."""
@@ -288,6 +288,16 @@ def signed_window_from_symmetric(window: tuple[int, ...]) -> tuple[int, ...] | N
     n = len(window) // 2
     signed = tuple(v if v <= n else v - 2 * n - 1 for v in window[:n])
     return signed if _embed(signed) == tuple(window) else None
+
+
+def symplectic_signed_window(window: tuple[int, ...]) -> tuple[int, ...]:
+    """The signed window of a symplectic matrix's GL_2n cell window.  The
+    GL cell of a symplectic matrix always lies in the embedded group, so a
+    window outside it falsifies the setup and raises IntegrityError."""
+    signed = signed_window_from_symmetric(window)
+    if signed is None:
+        raise IntegrityError(f"symplectic element in GL cell {window}, outside the embedded group")
+    return signed
 
 
 class ConjugacyClass:

@@ -14,7 +14,6 @@ from bruhatkit.exact import (
     ExactMatrix,
     PrimeField,
     enumerate_matrices,
-    int_echelon,
     integer_root,
     is_prime,
     matrix_from_json,
@@ -133,16 +132,16 @@ def test_rational_det_and_rank_against_fraction_oracle():
 
 
 def test_int_det_and_rank():
-    assert int_echelon([[2, 0], [0, 3]])[1] == 6
-    assert int_echelon([[1, 2], [2, 4]])[1] == 0
-    assert int_echelon([[0, 1], [1, 0]])[1] == -1
-    assert int_echelon([[1, 2], [2, 4]])[0] == 1
-    assert int_echelon([[0, 0], [0, 0]])[0] == 0
+    assert QQ.echelon([[2, 0], [0, 3]])[1] == 6
+    assert QQ.echelon([[1, 2], [2, 4]])[1] == 0
+    assert QQ.echelon([[0, 1], [1, 0]])[1] == -1
+    assert QQ.echelon([[1, 2], [2, 4]])[0] == 1
+    assert QQ.echelon([[0, 0], [0, 0]])[0] == 0
     rng = random.Random(5)
     for n in (3, 4, 5):
         for _ in range(25):
             rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-            rank, det, pivots = int_echelon(rows)
+            rank, det, pivots = QQ.echelon(rows)
             assert det == _fraction_det(ExactMatrix(QQ, rows))
             # every minor is below (6 sqrt 5)^5 < 5 * 10^5 in absolute value,
             # so the rank mod a larger prime is the rank over Q
@@ -343,7 +342,30 @@ def test_the_integer_form_keeps_each_value(case):
             # cross-multiplied integers agree exactly where the entries do
             assert [[field.same(x * e, y * d) for y in w] for x in v] == [
                 [a == b for b in row] for a in row]
-    rank, det, pivots = field.echelon([v for v, _ in forms])
+    rows = [v for v, _ in forms]
+    rank, det, pivots = field.echelon(rows)
     assert rank == len(pivots) == _minor_rank(field, m.entries) == m.rank()
     if m.is_square():
         assert field.quotient(det, prod(d for _, d in forms)) == _leibniz(field, m.entries) == m.det()
+    # the reduced pass: the same rank, det and pivots, and each pivot column
+    # holds the scale at its pivot row and zero above and below it
+    *forward, reduced, scale = field.reduced_echelon(rows)
+    assert forward == [rank, det, pivots]
+    assert [[row[c] for row in reduced] for c in pivots] == [
+        [scale if i == k else 0 for i in range(len(reduced))] for k in range(rank)]
+    # one nullspace vector per free column, 1 there and 0 at the other free
+    # columns, solving each row of m
+    free = [j for j in range(m.cols) if j not in pivots]
+    basis = field.nullspace(rows)
+    assert [[x[f] for f in free] for x in basis] == [
+        [field.one if f == g else field.zero for f in free] for g in free]
+    assert all(_naive(field, sum(a * b for a, b in zip(row, x))) == field.zero
+               for row in m.entries for x in basis)
+    if m.is_square() and det:
+        assert m * m.inverse() == m.inverse() * m == ExactMatrix.identity(field, m.rows)
+    elif m.is_square():
+        # the error names the first column j whose leading block has rank below j
+        with pytest.raises(SingularMatrixError) as info:
+            m.inverse()
+        assert info.value.column == next(
+            j for j in range(1, m.cols + 1) if _minor_rank(field, [row[:j] for row in m.entries]) < j)

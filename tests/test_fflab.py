@@ -13,7 +13,7 @@ import pytest
 
 from bruhatkit import fflab
 from bruhatkit.errors import BudgetError, IntegrityError, SingularMatrixError
-from bruhatkit.exact import GF, ExactMatrix, _echelon_mod_p
+from bruhatkit.exact import GF, ExactMatrix
 from bruhatkit.fflab import (
     GroupKind,
     _cell_windows,
@@ -1171,12 +1171,13 @@ def test_echelon_nullspace_matches_brute_force_2x2_f3():
             assert {x.tobytes() for x in span} == solved and len(solved) == q ** k
             dims[k] += 1
     assert set(dims) == {0, 1, 2, 4}
-    # the flag leaves rank and det alone
+    # the reduced pass leaves rank and det alone
     rng = random.Random(5)
     for _ in range(200):
         rows = [[rng.randrange(q) for _ in range(4)] for _ in range(rng.choice([3, 4, 5]))]
-        rank, det, pivots, basis = _echelon_mod_p(rows, q, nullspace=True)
-        assert (rank, det, pivots) == _echelon_mod_p(rows, q)
+        rank, det, pivots = GF(q).echelon(rows)
+        assert GF(q).reduced_echelon(rows)[:3] == (rank, det, pivots)
+        basis = GF(q).nullspace(rows)
         assert rank + len(basis) == 4
         assert all(sum(r * x for r, x in zip(row, vec)) % q == 0 for row in rows for vec in basis)
 

@@ -77,12 +77,12 @@ def test_the_package_does_no_float_or_blas_work():
     assert not hits, "float or BLAS work in bruhatkit:\n" + "\n".join(hits)
 
 
-def test_cells_leaves_the_field_to_exact():
-    # how each field's entries become integers and come back lives behind
-    # the field classes of exact; cells names no field type and no private
-    # name of exact
-    text = (SRC / "bruhatkit" / "cells.py").read_text()
-    assert not re.search(r"\b(?:PrimeField|RationalField)\b", text)
+def _field_leaks(name):
+    # how each field's entries become integers and come back, and how they
+    # are eliminated, lives behind the field classes of exact: a module that
+    # leaves the field to exact names no field type and no private name of it
+    text = (SRC / "bruhatkit" / name).read_text()
+    types = re.findall(r"\b(?:PrimeField|RationalField)\b", text)
     nodes = list(ast.walk(ast.parse(text)))
     private = [
         alias.name for node in nodes
@@ -93,4 +93,16 @@ def test_cells_leaves_the_field_to_exact():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id == "exact" and node.attr.startswith("_")
     ]
-    assert not private, f"cells.py uses private names of exact: {private}"
+    return types + private
+
+
+def test_cells_leaves_the_field_to_exact():
+    leaks = _field_leaks("cells.py")
+    assert not leaks, f"cells.py uses field types or private names of exact: {leaks}"
+
+
+def test_fflab_and_weyl_leave_the_field_to_exact():
+    # the commutant nullspace and the elliptic determinant go through GF(p)
+    # and QQ, not through exact's elimination itself
+    leaks = {name: _field_leaks(name) for name in ("fflab.py", "weyl.py")}
+    assert not any(leaks.values()), f"field types or private names of exact used: {leaks}"

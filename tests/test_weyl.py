@@ -15,6 +15,7 @@ from bruhatkit.weyl import (
     poincare_from_degrees,
     poincare_polynomial,
     signed_window_from_symmetric,
+    symplectic_signed_window,
 )
 
 S3 = GroupSpec("A", 2)
@@ -455,9 +456,13 @@ def test_embedding_into_symmetric_group():
     for w in elements:
         back = signed_window_from_symmetric(w.embed_in_symmetric().window)
         assert back == w.window
-    # permutations breaking the pairing are rejected
+        assert symplectic_signed_window(w.embed_in_symmetric().window) == w.window
+    # permutations breaking the pairing are rejected, and the GL cell of a
+    # symplectic matrix outside the embedded group is an integrity failure
     assert signed_window_from_symmetric((2, 1, 3, 4)) is None
     assert signed_window_from_symmetric((1, 2, 3)) is None
+    with pytest.raises(IntegrityError, match=r"GL cell \(2, 1, 3, 4\), outside the embedded group"):
+        symplectic_signed_window((2, 1, 3, 4))
 
 
 def test_signed_cycle_type_examples():
