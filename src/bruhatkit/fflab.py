@@ -34,40 +34,40 @@ stay out of the verify report, whose format is fixed.
 Bulk scans run on int64 numpy arrays with explicit reductions mod p.
 Everything stays exact.  A reduced matrix has one key, its int64 code
 (_codes): its entries read row by row as base-p digits.  Groups, orbits and
-classes are stacks of matrices, and their dedup and membership tests work on
-codes.  Groups and orbits are listed by one breadth-first closure, _closure,
-which runs on 1-D code arrays and takes a whole level at a time.  An orbit
-is decoded (_decode) once, at the end; the group table keeps codes and
-decodes rows on demand.  A level's images are made one move (generator) at
-a time.  The table's group closure is told the group order by the closed
-formula, and marks the codes it has seen in a byte map of all q^(n^2) codes
-when that map holds at most 8 codes per element (q^(n^2) <= 8 * |G|), so
-that it is no larger than the int64 codes of the group; orbits, groups of
-unknown order, larger code spaces and the other member sets keep sorted
-code arrays, with numpy sorting and binary search.  New elements keep the
-order a BFS taking one element at a time would give them, so tables and
-orbits come out in a fixed order.  A group closure multiplies on the right,
-which acts on each row alone: one table per generator maps the code of a
-row to the code of its image, so a matrix code moves by n table lookups on its base-p^n digits.  A
-conjugation orbit decodes each level once and codes its products.  Unipotent
-elements are found by two exact prefilters before (g - 1)^n = 0 decides: the
-trace must be n and e2, the sum of the principal 2 x 2 minors, C(n, 2) mod
-p, as the characteristic polynomial (x - 1)^n of a unipotent matrix has them
-(_unipotent_mask).  The table reads each trace off its code, the diagonal
-digits, and decodes only the elements that pass; in SL_3(F_5) that is 74,500
-of 372,000.  The codes are exact only while p^(n^2) <= 2^63, and coding a
-matrix past that bound raises a ValueError.  Under the default budgets only
-Sp_8 at the bad prime 2 (2^64) is past it; a raised cell budget also reaches
-Sp_4(F_17).  One batched pivot kernel, _column_pivots, eliminates whole
-(B, n, n) stacks at once, laid out batch-last so that each step runs over
-contiguous rows of B entries: its pivot rows are the Bruhat cell windows,
-and its pivot counts on the powers of g - 1, one call per power, are the
-ranks that give Jordan types.  The ExactMatrix paths (the window of
-bruhat_decompose, checked by its factorization; jordan_type;
-ExactMatrix.rank) share no code with it and serve as its oracles in the
-tests.  Every group is built from one-parameter root subgroups by one set of
-helpers (_roots, _root_family, _torus): the generators of G, B and B_w, and
-B(F_q) itself.
+classes are kept as codes, and their dedup and membership tests work on
+them.  Groups and orbits are listed by one breadth-first closure, _closure,
+which runs on 1-D code arrays and takes a whole level at a time.  Closures
+return codes, and each caller decodes (_decode) only the rows it reads: the
+group table decodes rows on demand, and a property-D scan the least element
+of each B_w-orbit.  A level's images are made one move (generator) at a
+time.  A group closure is told the group order, and marks the codes it has
+seen in a byte map of all q^(n^2) codes when that map holds at most 8 codes
+per element (q^(n^2) <= 8 * |G|), so that it is no larger than the int64
+codes of the group; larger code spaces, orbits and the other member sets
+keep sorted code arrays, with numpy sorting and binary search.  New elements
+keep the order a BFS taking one element at a time would give them, so tables
+and orbits come out in a fixed order.  A group closure multiplies on the
+right, which acts on each row alone: one table per generator maps the code
+of a row to the code of its image, so a matrix code moves by n table lookups
+on its base-p^n digits.  A conjugation orbit decodes each level once and
+codes its products.  Unipotent elements are found by two exact prefilters
+before (g - 1)^n = 0 decides: the trace must be n and e2, the sum of the
+principal 2 x 2 minors, C(n, 2) mod p, as the characteristic polynomial
+(x - 1)^n of a unipotent matrix has them (_unipotent_mask).  The table
+reads each trace off its code, the diagonal digits, and decodes only the
+elements that pass; in SL_3(F_5) that is 74,500 of 372,000.  The codes are
+exact only while p^(n^2) <= 2^63, and coding a matrix past that bound raises
+a ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
+is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
+kernel, _column_pivots, eliminates whole (B, n, n) stacks at once, laid out
+batch-last so that each step runs over contiguous rows of B entries: its
+pivot rows are the Bruhat cell windows, and its pivot counts on the powers of
+g - 1, one call per power, are the ranks that give Jordan types.  The
+ExactMatrix paths (the window of bruhat_decompose, checked by its
+factorization; jordan_type; ExactMatrix.rank) share no code with it and serve
+as its oracles in the tests.  Every group is built from one-parameter root
+subgroups by one set of helpers (_roots, _root_family, _torus): the
+generators of G, B and B_w, and B(F_q) itself.
 
 No cell is built whole.  Each g in BwB is u w_rep b for one u in U_w (the
 product of the root subgroups that w inverts) and one b in B, and u^-1 g u =
@@ -116,7 +116,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
 
 from .cells import (
     DEFAULT_CELL_BUDGET,
@@ -410,32 +409,31 @@ def _right_multiplication_step(gens: list[np.ndarray], p: int, n: int):
     return step
 
 
-def _group_codes(gens: list[np.ndarray], p: int, limit: int,
-                 order: int | None = None) -> np.ndarray:
-    """The codes (_codes) of the group the generators produce, in BFS order
-    from the identity, right multiplying by each
+def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndarray:
+    """The codes (_codes) of the group of this order that the generators
+    produce, in BFS order from the identity, right multiplying by each
     (_right_multiplication_step).
 
-    ``order`` is the group's order, when the closed formula gives it.  Seen
-    codes are marked in a byte map of the code space, p^(n^2) codes, when
-    that holds at most 8 codes per element, p^(n^2) <= 8 * order: then the
-    map is no larger than the int64 codes of the group the closure returns.
-    Otherwise, and when the order is not given, they are kept as a sorted
-    array (_closure).  The row tables count against the limit, since they
-    hold p^n entries, as many as the group has at least elements."""
+    Seen codes are marked in a byte map of the code space, p^(n^2) codes,
+    when that holds at most 8 codes per element, p^(n^2) <= 8 * order: then
+    the map is no larger than the int64 codes of the group the closure
+    returns.  Otherwise they are kept as a sorted array (_closure).  The row
+    tables count against the limit, since they hold p^n entries, as many as
+    the group has at least elements."""
     n = gens[0].shape[0]
     seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
     check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
     space = p ** (n * n)
     return _closure(seeds, _right_multiplication_step(gens, p, n), limit=limit,
-                    phase="group closure",
-                    space=space if order is not None and space <= 8 * order else None)
+                    phase="group closure", space=space if space <= 8 * order else None)
 
 
-def _mulclose(gens: list[np.ndarray], p: int, limit: int) -> np.ndarray:
-    """The group the generators produce, as the (N, n, n) stack of its
-    elements in BFS order from the identity: _group_codes, decoded."""
-    return _decode(_group_codes(gens, p, limit), p, gens[0].shape[0])
+def _mulclose(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndarray:
+    """The group of this order, as the (N, n, n) stack of its elements:
+    _group_codes, decoded.  Nothing here calls it; it stays while the
+    benchmark's traced fflab.closure layer (perfbench/tracing.py) and its
+    test hook this name."""
+    return _decode(_group_codes(gens, p, limit, order), p, gens[0].shape[0])
 
 
 def _code_traces(codes: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -735,11 +733,9 @@ def _roots(kind: GroupKind) -> list[tuple]:
 
 
 def _simple_roots(kind: GroupKind) -> list[tuple]:
-    if kind.family == "Sp":
-        m = kind.n // 2
-        simples = [("d", i, i + 1) for i in range(1, m)] + [("l", m)]
-        return [tuple(c_root_positions(root, m)) for root in simples]
-    return [((i, i + 1, 1),) for i in range(kind.n - 1)]
+    """The simple roots, in _roots order: those whose first position is
+    next to the diagonal."""
+    return [root for root in _roots(kind) if root[0][1] == root[0][0] + 1]
 
 
 def _negative(root: tuple) -> tuple:
@@ -821,23 +817,21 @@ def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
 
     A unipotent matrix has characteristic polynomial (x - 1)^n, so in every
     characteristic its trace is n and its e2, the sum of its principal 2 x 2
-    minors, is C(n, 2) mod p.  The powers are taken only for the matrices
-    that pass both tests, which discard no unipotent matrix; the powers
-    decide.  e2 is (tr(g)^2 - tr(g g)) / 2, taken over the integers from the
-    reduced entries, where the halving is exact, and only then reduced mod
-    p, so the test holds at p = 2 too."""
+    minors, is C(n, 2) mod p.  The callers hand over only matrices of trace
+    n.  The powers are taken only for the matrices that pass the e2 test,
+    which discards no unipotent matrix; the powers decide.  e2 is (tr(g)^2 -
+    tr(g g)) / 2, taken over the integers from the reduced entries, where the
+    halving is exact, and only then reduced mod p, so the test holds at p = 2
+    too."""
     n = batch.shape[1]
     trace = np.trace(batch, axis1=1, axis2=2)
-    mask = trace % p == n % p
-    batch, trace = batch[mask], trace[mask]
     e2 = (trace * trace - np.einsum("kij,kji->k", batch, batch)) // 2
-    passed = e2 % p == n * (n - 1) // 2 % p
-    mask[mask] = passed
+    mask = e2 % p == n * (n - 1) // 2 % p
     # reduced in place: two candidate-sized arrays alive at a time, not three
-    power = batch[passed] - np.eye(n, dtype=np.int64)
+    power = batch[mask] - np.eye(n, dtype=np.int64)
     power %= p
-    steps = max(1, int(log2(n - 1)) + 1) if n > 1 else 1
-    for _ in range(steps):
+    # squared until the exponent 2^k is at least n
+    for _ in range(max(1, (n - 1).bit_length())):
         power = power @ power
         power %= p
     mask[mask] = (power == 0).all(axis=(1, 2))
@@ -878,10 +872,9 @@ def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
                       limit: int | None = None) -> np.ndarray:
     """The orbit of a matrix under conjugation by the group the generators
     produce (closure under the generators alone suffices in a finite group),
-    as the (N, n, n) stack of its elements in the order found."""
-    n = len(start)
-    return _decode(_closure(_codes((start % p)[None], p), _conjugation_step(gens, p, n),
-                            limit=limit, phase="conjugation orbit"), p, n)
+    as the 1-D int64 codes (_codes) of its elements in the order found."""
+    return _closure(_codes((start % p)[None], p), _conjugation_step(gens, p, len(start)),
+                    limit=limit, phase="conjugation orbit")
 
 
 def centralizer_order(kind: GroupKind, q: int, orbit: np.ndarray) -> int:
@@ -943,9 +936,8 @@ def _group_span(kind: GroupKind, q: int, basis: np.ndarray):
 def _class_by_orbit(kind: GroupKind, q: int, rep: np.ndarray, limit: int | None = None):
     """|Z_G(rep)| and a membership test for the G(F_q)-class of rep, from
     the class itself, grown by BFS; the limit bounds its size."""
-    orbit = conjugation_orbit(rep, group_generators(kind, q), q, limit=limit)
-    codes = np.sort(_codes(orbit, q))
-    return centralizer_order(kind, q, orbit), lambda b: bool(_found(codes, _codes(b[None], q))[0])
+    orbit = np.sort(conjugation_orbit(rep, group_generators(kind, q), q, limit=limit))
+    return centralizer_order(kind, q, orbit), lambda b: bool(_found(orbit, _codes(b[None], q))[0])
 
 
 def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndarray):
@@ -1009,11 +1001,11 @@ def _slice_borel_generators(kind: GroupKind, w, q: int) -> list[np.ndarray]:
 def _partition_into_orbits(members: np.ndarray, gens: list[np.ndarray],
                            p: int) -> list[np.ndarray]:
     """Split a conjugation-stable (k, n, n) stack into orbits under the
-    generated group, as orbit stacks.  Each orbit is grown from the least
-    code not yet placed, so the orbits come in order of their least code,
-    and that matrix is the first of each.  With no generators every matrix
-    is its own orbit.  The members must be distinct; a repeated matrix
-    raises IntegrityError."""
+    generated group, as one 1-D code array (_codes) per orbit.  Each orbit
+    is grown from the least code not yet placed, so the orbits come in order
+    of their least code, and that code is the first of each.  With no
+    generators every matrix is its own orbit.  The members must be
+    distinct; a repeated matrix raises IntegrityError."""
     n = members.shape[1]
     step = _conjugation_step(gens, p, n)
     codes = np.sort(_codes(members, p))
@@ -1029,7 +1021,7 @@ def _partition_into_orbits(members: np.ndarray, gens: list[np.ndarray],
         if not _found(codes, found, at).all():
             raise IntegrityError("conjugation left the scanned set")
         unplaced[at] = False
-        orbits.append(_decode(found, p, n))
+        orbits.append(found)
     return orbits
 
 
@@ -1247,14 +1239,14 @@ def _growth_exponent(x, y, q: int, q2: int) -> float:
     return math.log(y / x) / math.log(q2 / q)
 
 
-def _classes_met(kind: GroupKind, q: int, reps: list[np.ndarray],
+def _classes_met(kind: GroupKind, q: int, reps: np.ndarray,
                  limit: int | None = None) -> tuple[list[int], list[int]]:
-    """|Z_G(F_q)| of each representative, and the sizes of the distinct
-    G(F_q)-classes the representatives fall into, in order of their first
-    representative.  Each class takes one route, by the dimension k of the
-    commutant of that representative: the commutant when q^(2k) <= |G|, so
-    that its q^k members are no more than |G| / q^k <= |class|; the
-    conjugation orbit, at most ``limit`` elements, otherwise."""
+    """|Z_G(F_q)| of each representative in a (k, n, n) stack, and the sizes
+    of the distinct G(F_q)-classes the representatives fall into, in order
+    of their first representative.  Each class takes one route, by the
+    dimension k of the commutant of that representative: the commutant when
+    q^(2k) <= |G|, so that its q^k members are no more than |G| / q^k <=
+    |class|; the conjugation orbit, at most ``limit`` elements, otherwise."""
     order = kind.order(q)
     zg: list[int | None] = [None] * len(reps)
     sizes = []
@@ -1311,7 +1303,9 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
             members = np.concatenate([_of_type(hits, q, cell.target)
                                       for hits in _slice_unipotents(kind, w, q, borel)])
             orbits = _partition_into_orbits(members, _slice_borel_generators(kind, w, q), q)
-            zg, sizes = _classes_met(kind, q, [orbit[0] for orbit in orbits], limit=cell_budget)
+            # each orbit's least member stands for it, the only row decoded
+            reps = _decode(np.array([orbit[0] for orbit in orbits], dtype=np.int64), q, kind.n)
+            zg, sizes = _classes_met(kind, q, reps, limit=cell_budget)
             scale = q ** w.length()
             # Z_B(x) = Z_{B_w}(x) on the slice, |B_w| = |B| / q^length(w)
             slice_borel = kind.borel_order(q) // scale

@@ -26,7 +26,6 @@ from bruhatkit.fflab import (
     _decode,
     _det_mod_p,
     _jordan_types_mod_p,
-    _mulclose,
     _partition_into_orbits,
     _root_family,
     _roots,
@@ -55,6 +54,7 @@ from bruhatkit.cells import (
     bruhat_decompose,
     c_positive_roots,
     c_root_element,
+    c_root_positions,
     cell_order,
     enumerate_cell,
     gl_borel_matrices,
@@ -163,7 +163,7 @@ def test_table_matches_the_full_stack_computation(name, n, q):
     # (g - 1)^n = 0 test, and the windows of every element
     kind = parse_kind(name, n)
     table = enumerate_group(kind, q)
-    mats = _mulclose(group_generators(kind, q), q, limit=10**6)
+    mats = _decode(fflab._group_codes(group_generators(kind, q), q, 10**6, kind.order(q)), q, n)
     assert len(table) == len(mats) == kind.order(q)
     assert np.array_equal(table.mats, mats)
     assert np.array_equal(table.rows([7, 0, 7]), mats[[7, 0, 7]])
@@ -179,7 +179,8 @@ def test_table_matches_the_full_stack_computation(name, n, q):
 
 @pytest.mark.parametrize("name,n,q", [("gl", 2, 7), ("sl", 3, 2), ("sp", 4, 3), ("gl", 4, 2)])
 def test_code_traces_match_the_decoded_traces(name, n, q):
-    codes = fflab._group_codes(group_generators(parse_kind(name, n), q), q, limit=10**6)
+    kind = parse_kind(name, n)
+    codes = fflab._group_codes(group_generators(kind, q), q, 10**6, kind.order(q))
     traces = np.trace(_decode(codes, q, n), axis1=1, axis2=2) % q
     assert np.array_equal(fflab._code_traces(codes, q, n), traces)
 
@@ -213,7 +214,8 @@ def test_distinct_jordan_types_match_the_exact_oracle(name, n, q):
     # every unipotent element, found by the plain power test, against
     # jordan_type on ExactMatrix; then one element that is not unipotent,
     # put in the middle of them, must make the whole stack raise
-    mats = _mulclose(group_generators(parse_kind(name, n), q), q, limit=10**6)
+    kind = parse_kind(name, n)
+    mats = _decode(fflab._group_codes(group_generators(kind, q), q, 10**6, kind.order(q)), q, n)
     mask = _nilpotent_mask(mats, q)
     stack = mats[mask]
     assert len(stack) == q ** (n * (n - 1))
@@ -641,6 +643,20 @@ def test_sp_root_elements_match_exact_root_elements(n):
         assert all(np.array_equal(g, x) for g, x in zip(borel[m:], roots))
 
 
+@pytest.mark.parametrize("name,n", [("gl", 2), ("gl", 3), ("gl", 5), ("sl", 4),
+                                    ("sp", 2), ("sp", 4), ("sp", 6), ("sp", 8)])
+def test_simple_roots_are_the_listed_ones(name, n):
+    # oracle: the simple roots listed outright, e_i - e_(i+1) for GL and SL,
+    # and for Sp the roots ("d", i, i + 1) and then the long root ("l", m)
+    if name == "sp":
+        m = n // 2
+        simples = [("d", i, i + 1) for i in range(1, m)] + [("l", m)]
+        listed = [tuple(c_root_positions(root, m)) for root in simples]
+    else:
+        listed = [((i, i + 1, 1),) for i in range(n - 1)]
+    assert fflab._simple_roots(parse_kind(name, n)) == listed
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name,n", [("gl", 3), ("sl", 3), ("sp", 4), ("sp", 6)])
 def test_borel_generators_generate_the_borel(name, n, q):
@@ -648,7 +664,8 @@ def test_borel_generators_generate_the_borel(name, n, q):
     # a proper subgroup for Sp (8 of the 16 elements of B in Sp_4(F_2))
     kind = parse_kind(name, n)
     grid = borel_grid(kind, q)
-    closure = _mulclose(borel_generators(kind, q), q, limit=len(grid))
+    closure = _decode(fflab._group_codes(borel_generators(kind, q), q, len(grid),
+                                         kind.borel_order(q)), q, n)
     assert {g.tobytes() for g in closure} == {g.tobytes() for g in grid}
 
 
@@ -662,9 +679,10 @@ def test_slice_borel_generators_generate_the_slice_borel(name, n, q):
     for w in kind.weyl_spec.elements():
         gens = _slice_borel_generators(kind, w, q)
         rep = _weyl_rep(kind, w, q)
-        group = (_mulclose(gens, q, limit=kind.borel_order(q)) if gens
+        order = kind.borel_order(q) // q ** w.length()
+        group = (_decode(fflab._group_codes(gens, q, kind.borel_order(q), order), q, n) if gens
                  else np.eye(n, dtype=np.int64)[None])
-        assert len(group) == kind.borel_order(q) // q ** w.length()
+        assert len(group) == order
         assert not np.tril(group, -1).any()
         assert not np.tril(fflab._inv_mod_p(rep, q) @ group @ rep % q, -1).any()
 
@@ -699,10 +717,13 @@ def test_mulclose_order_matches_the_one_at_a_time_bfs(name, n, q):
     # "-borel": the Borel subgroup, whose generators at q = 2 are the root
     # elements alone
     kind = parse_kind(name.removesuffix("-borel"), n)
-    gens = (borel_generators if name.endswith("-borel") else group_generators)(kind, q)
+    borel = name.endswith("-borel")
+    gens = (borel_generators if borel else group_generators)(kind, q)
+    order = kind.borel_order(q) if borel else kind.order(q)
     moves = [lambda x, g=tuple(g.ravel().tolist()): _tuple_mul(x, g, n, q) for g in gens]
     expected = _bfs_oracle(tuple(np.eye(n, dtype=int).ravel().tolist()), moves)
-    assert [tuple(m.ravel().tolist()) for m in _mulclose(gens, q, limit=10**6)] == expected
+    mats = _decode(fflab._group_codes(gens, q, 10**6, order), q, n)
+    assert [tuple(m.ravel().tolist()) for m in mats] == expected
 
 
 def test_conjugation_orbit_order_matches_the_one_at_a_time_bfs():
@@ -716,37 +737,55 @@ def test_conjugation_orbit_order_matches_the_one_at_a_time_bfs():
     expected = _bfs_oracle(tuple(u.ravel().tolist()), moves)
     orbit = conjugation_orbit(u, gens, 3)
     assert len(expected) == 624
-    assert [tuple(x.ravel().tolist()) for x in orbit] == expected
-    assert orbit.shape == (624, 3, 3) and orbit.dtype == np.int64
+    assert [tuple(x.ravel().tolist()) for x in _decode(orbit, 3, 3)] == expected
+    assert orbit.shape == (624,) and orbit.dtype == np.int64
+
+
+def test_closures_hand_back_codes():
+    # a group closure is told its order, and an orbit comes back as codes
+    gens = group_generators(parse_kind("sl", 2), 5)
+    with pytest.raises(TypeError):
+        fflab._group_codes(gens, 5, 10**6)
+    with pytest.raises(TypeError):
+        fflab._mulclose(gens, 5, 10**6)
+    codes = fflab._group_codes(gens, 5, 10**6, 120)
+    assert np.array_equal(fflab._mulclose(gens, 5, 10**6, 120), _decode(codes, 5, 2))
+    u = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    orbit = conjugation_orbit(u, gens, 5)
+    assert orbit.shape == (12,) and orbit.dtype == np.int64
+    assert orbit[0] == _codes(u[None], 5)[0]
 
 
 def test_closure_codes_must_fit_int64():
     # 2^64 codes for 8x8 matrices over GF(2); 7x7 (2^49) still fits, with a
     # limit that admits its row tables of 2^7 entries
     with pytest.raises(ValueError, match=r"8x8 matrices over GF\(2\)"):
-        _mulclose([np.eye(8, dtype=np.int64)], 2, limit=10)
-    assert len(_mulclose([np.eye(7, dtype=np.int64)], 2, limit=2 ** 7)) == 1
+        fflab._group_codes([np.eye(8, dtype=np.int64)], 2, 10, 1)
+    assert len(fflab._group_codes([np.eye(7, dtype=np.int64)], 2, 2 ** 7, 1)) == 1
 
 
 def test_mulclose_row_tables_count_against_the_limit():
     # the tables of GL_3(F_5) hold 5^3 = 125 row codes each
-    gens = group_generators(parse_kind("gl", 3), 5)
+    kind = parse_kind("gl", 3)
+    gens = group_generators(kind, 5)
     with pytest.raises(BudgetError) as info:
-        _mulclose(gens, 5, limit=124)
+        fflab._group_codes(gens, 5, 124, kind.order(5))
     assert str(info.value) == "group closure row tables hold 5^3 = 125 entries, over budget 124"
     assert info.value.required == 125 and info.value.budget == 124
     with pytest.raises(BudgetError) as info:
-        _mulclose(gens, 5, limit=125)
+        fflab._group_codes(gens, 5, 125, kind.order(5))
     assert str(info.value) == "group closure reached 418 elements, over budget 125"
 
 
 def test_mulclose_holds_no_stack_per_level():
-    # the closure keeps codes and decodes them once: its traced peak stays
-    # near the size of the stack it returns, 372,000 3x3 int64 matrices
-    gens = group_generators(parse_kind("sl", 3), 5)
+    # the closure keeps codes, here in its sorted seen array, and they are
+    # decoded once: the traced peak stays near the size of the decoded stack,
+    # 372,000 3x3 int64 matrices
+    step = fflab._right_multiplication_step(group_generators(parse_kind("sl", 3), 5), 5, 3)
     tracemalloc.start()
     try:
-        mats = _mulclose(gens, 5, limit=10**6)
+        codes = fflab._closure(_codes(np.eye(3, dtype=np.int64)[None], 5), step, limit=10**6)
+        mats = _decode(codes, 5, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -806,23 +845,20 @@ def test_conjugation_closure_bitmap_path_lists_the_sorted_path_codes(closure_pat
     step = fflab._conjugation_step(gens, 3, 3)
     by_map = fflab._closure(_codes(u[None], 3), step, limit=1000, space=3 ** 9)
     assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
-    assert np.array_equal(by_map, _codes(conjugation_orbit(u, gens, 3), 3))
+    assert np.array_equal(by_map, conjugation_orbit(u, gens, 3))
     assert closure_paths["_fresh_in_sorted"] > 0
 
 
 def test_group_codes_takes_the_map_path_only_within_8_codes_per_element(closure_paths):
     # the swap generates a group of order 2 in GL_2(F_2), whose 2^4 codes
     # are exactly 8 per element: the map path.  The identity alone
-    # generates the trivial group, 16 codes per element: the sorted path,
-    # as for any group whose order is not given
+    # generates the trivial group, 16 codes per element: the sorted path
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     eye = np.eye(2, dtype=np.int64)
     assert fflab._group_codes([swap], 2, limit=4, order=2).tolist() == [9, 6]
     assert closure_paths == {"_fresh_in_map": 3} and closure_paths.maps == [16] * 3
     assert fflab._group_codes([eye], 2, limit=4, order=1).tolist() == [9]
     assert closure_paths == {"_fresh_in_map": 3, "_fresh_in_sorted": 2}
-    assert fflab._group_codes([swap], 2, limit=4).tolist() == [9, 6]
-    assert closure_paths == {"_fresh_in_map": 3, "_fresh_in_sorted": 5}
 
 
 @pytest.mark.parametrize("name,n,q,path", [("sp", 4, 3, "_fresh_in_sorted"),
@@ -838,22 +874,25 @@ def test_enumerate_group_sizes_its_seen_map_by_the_group_order(closure_paths, na
 
 
 def test_mulclose_of_the_sp6_borel_at_q2_takes_the_sorted_path(closure_paths):
-    # _mulclose is told no order, and a map of these 2^36 codes would hold
-    # far more than 8 per element of |B| = 512
+    # a map of these 2^36 codes would hold far more than 8 per element of
+    # |B| = 512
     kind = parse_kind("sp", 6)
-    assert len(_mulclose(borel_generators(kind, 2), 2, limit=kind.borel_order(2))) == 512
+    order = kind.borel_order(2)
+    assert len(fflab._group_codes(borel_generators(kind, 2), 2, order, order)) == 512
     assert closure_paths["_fresh_in_map"] == 0 and closure_paths["_fresh_in_sorted"] > 0
 
 
 def test_mulclose_budget_error_is_the_same_on_both_paths(closure_paths):
-    # 3^9 = 19,683 codes <= 8 * |SL_3(F_3)| = 44,928, so told the order
-    # _group_codes takes the map path; _mulclose, told none, the sorted one
+    # 3^9 = 19,683 codes <= 8 * |SL_3(F_3)| = 44,928, so _group_codes takes
+    # the map path; _closure, given no code space, the sorted one
     gens = group_generators(parse_kind("sl", 3), 3)
     with pytest.raises(BudgetError) as by_map:
         fflab._group_codes(gens, 3, limit=1000, order=5616)
     assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
+    step = fflab._right_multiplication_step(gens, 3, 3)
     with pytest.raises(BudgetError) as by_sort:
-        _mulclose(gens, 3, limit=1000)
+        fflab._closure(_codes(np.eye(3, dtype=np.int64)[None], 3), step, limit=1000,
+                       phase="group closure")
     assert closure_paths["_fresh_in_sorted"] > 0
     assert str(by_map.value) == str(by_sort.value)
     assert str(by_map.value).startswith("group closure reached ")
@@ -966,8 +1005,8 @@ def test_property_d_slice_records_match_full_cell_orbits(name, n, q):
                               if jt == cell.target and table.cell_windows[i] == cell.w.window]]
         orbits = _partition_into_orbits(members, borel_gens, q)
         # each orbit starts at its least member
-        assert all(min(_key_set(orbit)) == orbit[0].tobytes() for orbit in orbits)
-        reps = [orbit[0] for orbit in orbits]
+        assert all(orbit.min() == orbit[0] for orbit in orbits)
+        reps = _decode(np.array([orbit[0] for orbit in orbits], dtype=np.int64), q, n)
         expected = {
             "q": q,
             "intersection_size": len(members),
@@ -1123,14 +1162,15 @@ def test_partition_into_orbits_rejects_an_unstable_set():
     kind = parse_kind("sl", 2)
     u = np.array([[1, 1], [0, 1]], dtype=np.int64)
     # the B-orbit of u in SL_2(F_5) is u and [[1, 4], [0, 1]]; G moves it further
-    b_orbit = conjugation_orbit(u, borel_generators(kind, 5), 5)
-    keys = _key_set(b_orbit)
+    codes = conjugation_orbit(u, borel_generators(kind, 5), 5)
+    b_orbit = _decode(codes, 5, 2)
+    keys = set(codes.tolist())
     assert len(keys) == 2
-    assert [_key_set(o) for o in _partition_into_orbits(b_orbit, borel_generators(kind, 5), 5)
+    assert [set(o.tolist()) for o in _partition_into_orbits(b_orbit, borel_generators(kind, 5), 5)
             ] == [keys]
     # no generators: every matrix is its own orbit
-    assert [_key_set(o) for o in _partition_into_orbits(b_orbit, [], 5)] == [
-        {key} for key in sorted(keys)]
+    assert [o.tolist() for o in _partition_into_orbits(b_orbit, [], 5)] == [
+        [key] for key in sorted(keys)]
     with pytest.raises(IntegrityError):
         _partition_into_orbits(b_orbit, group_generators(kind, 5), 5)
 
@@ -1138,7 +1178,7 @@ def test_partition_into_orbits_rejects_an_unstable_set():
 def test_partition_into_orbits_rejects_a_repeated_matrix():
     kind = parse_kind("sl", 2)
     u = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    b_orbit = conjugation_orbit(u, borel_generators(kind, 5), 5)
+    b_orbit = _decode(conjugation_orbit(u, borel_generators(kind, 5), 5), 5, 2)
     for gens in (borel_generators(kind, 5), []):
         with pytest.raises(IntegrityError, match="listed twice"):
             _partition_into_orbits(np.concatenate([b_orbit, b_orbit[1:]]), gens, 5)
@@ -1190,6 +1230,10 @@ def test_det_mod_p_matches_exact_det():
         assert _det_mod_p(stack, p).tolist() == expected
 
 
+def _code(mat, q):
+    return int(_codes(mat[None], q)[0])
+
+
 def _captured_reps(kind, q, monkeypatch):
     # the representatives scan_property_d hands to _classes_met, per cell
     captured = []
@@ -1214,12 +1258,12 @@ def test_centralizer_routes_agree(name, n, q, monkeypatch):
     captured = _captured_reps(kind, q, monkeypatch)
     assert captured
     for reps in captured:
-        orbits = []  # (orbit stack, its keys)
+        orbits = []  # (orbit codes, their set)
         for rep in reps:
-            orbit, keys = next(((o, k) for o, k in orbits if rep.tobytes() in k), (None, None))
+            orbit, keys = next(((o, k) for o, k in orbits if _code(rep, q) in k), (None, None))
             if orbit is None:
                 orbit = conjugation_orbit(rep, gens, q)
-                keys = _key_set(orbit)
+                keys = set(orbit.tolist())
                 orbits.append((orbit, keys))
             expected_z = centralizer_order(kind, q, orbit)
             basis = _commutant(rep, rep, q)
@@ -1227,10 +1271,10 @@ def test_centralizer_routes_agree(name, n, q, monkeypatch):
             by_orbit = _class_by_orbit(kind, q, rep)
             assert by_commutant[0] == by_orbit[0] == expected_z
             for b in reps:
-                assert by_commutant[1](b) == by_orbit[1](b) == (b.tobytes() in keys)
+                assert by_commutant[1](b) == by_orbit[1](b) == (_code(b, q) in keys)
         zg, sizes = _classes_met(kind, q, reps)
         assert sizes == [len(o) for o, _ in orbits]
-        assert zg == [centralizer_order(kind, q, next(o for o, k in orbits if r.tobytes() in k))
+        assert zg == [centralizer_order(kind, q, next(o for o, k in orbits if _code(r, q) in k))
                       for r in reps]
 
 
