@@ -31,8 +31,10 @@ M = 1/(q^2(q^2 - 1))).  scan_property_d records the class sizes and
 PropertyDScan.mass_exponents gives log(M(q)/M(q')) / log(q'/q); the masses
 stay out of the verify report, whose format is fixed.
 
-Bulk scans run on int64 numpy arrays with explicit reductions mod p.
-Everything stays exact.  A reduced matrix has one key, its int64 code
+Bulk scans run on int64 numpy arrays with explicit reductions mod p (_mod,
+by floor division), except the Borel grid, which is kept entry-major in the
+narrowest signed dtype that holds q - 1 (borel_grid).  Everything stays
+exact.  A reduced matrix has one key, its int64 code
 (_codes): its entries read row by row as base-p digits.  Groups, orbits and
 classes are kept as codes, and their dedup and membership tests work on
 them.  Groups and orbits are listed by one breadth-first closure, _closure,
@@ -55,7 +57,9 @@ before (g - 1)^n = 0 decides: the trace must be n and e2, the sum of the
 principal 2 x 2 minors, C(n, 2) mod p, as the characteristic polynomial
 (x - 1)^n of a unipotent matrix has them (_unipotent_mask).  The table
 reads each trace off its code, the diagonal digits, and decodes only the
-elements that pass; in SL_3(F_5) that is 74,500 of 372,000.  The codes are
+elements that pass; in SL_3(F_5) that is 74,500 of 372,000.  A slice scan
+sums both off the Borel grid's contiguous entry rows and gathers only the
+matrices that pass both into products (_slice_unipotents).  The codes are
 exact only while p^(n^2) <= 2^63, and coding a matrix past that bound raises
 a ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
 is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
@@ -97,7 +101,7 @@ the longest element (k = 8, 6,240 and 9,360 elements) by BFS.
 
 This module holds the package's only numpy import, and it imports numpy
 with one OpenBLAS thread: nothing here uses BLAS or floats (every product is
-on int64 arrays), and an OpenBLAS worker thread busy-waits for about 60 ms
+on integer arrays), and an OpenBLAS worker thread busy-waits for about 60 ms
 of CPU time after start-up.  The rule applies only when numpy is not
 imported yet and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
 OMP_NUM_THREADS is set, and it leaves os.environ as it found it.  To keep
@@ -163,8 +167,9 @@ _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
 # matrices per numpy batch in slice scans, the table's window and unipotent
 # pass, the Borel centralizer scan and the commutant enumeration; it keeps
 # the temporaries of a whole-group run (372,000 elements of SL_3(F_5)) or of
-# a scan over a Borel grid (10^6 elements of SL_4(F_5)) small.  The grid
-# itself is whole: a driver builds one per prime and holds it for one call
+# a scan over a Borel grid (10^6 elements of SL_4(F_5), whose int8 grid
+# holds 16 MB) small.  The grid itself is whole: theorem A and property D
+# build one per prime and hold it for one call
 _CHUNK = 200_000
 
 KIND_NAMES = ("GL", "SL", "Sp")
@@ -355,11 +360,28 @@ def _codes(stack: np.ndarray, p: int) -> np.ndarray:
     return stack.reshape(len(stack), n * n) @ p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
 
 
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p, in place, returned: a -= (a // p) * p.  numpy's floor
+    division by a scalar has a SIMD path and % has not: on 160,000 int64
+    values (numpy 2.4.6, 2-vCPU VM) % takes 0.73 ms against 0.40 ms for
+    this, and 1.7 ms against 0.37 ms on negative values.  For arrays the
+    caller owns; the quotient is one temporary of a's size."""
+    a -= a // p * p
+    return a
+
+
+def _signed_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -bound..bound."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
+
+
 def _decode(codes: np.ndarray, p: int, n: int) -> np.ndarray:
     """The (k, n, n) stack of the matrices with these codes (_codes), written
     into one array: each code is divided by the powers of p, then reduced."""
     stack = np.empty((len(codes), n * n), dtype=np.int64)
     np.floor_divide(codes[:, None], p ** np.arange(n * n - 1, -1, -1, dtype=np.int64), out=stack)
+    # % in place: _mod would need a stack-sized temporary, and takes longer here
     stack %= p
     return stack.reshape(-1, n, n)
 
@@ -373,7 +395,7 @@ def _conjugation_step(gens: list[np.ndarray], p: int, n: int):
     def step(codes):
         batch = _decode(codes, p, n)
         for g, ginv in pairs:
-            yield _codes((g @ batch % p) @ ginv % p, p)
+            yield _codes(_mod(_mod(g @ batch, p) @ ginv, p), p)
 
     return step
 
@@ -441,8 +463,8 @@ def _code_traces(codes: np.ndarray, p: int, n: int) -> np.ndarray:
     decoding them: entry (i, i) is the base-p digit of p^(n^2 - 1 - i(n + 1))."""
     trace = np.zeros(len(codes), dtype=np.int64)
     for i in range(n):
-        trace += codes // p ** (n * n - 1 - i * (n + 1)) % p
-    return trace % p
+        trace += _mod(codes // p ** (n * n - 1 - i * (n + 1)), p)
+    return _mod(trace, p)
 
 
 class FiniteGroupTable:
@@ -578,12 +600,12 @@ def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
     matrix pivots + 1 is its Bruhat cell window; the number of pivots is the
     rank of any matrix.
 
-    The stack is copied once batch-last, to (n, n, B), so that each step
-    works on contiguous rows of B entries, one per matrix; the pivots come
-    back as a (B, n) array.
+    The stack is copied once batch-last, to (n, n, B) int64, so that each
+    step works on contiguous rows of B entries, one per matrix; the pivots
+    come back as a (B, n) array.
     """
     count, n = stack.shape[:2]
-    a = np.ascontiguousarray(stack.transpose(1, 2, 0)) % p
+    a = _mod(stack.transpose(1, 2, 0).astype(np.int64, order="C"), p)
     batch = np.arange(count)
     used = np.zeros((n, count), dtype=bool)
     pivots = np.full((n, count), -1, dtype=np.int64)
@@ -600,7 +622,7 @@ def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
         right = a[:, j + 1:]
         right *= pivot
         right -= col[:, None] * factor
-        right %= p
+        _mod(right, p)
     return pivots.T
 
 
@@ -644,8 +666,7 @@ def _distinct_jordan_types(stack: np.ndarray, p: int) -> tuple[list[Partition], 
     kernel; a matrix that fails it is not unipotent and raises ValueError.
     One Partition is built per distinct rank sequence."""
     count, n = stack.shape[:2]
-    nil = stack - np.eye(n, dtype=np.int64)
-    nil %= p
+    nil = _mod(stack - np.eye(n, dtype=np.int64), p)
     ranks = np.empty((count, n - 1), dtype=np.int64)
     power = nil
     for k in range(n - 1):
@@ -653,8 +674,7 @@ def _distinct_jordan_types(stack: np.ndarray, p: int) -> tuple[list[Partition], 
             ranks[:, k] = (_column_pivots(power, p) >= 0).sum(axis=1)
         else:
             ranks[:, k] = power.any(axis=(1, 2))
-        power = power @ nil
-        power %= p
+        power = _mod(power @ nil, p)
     if power.any():
         raise ValueError("matrix is not unipotent mod p")
     distinct, inverse = _distinct_rows(ranks)
@@ -770,17 +790,37 @@ def borel_grid(kind: GroupKind, q: int) -> np.ndarray:
     """Every element of B(F_q) for this group, each exactly once: the torus
     times the product of the positive root subgroups.  Each call builds the
     grid anew and keeps nothing; a driver builds one per prime, after its
-    budget checks, and passes it down.  Each product is reduced in place,
-    so at the last root only one grid-sized array is alive."""
+    budget checks, and passes it down.
+
+    The grid is stored entry-major, as an (n, n, |B|) array in the narrowest
+    signed dtype that holds q - 1 (int8 for q < 128), and returned as its
+    transpose(2, 0, 1) view: element i is grid[i], and entry (r, c) of every
+    element, grid[:, r, c], is one contiguous row (_slice_unipotents).  It
+    is built root by root: x_root(t) adds t * v times column r to column c
+    for each position (r, c, v), t running fastest, in the order of
+    grid[:, None] @ family[None].  Each row of a column is updated in a
+    dtype wide enough for the sum and reduced, so no int64 (|B|, n, n)
+    array is ever built."""
     n = kind.n
-    grid = _torus(kind, q)
+    dtype = _signed_dtype(q - 1)
+    # x + t * y for residues x, y and t
+    wide = _signed_dtype(q * (q - 1))
+    grid = np.ascontiguousarray(_torus(kind, q).transpose(1, 2, 0), dtype=dtype)
     for root in _roots(kind):
-        grid = (grid[:, None] @ _root_family(n, root, q)[None]).reshape(-1, n, n)
-        grid %= q
+        new = np.empty(grid.shape + (q,), dtype=dtype)
+        new[...] = grid[..., None]
+        for r, c, v in root:
+            shift = np.arange(q, dtype=wide) * v % q
+            # column r of an upper triangular matrix is zero below row r
+            for i in range(r + 1):
+                row = grid[i, r, :, None] * shift
+                row += new[i, c]
+                new[i, c] = _mod(row, q)
+        grid = new.reshape(n, n, -1)
     expected = kind.borel_order(q)
-    if len(grid) != expected:
-        raise IntegrityError(f"Borel grid of {kind}/GF({q}) has {len(grid)} != {expected} elements")
-    return grid
+    if grid.shape[2] != expected:
+        raise IntegrityError(f"Borel grid of {kind}/GF({q}) has {grid.shape[2]} != {expected} elements")
+    return grid.transpose(2, 0, 1)
 
 
 def _weyl_rep(kind: GroupKind, w, q: int) -> np.ndarray:
@@ -820,20 +860,18 @@ def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
     minors, is C(n, 2) mod p.  The callers hand over only matrices of trace
     n.  The powers are taken only for the matrices that pass the e2 test,
     which discards no unipotent matrix; the powers decide.  e2 is (tr(g)^2 -
-    tr(g g)) / 2, taken over the integers from the reduced entries, where the
-    halving is exact, and only then reduced mod p, so the test holds at p = 2
-    too."""
+    tr(g g)) / 2, taken in int64 over the integers from the reduced entries,
+    where the halving is exact, and only then reduced mod p, so the test
+    holds at p = 2 too."""
     n = batch.shape[1]
-    trace = np.trace(batch, axis1=1, axis2=2)
-    e2 = (trace * trace - np.einsum("kij,kji->k", batch, batch)) // 2
-    mask = e2 % p == n * (n - 1) // 2 % p
+    trace = np.trace(batch, axis1=1, axis2=2, dtype=np.int64)
+    e2 = (trace * trace - np.einsum("kij,kji->k", batch, batch, dtype=np.int64)) // 2
+    mask = _mod(e2, p) == n * (n - 1) // 2 % p
     # reduced in place: two candidate-sized arrays alive at a time, not three
-    power = batch[mask] - np.eye(n, dtype=np.int64)
-    power %= p
+    power = _mod(batch[mask] - np.eye(n, dtype=np.int64), p)
     # squared until the exponent 2^k is at least n
     for _ in range(max(1, (n - 1).bit_length())):
-        power = power @ power
-        power %= p
+        power = _mod(power @ power, p)
     mask[mask] = (power == 0).all(axis=(1, 2))
     return mask
 
@@ -841,23 +879,56 @@ def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
 def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
     """Per _CHUNK batch of the Borel grid ``borel`` (borel_grid(kind, q)):
     the unipotent elements of the slice w_rep * B of the cell of w, in grid
-    order.  The caller has checked the prime and the grid's budget.
+    order, as an int64 (k, n, n) stack of residues.  The caller has checked
+    the prime and the grid's budget.
 
-    w_rep is monomial, row i being s_i e_{c_i}, so w_rep b is the rows c of b
-    scaled by s, and tr(w_rep b) = sum_i s_i b[c_i, i] is read off the grid.
-    Only the grid matrices whose product has trace n mod p, as every
-    unipotent matrix does, are gathered into products, and _unipotent_mask
-    decides each of those exactly."""
+    w_rep is monomial, row i being s_i e_{c_i} with s_i = +-1, so w_rep b is
+    the rows c of b scaled by s.  The two tests every unipotent matrix
+    passes (_unipotent_mask) run on the grid's contiguous entry rows
+    (borel_grid) before any matrix is gathered:
+    - tr(w_rep b) = sum_i s_i b[c_i, i] must be n mod p: a signed sum of n
+      rows of the batch;
+    - e2(w_rep b) must be C(n, 2) mod p, on the trace survivors' entries
+      only (_slice_e2_mask).
+    Only the e2 survivors are gathered into int64 products, in grid order,
+    and _unipotent_mask decides each of those exactly."""
     cols, signs = _monomial(_weyl_rep(kind, w, q))
     n = kind.n
+    entries = borel.transpose(1, 2, 0)
+    # tr(w_rep b) - n lies within n * q of 0
+    trace_dtype = _signed_dtype(n * q)
     for start in range(0, len(borel), _CHUNK):
-        chunk = borel[start:start + _CHUNK]
-        trace = chunk[:, cols, np.arange(n)] @ signs % q
-        passed = np.flatnonzero(trace == n % q)
-        batch = chunk[passed[:, None], cols]
+        block = entries[:, :, start:start + _CHUNK]
+        trace = np.full(block.shape[2], -n, dtype=trace_dtype)
+        for i, (c, s) in enumerate(zip(cols, signs)):
+            (np.add if s == 1 else np.subtract)(trace, block[c, i], out=trace)
+        passed = np.flatnonzero(_mod(trace, q) == 0)
+        passed = passed[_slice_e2_mask(block[:, :, passed], cols, signs, q)]
+        batch = np.ascontiguousarray(block[:, :, passed][cols].transpose(2, 0, 1), dtype=np.int64)
         batch *= signs[:, None]
-        batch %= q
-        yield batch[_unipotent_mask(batch, q)]
+        yield batch[_unipotent_mask(_mod(batch, q), q)]
+
+
+def _slice_e2_mask(b: np.ndarray, cols: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
+    """Which grid elements b of an entry-major (n, n, k) array have
+    e2(w_rep b) = C(n, 2) mod q, where row i of the monomial w_rep is
+    s_i e_{c_i} with s_i = +-1 (_slice_unipotents):
+
+        e2(w_rep b) = sum_{i<j} s_i s_j (b[c_i,i] b[c_j,j] - b[c_i,j] b[c_j,i]).
+
+    The sum, less C(n, 2), is taken in the narrowest dtype that holds it:
+    each minor lies within (q - 1)^2 of 0, so the sum lies within
+    C(n, 2) ((q - 1)^2 + 1), and its reduction (_mod) goes below that by
+    less than q.  That is int8 for SL_4(F_5) and Sp_6(F_3)."""
+    n = len(cols)
+    dtype = _signed_dtype(math.comb(n, 2) * ((q - 1) ** 2 + 1) + q)
+    b = b.astype(dtype, copy=False)
+    e2 = np.full(b.shape[2], -math.comb(n, 2), dtype=dtype)
+    for i, j in itertools.combinations(range(n), 2):
+        minor = b[cols[i], i] * b[cols[j], j]
+        minor -= b[cols[i], j] * b[cols[j], i]
+        (np.add if signs[i] == signs[j] else np.subtract)(e2, minor, out=e2)
+    return _mod(e2, q) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -866,6 +937,22 @@ def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
 
 def _inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     return _np(ExactMatrix(GF(p), mat.tolist()).inverse())
+
+
+def _upper_inverse_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of each invertible upper triangular matrix in a
+    (k, n, n) stack, as an int64 stack, by back substitution over the whole
+    batch: row i of the inverse X is d_i^-1 (e_i - sum_{j > i} b[i, j] X[j]),
+    from the last row up.  _inv_mod_p is its oracle in the tests."""
+    b = stack.astype(np.int64) % p
+    count, n = b.shape[:2]
+    inverse = np.zeros_like(b)
+    for i in range(n - 1, -1, -1):
+        row = -(b[:, i, None, i + 1:] @ inverse[:, i + 1:])[:, 0]
+        row[:, i] += 1
+        pivots = [pow(d, -1, p) for d in b[:, i, i].tolist()]
+        inverse[:, i] = row * np.array(pivots, dtype=np.int64)[:, None] % p
+    return inverse
 
 
 def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
@@ -964,7 +1051,7 @@ def borel_centralizer_order(kind: GroupKind, q: int, g: np.ndarray) -> int:
     borel = borel_grid(kind, q)
     count = 0
     for start in range(0, len(borel), _CHUNK):
-        batch = borel[start:start + _CHUNK]
+        batch = np.ascontiguousarray(borel[start:start + _CHUNK], dtype=np.int64)
         count += int((batch @ g % q == g @ batch % q).all(axis=(1, 2)).sum())
     return count
 
@@ -1175,6 +1262,7 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, 
     types under Borel conjugation.  The samples are the first unipotent
     element of each minimal slice that has one (``first_hits``, by window),
     in class order, then by window.  All samples are drawn first; then the
+    conjugators are inverted in one batch (_upper_inverse_mod_p), the
     windows of the moved samples come from one kernel call, and the types of
     the samples and of their conjugates from one."""
     rng = random.Random(seed)
@@ -1186,7 +1274,7 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, 
     windows = [samples[i][0] for i in at]
     picked = np.stack([samples[i][1] for i in at])
     moved = (borel[b1] @ picked % q) @ borel[b2] % q
-    conjugates = (borel[h] @ picked % q) @ np.stack([_inv_mod_p(x, q) for x in borel[h]]) % q
+    conjugates = (borel[h] @ picked % q) @ _upper_inverse_mod_p(borel[h], q) % q
     types = _jordan_types_mod_p(np.concatenate([picked, conjugates]), q)
     cell_ok = [a == b for a, b in zip(_cell_windows(kind, moved, q), windows)]
     jt_ok = [a == b for a, b in zip(types[:count], types[count:])]

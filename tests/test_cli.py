@@ -389,6 +389,9 @@ def test_property_d_report_bytes_are_pinned(capsys, args, digest):
     # a symplectic table, and a GL table whose closure takes the torus generator
     (["sp", "4", "--q", "3"], "8a884aa7702d3c719847d7cde71b66aac83fc3ca1884a467706a5d3d2f67071a"),
     (["gl", "3", "--q", "3"], "592ba20e0837e93daf686571886df36d0bf482e91f1d242f15cfcd9c7aaff05e"),
+    # the cell walk's reach: a rank-3 symplectic group and a rank-5 linear one
+    (["sp", "6", "--q", "3"], "c8dfdab0ad87b9cdd1a1b34535581e9d886aef76b620af457e1261697733682f"),
+    (["sl", "5", "--q", "2"], "79e17027687235113e0d05bb1fa4c712094f26158d810c74c7014f5fe20a4a5d"),
 ])
 def test_theorem_a_report_bytes_are_pinned(capsys, args, digest):
     # SHA-256 of the whole stdout of the theorem-A run

@@ -601,6 +601,33 @@ def test_dropped_hit_fails_the_sp_census_count(monkeypatch):
     assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
 
 
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 5), ("sp", 4, 3)])
+def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, monkeypatch):
+    # a mutant e2 prefilter that rejects the first unipotent w_rep b it
+    # sees: the type census fails for GL and SL, the Steinberg count for Sp
+    e2_mask = fflab._slice_e2_mask
+    dropped = []
+
+    def lossy(b, cols, signs, q):
+        mask = e2_mask(b, cols, signs, q)
+        products = b[cols].transpose(2, 0, 1).astype(np.int64) * signs[:, None] % q
+        hits = np.flatnonzero(mask & _nilpotent_mask(products, q))
+        if len(hits) and not dropped:
+            mask[hits[0]] = False
+            dropped.append(hits[0])
+        return mask
+
+    monkeypatch.setattr(fflab, "_slice_e2_mask", lossy)
+    kind = parse_kind(name, n)
+    if name == "sp":
+        report = verify_theorem_a(kind, q, method="cells")
+        assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
+    else:
+        with pytest.raises(IntegrityError, match="unipotent census"):
+            verify_theorem_a(kind, q, method="cells")
+    assert len(dropped) == 1
+
+
 def test_borel_grid_sizes():
     for name, n, q in [("gl", 2, 3), ("gl", 3, 2), ("sl", 2, 5), ("sp", 4, 3)]:
         kind = parse_kind(name, n)
@@ -618,7 +645,60 @@ def test_borel_grid_matches_exact_borel(name, n, oracle):
     grid = borel_grid(parse_kind(name, n), 3)
     expected = {np.array(b.entries, dtype=np.int64).tobytes() for b in oracle(GF(3))}
     assert len(grid) == len(expected)
-    assert {g.tobytes() for g in grid} == expected
+    assert {g.astype(np.int64).tobytes() for g in grid} == expected
+
+
+def _int64_borel_grid(kind, q):
+    # oracle: the torus times the root families, one int64 (|B|, n, n)
+    # product per root
+    grid = _torus(kind, q)
+    for root in _roots(kind):
+        grid = (grid[:, None] @ _root_family(kind.n, root, q)[None]).reshape(-1, kind.n, kind.n) % q
+    return grid
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 2, 2), ("gl", 3, 5), ("sl", 4, 3), ("sp", 4, 5),
+                                      ("sp", 6, 3)])
+def test_borel_grid_is_narrow_entry_major_and_in_product_order(name, n, q):
+    kind = parse_kind(name, n)
+    grid = borel_grid(kind, q)
+    assert grid.dtype == np.int8
+    assert all(grid[:, r, c].flags["C_CONTIGUOUS"] for r in range(n) for c in range(n))
+    assert np.array_equal(grid, _int64_borel_grid(kind, q))
+
+
+@pytest.mark.parametrize("q,dtype", [(127, np.int8), (131, np.int16)])
+def test_borel_grid_dtype_holds_q_minus_1(q, dtype):
+    # int8 holds residues up to 127; past that the grid widens, and the
+    # walk's sums widen with it
+    kind = parse_kind("sl", 2)
+    grid = borel_grid(kind, q)
+    assert grid.dtype == dtype
+    assert np.array_equal(grid, _int64_borel_grid(kind, q))
+    assert count_unipotents(kind, q) == q ** 2
+
+
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 2), ("gl", 3, 5), ("sl", 4, 3), ("sp", 4, 5),
+                                      ("sp", 6, 3)])
+def test_upper_inverse_matches_the_exact_inverse(name, n, q):
+    # the cells route's spot checks invert their Borel conjugators in one batch
+    grid = borel_grid(parse_kind(name, n), q)
+    rows = grid[np.random.default_rng(10 * n + q).integers(0, len(grid), 50)]
+    expected = np.stack([fflab._inv_mod_p(b, q) for b in rows])
+    assert np.array_equal(fflab._upper_inverse_mod_p(rows, q), expected)
+
+
+def test_borel_grid_builds_no_int64_grid():
+    # the int8 grid of SL_4(F_5) holds 16 MB; an int64 (|B|, n, n) build
+    # would need 128 MB
+    tracemalloc.start()
+    try:
+        grid = borel_grid(parse_kind("sl", 4), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nbytes == 16 * 10**6
+    assert peak < 2 * grid.nbytes, peak
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -666,7 +746,7 @@ def test_borel_generators_generate_the_borel(name, n, q):
     grid = borel_grid(kind, q)
     closure = _decode(fflab._group_codes(borel_generators(kind, q), q, len(grid),
                                          kind.borel_order(q)), q, n)
-    assert {g.tobytes() for g in closure} == {g.tobytes() for g in grid}
+    assert {g.tobytes() for g in closure} == {g.astype(np.int64).tobytes() for g in grid}
 
 
 @pytest.mark.parametrize("q", [2, 3])
