@@ -53,13 +53,14 @@ right, which acts on each row alone: one table per generator maps the code
 of a row to the code of its image, so a matrix code moves by n table lookups
 on its base-p^n digits.  A conjugation orbit decodes each level once and
 codes its products.  Unipotent elements are found by two exact prefilters
-before (g - 1)^n = 0 decides: the trace must be n and e2, the sum of the
-principal 2 x 2 minors, C(n, 2) mod p, as the characteristic polynomial
-(x - 1)^n of a unipotent matrix has them (_unipotent_mask).  The table
-reads each trace off its code, the diagonal digits, and decodes only the
-elements that pass; in SL_3(F_5) that is 74,500 of 372,000.  A slice scan
-sums both off the Borel grid's contiguous entry rows and gathers only the
-matrices that pass both into products (_slice_unipotents).  The codes are
+before the power test (g - 1)^n = 0 decides (_unipotent_mask): the trace
+must be n and e2, the sum of the principal 2 x 2 minors, C(n, 2) mod p, as
+the characteristic polynomial (x - 1)^n of a unipotent matrix has them.  The
+table reads each trace off its code, the diagonal digits, and decodes only
+the elements that pass, 74,500 of the 372,000 of SL_3(F_5); a slice scan
+sums each trace off the Borel grid's contiguous entry rows.  Both then run
+the one e2 test (_e2_mask) on the trace survivors, and hand only its
+survivors to the power test.  The codes are
 exact only while p^(n^2) <= 2^63, and coding a matrix past that bound raises
 a ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
 is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
@@ -573,18 +574,19 @@ def _table_unipotents(codes: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np
     """The indices of the unipotent elements among these codes, ascending,
     and the (k, n, n) stack of them.  Per _CHUNK of codes, the traces are
     read off the codes (_code_traces), and only the elements with trace n
-    mod p, as every unipotent element has, are decoded and handed to
-    _unipotent_mask.  Each chunk's decoded batch is dropped before the next
-    is decoded, and the last one on return."""
+    mod p, as every unipotent element has, are decoded.  The walk's e2 test
+    (_e2_mask, with the identity for w_rep) runs on those, and only its
+    survivors reach the power test (_unipotent_mask)."""
     unipotent, stacks = [], []
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
         passed = np.flatnonzero(_code_traces(chunk, q, n) == n % q)
         batch = _decode(chunk[passed], q, n)
+        e2 = _e2_mask(batch.transpose(1, 2, 0), np.arange(n), np.ones(n, dtype=np.int64), q)
+        passed, batch = passed[e2], batch[e2]
         mask = _unipotent_mask(batch, q)
         unipotent.append(start + passed[mask])
         stacks.append(batch[mask])
-        del batch
     return np.concatenate(unipotent), np.concatenate(stacks)
 
 
@@ -852,28 +854,16 @@ def _monomial(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
-    """Which matrices of a (B, n, n) stack mod p are unipotent: those with
-    (g - 1)^n = 0 mod p.
-
-    A unipotent matrix has characteristic polynomial (x - 1)^n, so in every
-    characteristic its trace is n and its e2, the sum of its principal 2 x 2
-    minors, is C(n, 2) mod p.  The callers hand over only matrices of trace
-    n.  The powers are taken only for the matrices that pass the e2 test,
-    which discards no unipotent matrix; the powers decide.  e2 is (tr(g)^2 -
-    tr(g g)) / 2, taken in int64 over the integers from the reduced entries,
-    where the halving is exact, and only then reduced mod p, so the test
-    holds at p = 2 too."""
+    """Which matrices of a (k, n, n) stack are unipotent mod p: the power
+    test (g - 1)^n = 0 mod p, exact on any input.  Its callers hand over
+    only the survivors of the trace and e2 tests (_table_unipotents,
+    _slice_unipotents)."""
     n = batch.shape[1]
-    trace = np.trace(batch, axis1=1, axis2=2, dtype=np.int64)
-    e2 = (trace * trace - np.einsum("kij,kji->k", batch, batch, dtype=np.int64)) // 2
-    mask = _mod(e2, p) == n * (n - 1) // 2 % p
-    # reduced in place: two candidate-sized arrays alive at a time, not three
-    power = _mod(batch[mask] - np.eye(n, dtype=np.int64), p)
+    power = _mod(batch - np.eye(n, dtype=np.int64), p)
     # squared until the exponent 2^k is at least n
     for _ in range(max(1, (n - 1).bit_length())):
         power = _mod(power @ power, p)
-    mask[mask] = (power == 0).all(axis=(1, 2))
-    return mask
+    return (power == 0).all(axis=(1, 2))
 
 
 def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
@@ -884,14 +874,14 @@ def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
 
     w_rep is monomial, row i being s_i e_{c_i} with s_i = +-1, so w_rep b is
     the rows c of b scaled by s.  The two tests every unipotent matrix
-    passes (_unipotent_mask) run on the grid's contiguous entry rows
-    (borel_grid) before any matrix is gathered:
+    passes run on the grid's contiguous entry rows (borel_grid) before any
+    matrix is gathered:
     - tr(w_rep b) = sum_i s_i b[c_i, i] must be n mod p: a signed sum of n
       rows of the batch;
     - e2(w_rep b) must be C(n, 2) mod p, on the trace survivors' entries
-      only (_slice_e2_mask).
+      only (_e2_mask).
     Only the e2 survivors are gathered into int64 products, in grid order,
-    and _unipotent_mask decides each of those exactly."""
+    and the power test (_unipotent_mask) decides each of those."""
     cols, signs = _monomial(_weyl_rep(kind, w, q))
     n = kind.n
     entries = borel.transpose(1, 2, 0)
@@ -903,16 +893,17 @@ def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
         for i, (c, s) in enumerate(zip(cols, signs)):
             (np.add if s == 1 else np.subtract)(trace, block[c, i], out=trace)
         passed = np.flatnonzero(_mod(trace, q) == 0)
-        passed = passed[_slice_e2_mask(block[:, :, passed], cols, signs, q)]
+        passed = passed[_e2_mask(block[:, :, passed], cols, signs, q)]
         batch = np.ascontiguousarray(block[:, :, passed][cols].transpose(2, 0, 1), dtype=np.int64)
         batch *= signs[:, None]
         yield batch[_unipotent_mask(_mod(batch, q), q)]
 
 
-def _slice_e2_mask(b: np.ndarray, cols: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
-    """Which grid elements b of an entry-major (n, n, k) array have
+def _e2_mask(b: np.ndarray, cols: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
+    """Which matrices b of an entry-major (n, n, k) array have
     e2(w_rep b) = C(n, 2) mod q, where row i of the monomial w_rep is
-    s_i e_{c_i} with s_i = +-1 (_slice_unipotents):
+    s_i e_{c_i} with s_i = +-1: a grid slice's w_rep (_slice_unipotents),
+    or the identity for the table's decoded elements (_table_unipotents):
 
         e2(w_rep b) = sum_{i<j} s_i s_j (b[c_i,i] b[c_j,j] - b[c_i,j] b[c_j,i]).
 

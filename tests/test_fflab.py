@@ -486,7 +486,7 @@ def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
             else:
                 assert w.window not in first_hits
         assert census == expected_census == q ** (2 * kind.num_positive_roots())
-        # the table path's mask on the whole grid, and on non-unipotent input
+        # the power test is exact on any input: the whole grid, mostly not unipotent
         assert np.array_equal(fflab._unipotent_mask(borel, q), _nilpotent_mask(borel, q))
 
 
@@ -526,6 +526,40 @@ def test_unipotent_mask_matches_the_power_oracle(n, p):
     assert not (expected & ~passed).any()
     if n >= 3:
         assert (passed & ~expected).any()
+    # the one e2 kernel against the minor-sum oracle: w_rep the identity (the
+    # table) and a random signed monomial (a grid slice)
+    monomials = [(np.arange(n), np.ones(n, dtype=np.int64)),
+                 (rng.permutation(n), rng.choice([-1, 1], size=n))]
+    for cols, signs in monomials:
+        rep = np.zeros((n, n), dtype=np.int64)
+        rep[np.arange(n), cols] = signs
+        e2 = (_principal_minor_sum(rep @ stack) - math.comb(n, 2)) % p == 0
+        assert np.array_equal(fflab._e2_mask(stack.transpose(1, 2, 0), cols, signs, p), e2)
+
+
+def test_power_test_sees_only_trace_and_e2_survivors(monkeypatch):
+    # both routes, the table and the walk (theorem A's cells and property
+    # D's slices), hand the power test only matrices with trace n and
+    # e2 = C(n, 2) mod p
+    power_test = fflab._unipotent_mask
+    handed = []
+
+    def checked(batch, p):
+        n = batch.shape[1]
+        assert ((np.trace(batch, axis1=1, axis2=2) - n) % p == 0).all()
+        assert ((_principal_minor_sum(batch) - math.comb(n, 2)) % p == 0).all()
+        handed.append(len(batch))
+        return power_test(batch, p)
+
+    monkeypatch.setattr(fflab, "_unipotent_mask", checked)
+    sp4 = parse_kind("sp", 4)
+    for route in (lambda: enumerate_group(parse_kind("sl", 3), 5),
+                  lambda: verify_theorem_a(sp4, 3, method="table", seed=1),
+                  lambda: verify_theorem_a(sp4, 3, method="cells", seed=1),
+                  lambda: scan_property_d(sp4, [3])):
+        handed.clear()
+        route()
+        assert sum(handed) > 0
 
 
 def test_weyl_rep_must_be_monomial():
@@ -601,11 +635,15 @@ def test_dropped_hit_fails_the_sp_census_count(monkeypatch):
     assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
 
 
-@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 5), ("sp", 4, 3)])
-def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, monkeypatch):
+@pytest.mark.parametrize("name,n,q,method", [
+    pytest.param("gl", 3, 3, "cells", id="gl-3-3"), pytest.param("sl", 3, 5, "cells", id="sl-3-5"),
+    pytest.param("sp", 4, 3, "cells", id="sp-4-3"),
+    ("gl", 3, 3, "table"), ("sl", 3, 5, "table"), ("sp", 4, 3, "table")])
+def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, method, monkeypatch):
     # a mutant e2 prefilter that rejects the first unipotent w_rep b it
-    # sees: the type census fails for GL and SL, the Steinberg count for Sp
-    e2_mask = fflab._slice_e2_mask
+    # sees, on the walk or the table: the type census fails for GL and SL,
+    # the Steinberg count for Sp
+    e2_mask = fflab._e2_mask
     dropped = []
 
     def lossy(b, cols, signs, q):
@@ -617,14 +655,14 @@ def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, monke
             dropped.append(hits[0])
         return mask
 
-    monkeypatch.setattr(fflab, "_slice_e2_mask", lossy)
+    monkeypatch.setattr(fflab, "_e2_mask", lossy)
     kind = parse_kind(name, n)
     if name == "sp":
-        report = verify_theorem_a(kind, q, method="cells")
+        report = verify_theorem_a(kind, q, method=method)
         assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
     else:
         with pytest.raises(IntegrityError, match="unipotent census"):
-            verify_theorem_a(kind, q, method="cells")
+            verify_theorem_a(kind, q, method=method)
     assert len(dropped) == 1
 
 
