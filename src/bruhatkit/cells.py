@@ -228,11 +228,11 @@ def symplectic_form(field, n: int) -> ExactMatrix:
     return ExactMatrix(field, mat)
 
 
-def symplectic_membership(g: ExactMatrix, form: ExactMatrix | None = None) -> bool:
+def symplectic_membership(g: ExactMatrix) -> bool:
     """Whether g preserves the fixed antidiagonal symplectic form."""
     if not g.is_square() or g.rows % 2:
         return False
-    j = form if form is not None else symplectic_form(g.field, g.rows // 2)
+    j = symplectic_form(g.field, g.rows // 2)
     return g.transpose() * j * g == j
 
 

@@ -46,9 +46,9 @@ time.  A group closure is told the group order, and marks the codes it has
 seen in a byte map of all q^(n^2) codes when that map holds at most 8 codes
 per element (q^(n^2) <= 8 * |G|), so that it is no larger than the int64
 codes of the group; larger code spaces, orbits and the other member sets
-keep sorted code arrays, with numpy sorting and binary search.  New elements
-keep the order a BFS taking one element at a time would give them, so tables
-and orbits come out in a fixed order.  A group closure multiplies on the
+keep sorted code arrays, with numpy sorting and binary search.  Closures
+return their codes ascending, so that tables and orbits depend only on
+the set generated, not on its generators.  A group closure multiplies on the
 right, which acts on each row alone: one table per generator maps the code
 of a row to the code of its image, so a matrix code moves by n table lookups
 on its base-p^n digits.  A conjugation orbit decodes each level once and
@@ -265,27 +265,26 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
 def _closure(seeds: np.ndarray, step, limit: int | None = None,
              phase: str = "closure", space: int | None = None) -> np.ndarray:
     """Breadth-first closure of int64 matrix codes (_codes) under a step, as
-    the 1-D array of the codes found, in the order found.
+    the set of the codes found: a 1-D array, ascending, which depends only
+    on the set the seeds generate, not on the moves or their order.
 
     ``step`` maps the codes of a level to their images move by move: it
     yields one block of codes per move, the images of the whole level under
     the first move, then under the second, and so on, so that a level's
     images are never all alive at once.  Each move must be a bijection.
-    The BFS goes one level at a time, and of a level's images only the
-    first occurrence of each code not yet seen is kept.  That is the order
-    of a BFS that takes one element at a time.  With ``limit``, holding
-    more elements than that raises a BudgetError naming the phase.
+    The BFS goes one level at a time, and the next level is the images not
+    yet seen.  With ``limit``, holding more elements than that raises a
+    BudgetError naming the phase.
 
-    With ``space``, codes lie in range(space), and seen codes are marked in
-    a bool map of that many bytes (_fresh_in_map).  A bijection sends the
-    distinct codes of a level to distinct codes, so the marks must count the
-    codes listed; if they do not, the closure raises IntegrityError.
-    Without it, the blocks of a level are joined, and the seen codes are
-    kept as a sorted array, which the images are sorted and binary-searched
-    against (_fresh_in_sorted).
+    With ``space``, codes lie in range(space), and the result is the seen
+    codes marked in a bool map of that many bytes (_fresh_in_map).  A
+    bijection sends the distinct codes of a level to distinct codes, so the
+    marks must count the codes listed; if they do not, the closure raises
+    IntegrityError.  Without it, the result is the seen codes kept as a
+    sorted array, which a level's joined blocks are sorted and
+    binary-searched against (_fresh_in_sorted).
     """
     seen = np.zeros(space, dtype=bool) if space is not None else np.empty(0, dtype=np.int64)
-    levels = []
     total = 0
     blocks = [seeds]
     while True:
@@ -296,35 +295,28 @@ def _closure(seeds: np.ndarray, step, limit: int | None = None,
             frontier = _fresh_in_map(blocks, seen)
         if not len(frontier):
             break
-        levels.append(frontier)
         total += len(frontier)
         if limit is not None:
             check_budget(total, limit, f"{phase} reached {total} elements")
         blocks = step(frontier)
-    if space is not None:
-        marked = int(np.count_nonzero(seen))
-        if marked != total:
-            raise IntegrityError(f"{phase} listed {total} codes but marked {marked}: "
-                                 f"a move is not a bijection")
-    return np.concatenate(levels)
+    if space is None:
+        return seen
+    codes = np.flatnonzero(seen)
+    if len(codes) != total:
+        raise IntegrityError(f"{phase} listed {total} codes but marked {len(codes)}: "
+                             f"a move is not a bijection")
+    return codes
 
 
 def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The images not in the sorted ``seen``, each at its first occurrence,
-    and ``seen`` with them inserted: the images are sorted and looked up by
-    binary search."""
-    if not len(images):  # a step without moves
-        return images, seen
-    order = np.argsort(images)
-    codes = images[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    # argsort is not stable: the least index of a run of equal codes is its
-    # first occurrence
-    first = np.minimum.reduceat(order, starts)
-    codes = codes[starts]
+    """The distinct images not in the sorted ``seen``, ascending, and
+    ``seen`` with them inserted: the images are sorted, their repeats
+    dropped, and the rest looked up by binary search."""
+    codes = np.sort(images)
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0
     at = np.searchsorted(seen, codes)
     fresh = ~_found(seen, codes, at)
-    return images[np.sort(first[fresh])], np.insert(seen, at[fresh], codes[fresh])
+    return codes[fresh], np.insert(seen, at[fresh], codes[fresh])
 
 
 def _fresh_in_map(blocks, seen: np.ndarray) -> np.ndarray:
@@ -434,8 +426,8 @@ def _right_multiplication_step(gens: list[np.ndarray], p: int, n: int):
 
 def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndarray:
     """The codes (_codes) of the group of this order that the generators
-    produce, in BFS order from the identity, right multiplying by each
-    (_right_multiplication_step).
+    produce, ascending, closed from the identity under right multiplication
+    by each (_right_multiplication_step).
 
     Seen codes are marked in a byte map of the code space, p^(n^2) codes,
     when that holds at most 8 codes per element, p^(n^2) <= 8 * order: then
@@ -452,10 +444,10 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
 
 
 def _mulclose(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndarray:
-    """The group of this order, as the (N, n, n) stack of its elements:
-    _group_codes, decoded.  Nothing here calls it; it stays while the
-    benchmark's traced fflab.closure layer (perfbench/tracing.py) and its
-    test hook this name."""
+    """The group of this order, as the (N, n, n) stack of its elements in
+    code order: _group_codes, decoded.  Nothing here calls it; it stays
+    while the benchmark's traced fflab.closure layer (perfbench/tracing.py)
+    and its test hook this name."""
     return _decode(_group_codes(gens, p, limit, order), p, gens[0].shape[0])
 
 
@@ -472,8 +464,9 @@ class FiniteGroupTable:
     """The fully enumerated group, kept as codes, with its unipotent data;
     matrices and cell windows on demand.
 
-    ``codes`` holds the int64 code (_codes) of each element, in the
-    closure's BFS order, and ``rows(indices)`` decodes only those elements.
+    ``codes`` holds the int64 code (_codes) of each element, ascending, so
+    element i is the same whichever generators listed the group, and
+    ``rows(indices)`` decodes only those elements.
     ``unipotent`` holds the indices of the unipotent elements, ascending,
     ``types`` their distinct Jordan types, and ``type_index`` for each of
     them the index of its type in ``types``.  ``mats``, the whole (N, n, n)
@@ -546,8 +539,8 @@ class FiniteGroupTable:
 
 def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> FiniteGroupTable:
     """BFS the whole group and find and type its unipotent elements; the
-    table keeps the codes, and matrices and cell windows are left to
-    FiniteGroupTable, which decodes and computes them on demand.
+    table keeps the codes, ascending, and matrices and cell windows are
+    left to FiniteGroupTable, which decodes and computes them on demand.
 
     The closure is told the order from the closed formula, which sizes its
     seen-map (_group_codes).  The element count must reproduce the formula
@@ -950,7 +943,7 @@ def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
                       limit: int | None = None) -> np.ndarray:
     """The orbit of a matrix under conjugation by the group the generators
     produce (closure under the generators alone suffices in a finite group),
-    as the 1-D int64 codes (_codes) of its elements in the order found."""
+    as the 1-D int64 codes (_codes) of its elements, ascending."""
     return _closure(_codes((start % p)[None], p), _conjugation_step(gens, p, len(start)),
                     limit=limit, phase="conjugation orbit")
 
@@ -1014,7 +1007,7 @@ def _group_span(kind: GroupKind, q: int, basis: np.ndarray):
 def _class_by_orbit(kind: GroupKind, q: int, rep: np.ndarray, limit: int | None = None):
     """|Z_G(rep)| and a membership test for the G(F_q)-class of rep, from
     the class itself, grown by BFS; the limit bounds its size."""
-    orbit = np.sort(conjugation_orbit(rep, group_generators(kind, q), q, limit=limit))
+    orbit = conjugation_orbit(rep, group_generators(kind, q), q, limit=limit)
     return centralizer_order(kind, q, orbit), lambda b: bool(_found(orbit, _codes(b[None], q))[0])
 
 
@@ -1108,6 +1101,7 @@ def _partition_into_orbits(members: np.ndarray, gens: list[np.ndarray],
 
 
 _TABLE_THRESHOLD = 10**6
+_SPOT_CHECKS = 20  # samples per seeded spot-check transcript
 
 
 def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
@@ -1217,7 +1211,7 @@ def verify_theorem_a(kind: GroupKind, q: int, *, allow_bad_prime: bool = False,
     return report
 
 
-def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, count: int = 20) -> dict:
+def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int) -> dict:
     """Seeded consistency samples: the cell is constant on B g B, and Jordan
     types are conjugation invariants.  Same seed, same transcript.  The
     Borel grid is built here; it is smaller than the enumerated group.  All
@@ -1227,7 +1221,7 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
     rng = random.Random(seed)
     borel = borel_grid(kind, q)
     picked, left, right, drawn, conjugators = [], [], [], [], []
-    for _ in range(count):
+    for _ in range(_SPOT_CHECKS):
         picked.append(rng.randrange(len(table)))
         left.append(borel[rng.randrange(len(borel))])
         right.append(borel[rng.randrange(len(borel))])
@@ -1243,11 +1237,12 @@ def _spot_checks(kind: GroupKind, q: int, table: FiniteGroupTable, seed: int, co
              for jt, k in zip(_jordan_types_mod_p(np.stack(conjugates), q), table.type_index[drawn])]
     records = [{"element": i, "cell_stable": c, "unipotent": u, "type_stable": t}
                for i, c, u, t in zip(picked, cell_ok, unipotent.tolist(), jt_ok)]
-    return {"seed": seed, "count": count, "records": records, "ok": all(cell_ok) and all(jt_ok)}
+    return {"seed": seed, "count": _SPOT_CHECKS, "records": records,
+            "ok": all(cell_ok) and all(jt_ok)}
 
 
 def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, seed: int,
-                            borel: np.ndarray, count: int = 20) -> dict:
+                            borel: np.ndarray) -> dict:
     """Table-free spot checks for cell-parametrized runs: cells are stable
     under two-sided Borel moves (drawn from the grid ``borel``) and Jordan
     types under Borel conjugation.  The samples are the first unipotent
@@ -1261,17 +1256,17 @@ def _spot_checks_from_cells(kind: GroupKind, q: int, classes, first_hits: dict, 
                for w in cls.min_elements if w.window in first_hits]
     # each draw is a sample, two Borel moves and a Borel conjugator, in turn
     sizes = (len(samples), len(borel), len(borel), len(borel))
-    at, b1, b2, h = np.array([[rng.randrange(n) for n in sizes] for _ in range(count)]).T
+    at, b1, b2, h = np.array([[rng.randrange(n) for n in sizes] for _ in range(_SPOT_CHECKS)]).T
     windows = [samples[i][0] for i in at]
     picked = np.stack([samples[i][1] for i in at])
     moved = (borel[b1] @ picked % q) @ borel[b2] % q
     conjugates = (borel[h] @ picked % q) @ _upper_inverse_mod_p(borel[h], q) % q
     types = _jordan_types_mod_p(np.concatenate([picked, conjugates]), q)
     cell_ok = [a == b for a, b in zip(_cell_windows(kind, moved, q), windows)]
-    jt_ok = [a == b for a, b in zip(types[:count], types[count:])]
+    jt_ok = [a == b for a, b in zip(types[:_SPOT_CHECKS], types[_SPOT_CHECKS:])]
     records = [{"w": list(window), "cell_stable": c, "type_stable": t}
                for window, c, t in zip(windows, cell_ok, jt_ok)]
-    return {"seed": seed, "count": count, "conjugators": "borel", "records": records,
+    return {"seed": seed, "count": _SPOT_CHECKS, "conjugators": "borel", "records": records,
             "ok": all(cell_ok) and all(jt_ok)}
 
 

@@ -808,7 +808,9 @@ def test_slice_borel_generators_generate_the_slice_borel(name, n, q):
 def _bfs_oracle(seed, moves):
     """The closure one element at a time, in pure Python on entry tuples: a
     level's images are taken move by move, each over the whole level, and
-    an image joins the list the first time it is met."""
+    an image joins the list the first time it is met.  Sorted, these tuples
+    are in code order: a code reads the entries row by row as base-p
+    digits."""
     found, seen, level = [seed], {seed}, [seed]
     while level:
         new = []
@@ -831,7 +833,7 @@ def _tuple_mul(a, b, n, p):
 
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 2, 5), ("sp", 4, 3), ("gl", 2, 7),
                                       ("gl", 4, 2), ("sp-borel", 4, 2)])
-def test_mulclose_order_matches_the_one_at_a_time_bfs(name, n, q):
+def test_mulclose_set_matches_the_one_at_a_time_bfs(name, n, q):
     # "-borel": the Borel subgroup, whose generators at q = 2 are the root
     # elements alone
     kind = parse_kind(name.removesuffix("-borel"), n)
@@ -841,10 +843,10 @@ def test_mulclose_order_matches_the_one_at_a_time_bfs(name, n, q):
     moves = [lambda x, g=tuple(g.ravel().tolist()): _tuple_mul(x, g, n, q) for g in gens]
     expected = _bfs_oracle(tuple(np.eye(n, dtype=int).ravel().tolist()), moves)
     mats = _decode(fflab._group_codes(gens, q, 10**6, order), q, n)
-    assert [tuple(m.ravel().tolist()) for m in mats] == expected
+    assert [tuple(m.ravel().tolist()) for m in mats] == sorted(expected)
 
 
-def test_conjugation_orbit_order_matches_the_one_at_a_time_bfs():
+def test_conjugation_orbit_set_matches_the_one_at_a_time_bfs():
     # the regular unipotent class of SL_3(F_3): 5616 / 9 = 624 elements
     gens = group_generators(parse_kind("sl", 3), 3)
     u = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
@@ -855,7 +857,7 @@ def test_conjugation_orbit_order_matches_the_one_at_a_time_bfs():
     expected = _bfs_oracle(tuple(u.ravel().tolist()), moves)
     orbit = conjugation_orbit(u, gens, 3)
     assert len(expected) == 624
-    assert [tuple(x.ravel().tolist()) for x in _decode(orbit, 3, 3)] == expected
+    assert [tuple(x.ravel().tolist()) for x in _decode(orbit, 3, 3)] == sorted(expected)
     assert orbit.shape == (624,) and orbit.dtype == np.int64
 
 
@@ -871,7 +873,48 @@ def test_closures_hand_back_codes():
     u = np.array([[1, 1], [0, 1]], dtype=np.int64)
     orbit = conjugation_orbit(u, gens, 5)
     assert orbit.shape == (12,) and orbit.dtype == np.int64
-    assert orbit[0] == _codes(u[None], 5)[0]
+    assert (orbit[1:] > orbit[:-1]).all() and _codes(u[None], 5)[0] in orbit
+
+
+@pytest.mark.parametrize("name,n,q", [("sl", 3, 3), ("sp", 4, 3), ("gl", 3, 3)])
+def test_group_codes_do_not_depend_on_the_order_of_the_generators(name, n, q):
+    # a closure returns the set it found, ascending: the group alone fixes it
+    kind = parse_kind(name, n)
+    gens = group_generators(kind, q)
+    codes = fflab._group_codes(gens, q, 10**6, kind.order(q))
+    assert np.array_equal(fflab._group_codes(gens[::-1], q, 10**6, kind.order(q)), codes)
+
+
+def test_conjugation_orbit_does_not_depend_on_the_order_of_the_generators():
+    # the regular unipotent class of SL_3(F_3)
+    gens = group_generators(parse_kind("sl", 3), 3)
+    u = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
+    assert np.array_equal(conjugation_orbit(u, gens[::-1], 3), conjugation_orbit(u, gens, 3))
+
+
+def test_table_report_does_not_depend_on_the_order_of_the_generators(monkeypatch):
+    # the spot checks sample the table by index, so the whole transcript
+    # rests on the table's order being the group's code order
+    kind = parse_kind("sp", 4)
+    report = verify_theorem_a(kind, 3, seed=1, method="table")
+    listed = fflab.group_generators
+    monkeypatch.setattr(fflab, "group_generators", lambda kind, q: listed(kind, q)[::-1])
+    assert verify_theorem_a(kind, 3, seed=1, method="table") == report
+
+
+def test_sorted_closure_peak_stays_near_its_codes():
+    # Sp_4(F_3): 3^16 codes are more than 8 * 51,840, so the closure keeps a
+    # sorted seen array, and returns it rather than a second copy of its levels
+    kind = parse_kind("sp", 4)
+    gens = group_generators(kind, 3)
+    tracemalloc.start()
+    try:
+        codes = fflab._group_codes(gens, 3, 10**6, kind.order(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == kind.order(3)
+    assert peak < 7.5 * codes.nbytes, peak / codes.nbytes
 
 
 def test_closure_codes_must_fit_int64():
@@ -973,7 +1016,7 @@ def test_group_codes_takes_the_map_path_only_within_8_codes_per_element(closure_
     # generates the trivial group, 16 codes per element: the sorted path
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     eye = np.eye(2, dtype=np.int64)
-    assert fflab._group_codes([swap], 2, limit=4, order=2).tolist() == [9, 6]
+    assert fflab._group_codes([swap], 2, limit=4, order=2).tolist() == [6, 9]
     assert closure_paths == {"_fresh_in_map": 3} and closure_paths.maps == [16] * 3
     assert fflab._group_codes([eye], 2, limit=4, order=1).tolist() == [9]
     assert closure_paths == {"_fresh_in_map": 3, "_fresh_in_sorted": 2}
