@@ -34,44 +34,46 @@ stay out of the verify report, whose format is fixed.
 Bulk scans run on int64 numpy arrays with explicit reductions mod p (_mod,
 by floor division), except the Borel grid, which is kept entry-major in the
 narrowest signed dtype that holds q - 1 (borel_grid).  Everything stays
-exact.  A reduced matrix has one key, its int64 code
-(_codes): its entries read row by row as base-p digits.  Groups, orbits and
-classes are kept as codes, and their dedup and membership tests work on
-them.  Groups and orbits are listed by one breadth-first closure, _closure,
-which runs on 1-D code arrays and takes a whole level at a time.  Closures
-return codes, and each caller decodes (_decode) only the rows it reads: the
-group table decodes rows on demand, and a property-D scan the least element
-of each B_w-orbit.  A level's images are made one move (generator) at a
-time.  A group closure is told the group order, and marks the codes it has
-seen in a byte map of all q^(n^2) codes when that map holds at most 8 codes
-per element (q^(n^2) <= 8 * |G|), so that it is no larger than the int64
-codes of the group; larger code spaces, orbits and the other member sets
-keep sorted code arrays, with numpy sorting and binary search.  Closures
-return their codes ascending, so that tables and orbits depend only on
-the set generated, not on its generators.  A group closure multiplies on the
-right, which acts on each row alone: one table per generator maps the code
-of a row to the code of its image, so a matrix code moves by n table lookups
-on its base-p^n digits.  A conjugation orbit decodes each level once and
-codes its products.  Unipotent elements are found by two exact prefilters
-before the power test (g - 1)^n = 0 decides (_unipotent_mask): the trace
-must be n and e2, the sum of the principal 2 x 2 minors, C(n, 2) mod p, as
-the characteristic polynomial (x - 1)^n of a unipotent matrix has them.  The
-table reads each trace off its code, the diagonal digits, and decodes only
-the elements that pass, 74,500 of the 372,000 of SL_3(F_5); a slice scan
-sums each trace off the Borel grid's contiguous entry rows.  Both then run
-the one e2 test (_e2_mask) on the trace survivors, and hand only its
-survivors to the power test.  The codes are
+exact.  A reduced matrix has one key, its int64 code (_codes): its entries
+read row by row as base-p digits.  Groups, orbits and classes are kept as
+codes, and their dedup and membership tests work on them.  A group is listed
+by right cosets of its chain of subgroups <g_1> <= <g_1, g_2> <= ...
+(_group_codes, Dimino's algorithm): each coset of the subgroup listed so far
+is made whole, from one representative, so each element's code is made about
+once and membership is tested only for the representatives.  Orbits are
+listed by a breadth-first closure, _closure, which takes a whole level at a
+time.  Both run on 1-D code arrays and return codes, ascending, so that
+tables and orbits depend only on the set generated, not on its generators,
+and each caller decodes (_decode) only the rows it reads: the group table
+decodes rows on demand, and a property-D scan the least element of each
+B_w-orbit.  A group closure is told the group order, and marks the codes it
+has listed in a byte map of all q^(n^2) codes when that map holds at most 8
+codes per element (q^(n^2) <= 8 * |G|), so that it is no larger than the
+int64 codes of the group; larger code spaces, orbits and the other member
+sets keep sorted code arrays, with numpy sorting and binary search.  A group
+closure multiplies on the right, which acts on each row alone: one table per
+matrix maps the code of a row to the code of its image, so a matrix code
+moves by n table lookups on its base-p^n digits.  A conjugation orbit decodes
+each level once and codes its products.  Unipotent elements are found by two
+exact prefilters before the power test (g - 1)^n = 0 decides
+(_unipotent_mask): the trace must be n and e2, the sum of the principal
+2 x 2 minors, C(n, 2) mod p, as the characteristic polynomial (x - 1)^n of a
+unipotent matrix has them.  The table reads each trace off its code, the
+diagonal digits, and decodes only the elements that pass, 74,500 of the
+372,000 of SL_3(F_5); a slice scan sums each trace off the Borel grid's
+contiguous entry rows.  Both then run the one e2 test (_e2_mask) on the trace
+survivors, and hand only its survivors to the power test.  The codes are
 exact only while p^(n^2) <= 2^63, and coding a matrix past that bound raises
 a ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
 is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
 kernel, _column_pivots, eliminates whole (B, n, n) stacks at once, laid out
 batch-last so that each step runs over contiguous rows of B entries: its
-pivot rows are the Bruhat cell windows, and its pivot counts on the powers of
-g - 1, one call per power, are the ranks that give Jordan types.  The
+pivot rows are the Bruhat cell windows, and its pivot counts on the powers
+of g - 1, one call per power, are the ranks that give Jordan types.  The
 ExactMatrix paths (the window of bruhat_decompose, checked by its
-factorization; jordan_type; ExactMatrix.rank) share no code with it and serve
-as its oracles in the tests.  Every group is built from one-parameter root
-subgroups by one set of helpers (_roots, _root_family, _torus): the
+factorization; jordan_type; ExactMatrix.rank) share no code with it and
+serve as its oracles in the tests.  Every group is built from one-parameter
+root subgroups by one set of helpers (_roots, _root_family, _torus): the
 generators of G, B and B_w, and B(F_q) itself.
 
 No cell is built whole.  Each g in BwB is u w_rep b for one u in U_w (the
@@ -165,13 +167,24 @@ DEFAULT_ENUM_BUDGET = 10**8
 # counts as within tolerance; every row prints it
 EXPONENT_TOLERANCE = 0.25
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
-# matrices per numpy batch in slice scans, the table's window and unipotent
-# pass, the Borel centralizer scan and the commutant enumeration; it keeps
-# the temporaries of a whole-group run (372,000 elements of SL_3(F_5)) or of
-# a scan over a Borel grid (10^6 elements of SL_4(F_5), whose int8 grid
-# holds 16 MB) small.  The grid itself is whole: theorem A and property D
-# build one per prime and hold it for one call
+# matrices per numpy batch in slice scans, the table's window pass, the
+# Borel centralizer scan and the commutant enumeration, and codes per chunk
+# of cosets in a group closure; it keeps the temporaries of a whole-group
+# run (372,000 elements of SL_3(F_5)) or of a scan over a Borel grid (10^6
+# elements of SL_4(F_5), whose int8 grid holds 16 MB) small.  The grid
+# itself is whole: theorem A and property D build one per prime and hold it
+# for one call
 _CHUNK = 200_000
+# codes per batch of the table's unipotent pass, whose trace temporaries
+# are each as long as the batch: on the 372,000 codes of SL_3(F_5) its
+# traced peak is 2.7 MB against 5.6 MB per _CHUNK, in the same 18 ms (best
+# of 9, 2-vCPU VM)
+_TRACE_CHUNK = 2 ** 16
+# matrices per batch of Jordan ranks: on the 15,625 unipotent elements of
+# SL_3(F_5) the traced peak is 1.6 MB against 4.8 MB in one batch, and the
+# time 5.7 ms against 7.2 ms (best of 15, 2-vCPU VM), as the powers of
+# g - 1 and their batch-last copies stay in cache
+_JORDAN_CHUNK = 4096
 
 KIND_NAMES = ("GL", "SL", "Sp")
 
@@ -262,50 +275,34 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens
 
 
-def _closure(seeds: np.ndarray, step, limit: int | None = None,
-             phase: str = "closure", space: int | None = None) -> np.ndarray:
+def _closure(seeds: np.ndarray, step, limit: int | None = None) -> np.ndarray:
     """Breadth-first closure of int64 matrix codes (_codes) under a step, as
     the set of the codes found: a 1-D array, ascending, which depends only
-    on the set the seeds generate, not on the moves or their order.
+    on the set the seeds generate, not on the moves or their order.  It
+    lists conjugation orbits; a group is listed by its cosets
+    (_group_codes).
 
     ``step`` maps the codes of a level to their images move by move: it
     yields one block of codes per move, the images of the whole level under
-    the first move, then under the second, and so on, so that a level's
-    images are never all alive at once.  Each move must be a bijection.
-    The BFS goes one level at a time, and the next level is the images not
-    yet seen.  With ``limit``, holding more elements than that raises a
-    BudgetError naming the phase.
-
-    With ``space``, codes lie in range(space), and the result is the seen
-    codes marked in a bool map of that many bytes (_fresh_in_map).  A
-    bijection sends the distinct codes of a level to distinct codes, so the
-    marks must count the codes listed; if they do not, the closure raises
-    IntegrityError.  Without it, the result is the seen codes kept as a
-    sorted array, which a level's joined blocks are sorted and
-    binary-searched against (_fresh_in_sorted).
+    the first move, then under the second, and so on.  The BFS goes one
+    level at a time, and the next level is the images not yet seen: the
+    level's joined blocks are sorted and binary-searched against the seen
+    codes, kept as a sorted array (_fresh_in_sorted).  With ``limit``,
+    holding more elements than that raises a BudgetError naming the
+    conjugation orbit.
     """
-    seen = np.zeros(space, dtype=bool) if space is not None else np.empty(0, dtype=np.int64)
+    seen = np.empty(0, dtype=np.int64)
     total = 0
     blocks = [seeds]
     while True:
-        if space is None:
-            images = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
-            frontier, seen = _fresh_in_sorted(images, seen)
-        else:
-            frontier = _fresh_in_map(blocks, seen)
+        images = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+        frontier, seen = _fresh_in_sorted(images, seen)
         if not len(frontier):
-            break
+            return seen
         total += len(frontier)
         if limit is not None:
-            check_budget(total, limit, f"{phase} reached {total} elements")
+            check_budget(total, limit, f"conjugation orbit reached {total} elements")
         blocks = step(frontier)
-    if space is None:
-        return seen
-    codes = np.flatnonzero(seen)
-    if len(codes) != total:
-        raise IntegrityError(f"{phase} listed {total} codes but marked {len(codes)}: "
-                             f"a move is not a bijection")
-    return codes
 
 
 def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,17 +316,10 @@ def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, 
     return codes[fresh], np.insert(seen, at[fresh], codes[fresh])
 
 
-def _fresh_in_map(blocks, seen: np.ndarray) -> np.ndarray:
-    """The codes of the blocks, taken in turn, that are not marked in the
-    bool map ``seen``, in order, and those marks set.  A block holds no
-    code twice, so a code seen in an earlier block is all there is to
-    drop."""
-    kept = []
-    for codes in blocks:
-        fresh = codes[~seen[codes]]
-        seen[fresh] = True
-        kept.append(fresh)
-    return np.concatenate([np.empty(0, dtype=np.int64), *kept])
+def _marked(seen: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which codes a group closure has listed: ``seen`` is a bool map of
+    the code space or a sorted code array (_found)."""
+    return seen[codes] if seen.dtype == bool else _found(seen, codes)
 
 
 def _found(sorted_codes: np.ndarray, codes: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
@@ -393,61 +383,124 @@ def _conjugation_step(gens: list[np.ndarray], p: int, n: int):
     return step
 
 
-def _right_multiplication_step(gens: list[np.ndarray], p: int, n: int):
-    """The closure step right multiplying by each generator, x -> x g mod p.
+def _row_codes(codes: np.ndarray, p: int, n: int) -> list[np.ndarray]:
+    """The codes of the rows of the n x n matrices with these codes
+    (_codes), first row first: their n base-p^n digits."""
+    rows, rest = [], codes
+    for j in range(n - 1, 0, -1):
+        row, rest = np.divmod(rest, p ** (n * j))
+        rows.append(row)
+    rows.append(rest)
+    return rows
 
-    x -> x g acts on each row of x alone, so one table per generator, of
-    the p^n row codes r -> code of r g mod p, moves a matrix code: its n
-    base-p^n digits are the row codes, each is looked up, and the images
-    are put back together by Horner's rule, one gather and one multiply-add
-    per row (an int64 matrix product has no BLAS path).  The row codes are
-    split off once per level, and the images yielded one generator at a
-    time."""
+
+def _right_multiplication_step(gens, p: int, n: int):
+    """The images of matrices under right multiplication by each of the
+    matrices ``gens`` (generators, or coset representatives), x -> x g mod
+    p: step(rows), given the row codes of the x (_row_codes), is the
+    (len(gens), len(x)) array whose row j holds the codes of x g_j.
+
+    x -> x g acts on each row of x alone, so one table per matrix g, of
+    the p^n row codes r -> code of r g mod p, moves a matrix code: each of
+    its row codes is looked up, and the images are put back together by
+    Horner's rule, one gather and one multiply-add per row (an int64 matrix
+    product has no BLAS path).  The tables of all the matrices are made by
+    one product."""
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
-    tables = [rows @ g % p @ digits for g in gens]
+    tables = rows @ np.asarray(gens, dtype=np.int64) % p @ digits
     base = p ** n
 
-    def step(codes):
-        row_codes, rest = [], codes
-        for j in range(n - 1, 0, -1):
-            row, rest = np.divmod(rest, base ** j)
-            row_codes.append(row)
-        row_codes.append(rest)
-        for table in tables:
-            out = table[row_codes[0]]
-            for row in row_codes[1:]:
-                out *= base
-                out += table[row]
-            yield out
+    def step(row_codes):
+        out = tables[:, row_codes[0]]
+        for row in row_codes[1:]:
+            out *= base
+            out += tables[:, row]
+        return out
 
     return step
 
 
 def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndarray:
     """The codes (_codes) of the group of this order that the generators
-    produce, ascending, closed from the identity under right multiplication
-    by each (_right_multiplication_step).
+    produce, ascending, listed by right cosets of its chain of subgroups
+    (Dimino's algorithm; G. Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559, 1991).
 
-    Seen codes are marked in a byte map of the code space, p^(n^2) codes,
+    With H = <g_1..g_(k-1)> listed, g_k is skipped when it lies in H, and
+    otherwise <g_1..g_k> is walked coset by coset out from H: the
+    candidates are each new coset representative times each of g_1..g_k,
+    and a candidate c not yet listed gives the whole coset H c, its row
+    table applied to the row codes of H (_right_multiplication_step).  Two
+    candidates in one coset give the same codes, so one is kept per least
+    code.  So each code is made once, but for the cosets met twice in one
+    chunk of candidates, and membership is tested for the candidates alone.
+    The candidates are taken a chunk at a time, so that the cosets and the
+    row tables of a chunk hold at most _CHUNK entries.
+
+    Listed codes are marked in a byte map of the code space, p^(n^2) codes,
     when that holds at most 8 codes per element, p^(n^2) <= 8 * order: then
-    the map is no larger than the int64 codes of the group the closure
-    returns.  Otherwise they are kept as a sorted array (_closure).  The row
-    tables count against the limit, since they hold p^n entries, as many as
-    the group has at least elements."""
+    the map is no larger than the int64 codes of the group.  Otherwise they
+    are kept as a sorted array, which each chunk's cosets are sorted into.
+    The order picks nothing else.  Distinct cosets are disjoint, so the
+    distinct codes marked must be as many as the codes listed; if they are
+    not, a generator is singular, and this raises IntegrityError.  Listing
+    more than ``limit`` codes raises BudgetError, and so do row tables of
+    more than ``limit`` entries: they hold p^n, as many as the group has at
+    least elements."""
     n = gens[0].shape[0]
-    seeds = _codes(np.eye(n, dtype=np.int64)[None], p)
+    identity = _codes(np.eye(n, dtype=np.int64)[None], p)
     check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
     space = p ** (n * n)
-    return _closure(seeds, _right_multiplication_step(gens, p, n), limit=limit,
-                    phase="group closure", space=space if space <= 8 * order else None)
+    in_map = space <= 8 * order
+    if in_map:
+        seen = np.zeros(space, dtype=bool)
+        seen[identity] = True
+    else:
+        seen = identity
+    total = 1
+    for k, g in enumerate(_codes(np.asarray(gens, dtype=np.int64) % p, p)[:, None], 1):
+        if _marked(seen, g)[0]:
+            continue
+        moves = _right_multiplication_step(gens[:k], p, n)
+        subgroup = _row_codes(np.flatnonzero(seen) if in_map else seen, p, n)
+        per_chunk = max(1, _CHUNK // max(len(subgroup[0]), n * p ** n))
+        frontier = identity
+        while len(frontier):
+            candidates = np.sort(moves(_row_codes(frontier, p, n)), axis=None)
+            candidates = candidates[np.diff(candidates, prepend=-1) != 0]  # codes are >= 0
+            candidates = candidates[~_marked(seen, candidates)]
+            reps = []
+            for start in range(0, len(candidates), per_chunk):
+                chunk = candidates[start:start + per_chunk]
+                chunk = chunk[~_marked(seen, chunk)]
+                if not len(chunk):
+                    continue
+                cosets = _right_multiplication_step(_decode(chunk, p, n), p, n)(subgroup)
+                _, first = np.unique(cosets.min(axis=1), return_index=True)
+                cosets = cosets[first]
+                total += cosets.size
+                check_budget(total, limit, f"group closure reached {total} elements")
+                if in_map:
+                    seen[cosets] = True
+                else:
+                    seen = np.concatenate([seen, cosets.ravel()])
+                    seen.sort()
+                reps.append(chunk[first])
+            frontier = np.concatenate([np.empty(0, dtype=np.int64), *reps])
+        del subgroup  # n arrays as long as H, not to be held while the group is listed
+    codes = np.flatnonzero(seen) if in_map else seen[np.diff(seen, prepend=-1) != 0]
+    if len(codes) != total:
+        raise IntegrityError(f"group closure listed {total} codes but marked {len(codes)}: "
+                             f"a generator is not invertible")
+    return codes
 
 
 def _mulclose(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndarray:
     """The group of this order, as the (N, n, n) stack of its elements in
-    code order: _group_codes, decoded.  Nothing here calls it; it stays
-    while the benchmark's traced fflab.closure layer (perfbench/tracing.py)
-    and its test hook this name."""
+    code order: _group_codes, the coset closure, decoded.  Nothing here
+    calls it; it stays while the benchmark's traced fflab.closure layer
+    (perfbench/tracing.py) and its test hook this name."""
     return _decode(_group_codes(gens, p, limit, order), p, gens[0].shape[0])
 
 
@@ -565,14 +618,14 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
 
 def _table_unipotents(codes: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the unipotent elements among these codes, ascending,
-    and the (k, n, n) stack of them.  Per _CHUNK of codes, the traces are
-    read off the codes (_code_traces), and only the elements with trace n
-    mod p, as every unipotent element has, are decoded.  The walk's e2 test
+    and the (k, n, n) stack of them.  Per _TRACE_CHUNK of codes, the traces
+    are read off the codes (_code_traces), and only the elements with trace
+    n mod p, as every unipotent element has, are decoded.  The walk's e2 test
     (_e2_mask, with the identity for w_rep) runs on those, and only its
     survivors reach the power test (_unipotent_mask)."""
     unipotent, stacks = [], []
-    for start in range(0, len(codes), _CHUNK):
-        chunk = codes[start:start + _CHUNK]
+    for start in range(0, len(codes), _TRACE_CHUNK):
+        chunk = codes[start:start + _TRACE_CHUNK]
         passed = np.flatnonzero(_code_traces(chunk, q, n) == n % q)
         batch = _decode(chunk[passed], q, n)
         e2 = _e2_mask(batch.transpose(1, 2, 0), np.arange(n), np.ones(n, dtype=np.int64), q)
@@ -653,25 +706,28 @@ def _distinct_jordan_types(stack: np.ndarray, p: int) -> tuple[list[Partition], 
     stack mod p, and for each matrix the index of its type among them.
 
     With N = g - 1, the types are read off the ranks of N^k for k = 1..n-1,
-    one power at a time, so that besides N only one power and its
-    batch-last copy are alive.  The ranks of N^k for k < n - 1 take one
-    kernel call (_column_pivots) each.  N^(n-1) of a nilpotent N has rank 1
-    when N is one Jordan block and 0 otherwise, so its rank is whether it is
-    nonzero.  N^n = 0 is checked by one more product, which never enters the
-    kernel; a matrix that fails it is not unipotent and raises ValueError.
-    One Partition is built per distinct rank sequence."""
+    _JORDAN_CHUNK matrices and one power at a time, so that besides the
+    ranks only one batch of N, one power and its batch-last copy are alive.
+    The ranks of N^k for k < n - 1 take one kernel call (_column_pivots)
+    each.  N^(n-1) of a nilpotent N has rank 1 when N is one Jordan block
+    and 0 otherwise, so its rank is whether it is nonzero.  N^n = 0 is
+    checked by one more product, which never enters the kernel; a matrix
+    that fails it is not unipotent and raises ValueError.  One Partition is
+    built per distinct rank sequence, once all the ranks are in."""
     count, n = stack.shape[:2]
-    nil = _mod(stack - np.eye(n, dtype=np.int64), p)
     ranks = np.empty((count, n - 1), dtype=np.int64)
-    power = nil
-    for k in range(n - 1):
-        if k < n - 2:
-            ranks[:, k] = (_column_pivots(power, p) >= 0).sum(axis=1)
-        else:
-            ranks[:, k] = power.any(axis=(1, 2))
-        power = _mod(power @ nil, p)
-    if power.any():
-        raise ValueError("matrix is not unipotent mod p")
+    for start in range(0, count, _JORDAN_CHUNK):
+        nil = _mod(stack[start:start + _JORDAN_CHUNK] - np.eye(n, dtype=np.int64), p)
+        block = ranks[start:start + _JORDAN_CHUNK]
+        power = nil
+        for k in range(n - 1):
+            if k < n - 2:
+                block[:, k] = (_column_pivots(power, p) >= 0).sum(axis=1)
+            else:
+                block[:, k] = power.any(axis=(1, 2))
+            power = _mod(power @ nil, p)
+        if power.any():
+            raise ValueError("matrix is not unipotent mod p")
     distinct, inverse = _distinct_rows(ranks)
     types = [Partition(a - b for a, b in zip([n] + row, row + [0]) if a != b).conjugate()
              for row in distinct.tolist()]
@@ -945,7 +1001,7 @@ def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
     produce (closure under the generators alone suffices in a finite group),
     as the 1-D int64 codes (_codes) of its elements, ascending."""
     return _closure(_codes((start % p)[None], p), _conjugation_step(gens, p, len(start)),
-                    limit=limit, phase="conjugation orbit")
+                    limit=limit)
 
 
 def centralizer_order(kind: GroupKind, q: int, orbit: np.ndarray) -> int:

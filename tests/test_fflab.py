@@ -846,6 +846,19 @@ def test_mulclose_set_matches_the_one_at_a_time_bfs(name, n, q):
     assert [tuple(m.ravel().tolist()) for m in mats] == sorted(expected)
 
 
+def test_group_codes_skip_a_repeated_generator_and_the_identity():
+    # a generator already in the subgroup listed so far adds no coset: the
+    # identity, and a generator given twice, leave SL_2(F_5) as it was
+    gens = group_generators(parse_kind("sl", 2), 5)
+    eye = np.eye(2, dtype=np.int64)
+    listed = [gens[0], eye, gens[0], gens[1], gens[0], eye]
+    moves = [lambda x, g=tuple(g.ravel().tolist()): _tuple_mul(x, g, 2, 5) for g in listed]
+    expected = _bfs_oracle((1, 0, 0, 1), moves)
+    mats = _decode(fflab._group_codes(listed, 5, 10**6, 120), 5, 2)
+    assert len(expected) == 120
+    assert [tuple(m.ravel().tolist()) for m in mats] == sorted(expected)
+
+
 def test_conjugation_orbit_set_matches_the_one_at_a_time_bfs():
     # the regular unipotent class of SL_3(F_3): 5616 / 9 = 624 elements
     gens = group_generators(parse_kind("sl", 3), 3)
@@ -904,7 +917,8 @@ def test_table_report_does_not_depend_on_the_order_of_the_generators(monkeypatch
 
 def test_sorted_closure_peak_stays_near_its_codes():
     # Sp_4(F_3): 3^16 codes are more than 8 * 51,840, so the closure keeps a
-    # sorted seen array, and returns it rather than a second copy of its levels
+    # sorted seen array, which each chunk of cosets is sorted into; no coset
+    # is made twice but for those met twice in one chunk
     kind = parse_kind("sp", 4)
     gens = group_generators(kind, 3)
     tracemalloc.start()
@@ -914,7 +928,46 @@ def test_sorted_closure_peak_stays_near_its_codes():
     finally:
         tracemalloc.stop()
     assert len(codes) == kind.order(3)
-    assert peak < 7.5 * codes.nbytes, peak / codes.nbytes
+    assert peak < 3.5 * codes.nbytes, peak / codes.nbytes
+
+
+def test_map_closure_peak_stays_near_its_codes():
+    # SL_3(F_5): the byte map of 5^9 codes, one chunk of cosets and the row
+    # codes of the subgroup they are cosets of, and the codes listed at the
+    # end; no per-level images of every element
+    kind = parse_kind("sl", 3)
+    gens = group_generators(kind, 5)
+    tracemalloc.start()
+    try:
+        codes = fflab._group_codes(gens, 5, 10**6, kind.order(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == kind.order(5)
+    assert peak < 2.25 * codes.nbytes, peak / codes.nbytes
+
+
+def test_group_codes_make_each_code_about_once(monkeypatch):
+    # the coset walk makes the codes of its candidates and of each coset
+    # once, except the cosets met twice in one chunk: for SL_3(F_5) at most
+    # 1.3 |G| codes, where a BFS makes |gens| = 4 images of every element
+    made = []
+    real = fflab._right_multiplication_step
+
+    def counted(gens, p, n):
+        step = real(gens, p, n)
+
+        def counted_step(rows):
+            images = step(rows)
+            made.append(images.size)
+            return images
+
+        return counted_step
+
+    monkeypatch.setattr(fflab, "_right_multiplication_step", counted)
+    kind = parse_kind("sl", 3)
+    assert len(fflab._group_codes(group_generators(kind, 5), 5, 10**6, kind.order(5))) == 372000
+    assert 372000 <= sum(made) <= 1.3 * 372000, sum(made)
 
 
 def test_closure_codes_must_fit_int64():
@@ -926,7 +979,9 @@ def test_closure_codes_must_fit_int64():
 
 
 def test_mulclose_row_tables_count_against_the_limit():
-    # the tables of GL_3(F_5) hold 5^3 = 125 row codes each
+    # the tables of GL_3(F_5) hold 5^3 = 125 row codes each; past them, the
+    # 120 elements of <x_a, x_-a> = SL_2(F_5) are listed, and the limit is
+    # overrun by the first coset of it that x_b gives
     kind = parse_kind("gl", 3)
     gens = group_generators(kind, 5)
     with pytest.raises(BudgetError) as info:
@@ -935,17 +990,18 @@ def test_mulclose_row_tables_count_against_the_limit():
     assert info.value.required == 125 and info.value.budget == 124
     with pytest.raises(BudgetError) as info:
         fflab._group_codes(gens, 5, 125, kind.order(5))
-    assert str(info.value) == "group closure reached 418 elements, over budget 125"
+    assert str(info.value) == "group closure reached 240 elements, over budget 125"
 
 
 def test_mulclose_holds_no_stack_per_level():
-    # the closure keeps codes, here in its sorted seen array, and they are
-    # decoded once: the traced peak stays near the size of the decoded stack,
-    # 372,000 3x3 int64 matrices
-    step = fflab._right_multiplication_step(group_generators(parse_kind("sl", 3), 5), 5, 3)
+    # the closure keeps codes, here in its sorted seen array (told order 1,
+    # which only picks the seen set), and they are decoded once: the traced
+    # peak stays near the size of the decoded stack, 372,000 3x3 int64
+    # matrices
+    gens = group_generators(parse_kind("sl", 3), 5)
     tracemalloc.start()
     try:
-        codes = fflab._closure(_codes(np.eye(3, dtype=np.int64)[None], 5), step, limit=10**6)
+        codes = fflab._group_codes(gens, 5, 10**6, order=1)
         mats = _decode(codes, 5, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -955,9 +1011,9 @@ def test_mulclose_holds_no_stack_per_level():
 
 
 def test_enumerate_group_peak_stays_near_its_codes():
-    # the closure's byte map, one move's images at a time, and one power of
-    # g - 1 at a time in the Jordan types: the traced peak of the whole
-    # table build of SL_3(F_5) stays under 16 MiB
+    # the closure's byte map and one chunk of cosets, the traces of 2^16
+    # codes at a time, and the Jordan ranks of 4,096 matrices at a time: the
+    # traced peak of the whole table build of SL_3(F_5) stays under 16 MiB
     tracemalloc.start()
     try:
         table = enumerate_group(parse_kind("sl", 3), 5)
@@ -970,60 +1026,66 @@ def test_enumerate_group_peak_stays_near_its_codes():
 
 @pytest.fixture
 def closure_paths(monkeypatch):
-    """Counts the levels each membership path of fflab._closure takes, and
-    records the byte size of each seen-map the map path is handed."""
+    """Counts the membership tests of fflab._group_codes on each seen set,
+    the byte map ("map") or the sorted code array ("sorted"), and records
+    the byte size of the map each "map" test reads."""
     calls = Counter()
     calls.maps = []
-    for name in ("_fresh_in_map", "_fresh_in_sorted"):
-        def counted(*args, name=name, original=getattr(fflab, name)):
-            calls[name] += 1
-            if name == "_fresh_in_map":
-                calls.maps.append(args[1].nbytes)
-            return original(*args)
-        monkeypatch.setattr(fflab, name, counted)
+    real = fflab._marked
+
+    def counted(seen, codes):
+        path = "map" if seen.dtype == bool else "sorted"
+        calls[path] += 1
+        if path == "map":
+            calls.maps.append(seen.nbytes)
+        return real(seen, codes)
+
+    monkeypatch.setattr(fflab, "_marked", counted)
     return calls
 
 
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 2, 5), ("sp", 4, 3), ("gl", 4, 2)])
 def test_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths, name, n, q):
-    # _closure takes the map path whenever it is given the code space, here
-    # for Sp_4(F_3) a map of 3^16 bytes that _group_codes would not ask for
-    # (3^16 > 8 * 51,840)
-    step = fflab._right_multiplication_step(group_generators(parse_kind(name, n), q), q, n)
-    seeds = _codes(np.eye(n, dtype=np.int64)[None], q)
-    by_map = fflab._closure(seeds, step, limit=10**6, space=q ** (n * n))
-    assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
-    by_sort = fflab._closure(seeds, step, limit=10**6)
-    assert closure_paths["_fresh_in_sorted"] > 0
-    assert len(by_map) == parse_kind(name, n).order(q)
+    # the order a group closure is told only picks its seen set: told q^(n^2)
+    # it keeps a map, here for Sp_4(F_3) one of 3^16 bytes that its true
+    # order would not ask for (3^16 > 8 * 51,840); told 1, a sorted array
+    kind = parse_kind(name, n)
+    gens = group_generators(kind, q)
+    by_map = fflab._group_codes(gens, q, 10**6, order=q ** (n * n))
+    assert closure_paths["map"] > 0 and closure_paths["sorted"] == 0
+    by_sort = fflab._group_codes(gens, q, 10**6, order=1)
+    assert closure_paths["sorted"] > 0
+    assert len(by_map) == kind.order(q)
     assert np.array_equal(by_map, by_sort)
 
 
-def test_conjugation_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths):
-    # the regular unipotent class of SL_3(F_3), 624 of the 3^9 codes
-    gens = group_generators(parse_kind("sl", 3), 3)
-    u = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
-    step = fflab._conjugation_step(gens, 3, 3)
-    by_map = fflab._closure(_codes(u[None], 3), step, limit=1000, space=3 ** 9)
-    assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
-    assert np.array_equal(by_map, conjugation_orbit(u, gens, 3))
-    assert closure_paths["_fresh_in_sorted"] > 0
+def test_borel_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths):
+    # a proper subgroup, the Borel of SL_3(F_3): 108 of the 3^9 codes, on
+    # the map path and on the sorted path its order picks
+    kind = parse_kind("sl", 3)
+    gens = borel_generators(kind, 3)
+    by_map = fflab._group_codes(gens, 3, 1000, order=3 ** 9)
+    assert closure_paths["map"] > 0 and closure_paths["sorted"] == 0
+    by_sort = fflab._group_codes(gens, 3, 1000, order=kind.borel_order(3))
+    assert closure_paths["sorted"] > 0
+    assert len(by_map) == kind.borel_order(3) == 108
+    assert np.array_equal(by_map, by_sort)
 
 
 def test_group_codes_takes_the_map_path_only_within_8_codes_per_element(closure_paths):
     # the swap generates a group of order 2 in GL_2(F_2), whose 2^4 codes
     # are exactly 8 per element: the map path.  The identity alone
-    # generates the trivial group, 16 codes per element: the sorted path
+    # generates the trivial group, 16 codes per element: the sorted path,
+    # which finds the identity listed and walks no coset
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     eye = np.eye(2, dtype=np.int64)
     assert fflab._group_codes([swap], 2, limit=4, order=2).tolist() == [6, 9]
-    assert closure_paths == {"_fresh_in_map": 3} and closure_paths.maps == [16] * 3
+    assert closure_paths == {"map": 4} and closure_paths.maps == [16] * 4
     assert fflab._group_codes([eye], 2, limit=4, order=1).tolist() == [9]
-    assert closure_paths == {"_fresh_in_map": 3, "_fresh_in_sorted": 2}
+    assert closure_paths == {"map": 4, "sorted": 1}
 
 
-@pytest.mark.parametrize("name,n,q,path", [("sp", 4, 3, "_fresh_in_sorted"),
-                                           ("sl", 3, 5, "_fresh_in_map")])
+@pytest.mark.parametrize("name,n,q,path", [("sp", 4, 3, "sorted"), ("sl", 3, 5, "map")])
 def test_enumerate_group_sizes_its_seen_map_by_the_group_order(closure_paths, name, n, q, path):
     # Sp_4(F_3): 3^16 codes are more than 8 * 51,840, so no map; SL_3(F_5):
     # 5^9 codes are at most 8 * 372,000, a map of 5^9 bytes
@@ -1031,7 +1093,7 @@ def test_enumerate_group_sizes_its_seen_map_by_the_group_order(closure_paths, na
     assert len(enumerate_group(kind, q)) == kind.order(q)
     assert set(closure_paths) == {path}
     assert all(size <= 8 * kind.order(q) for size in closure_paths.maps)
-    assert set(closure_paths.maps) == ({q ** (n * n)} if path == "_fresh_in_map" else set())
+    assert set(closure_paths.maps) == ({q ** (n * n)} if path == "map" else set())
 
 
 def test_mulclose_of_the_sp6_borel_at_q2_takes_the_sorted_path(closure_paths):
@@ -1040,21 +1102,19 @@ def test_mulclose_of_the_sp6_borel_at_q2_takes_the_sorted_path(closure_paths):
     kind = parse_kind("sp", 6)
     order = kind.borel_order(2)
     assert len(fflab._group_codes(borel_generators(kind, 2), 2, order, order)) == 512
-    assert closure_paths["_fresh_in_map"] == 0 and closure_paths["_fresh_in_sorted"] > 0
+    assert closure_paths["map"] == 0 and closure_paths["sorted"] > 0
 
 
 def test_mulclose_budget_error_is_the_same_on_both_paths(closure_paths):
     # 3^9 = 19,683 codes <= 8 * |SL_3(F_3)| = 44,928, so _group_codes takes
-    # the map path; _closure, given no code space, the sorted one
+    # the map path; told order 1, the sorted one
     gens = group_generators(parse_kind("sl", 3), 3)
     with pytest.raises(BudgetError) as by_map:
         fflab._group_codes(gens, 3, limit=1000, order=5616)
-    assert closure_paths["_fresh_in_map"] > 0 and closure_paths["_fresh_in_sorted"] == 0
-    step = fflab._right_multiplication_step(gens, 3, 3)
+    assert closure_paths["map"] > 0 and closure_paths["sorted"] == 0
     with pytest.raises(BudgetError) as by_sort:
-        fflab._closure(_codes(np.eye(3, dtype=np.int64)[None], 3), step, limit=1000,
-                       phase="group closure")
-    assert closure_paths["_fresh_in_sorted"] > 0
+        fflab._group_codes(gens, 3, limit=1000, order=1)
+    assert closure_paths["sorted"] > 0
     assert str(by_map.value) == str(by_sort.value)
     assert str(by_map.value).startswith("group closure reached ")
     assert str(by_map.value).endswith(" elements, over budget 1000")
@@ -1062,15 +1122,16 @@ def test_mulclose_budget_error_is_the_same_on_both_paths(closure_paths):
     assert by_map.value.budget == by_sort.value.budget == 1000
 
 
-def test_closure_bitmap_path_refuses_a_singular_move():
-    # x -> x e11 sends I and diag(1, 2) to e11 in one block: the map path
-    # lists e11 twice and marks it once, the sorted path drops the repeat
+def test_closure_bitmap_path_refuses_a_singular_move(closure_paths):
+    # diag(1, 2) generates H = {I, diag(1, 2)}, and x -> x e11 sends both to
+    # e11: the coset "H e11" lists e11 twice.  The map marks it once, and the
+    # sorted array holds it once when its repeats are dropped
     e11 = np.array([[1, 0], [0, 0]], dtype=np.int64)
-    step = fflab._right_multiplication_step([e11], 3, 2)
-    seeds = _codes(np.array([np.eye(2, dtype=np.int64), np.diag([1, 2])]), 3)
-    assert len(fflab._closure(seeds, step, limit=100)) == 3
-    with pytest.raises(IntegrityError, match="group closure listed 4 codes but marked 3"):
-        fflab._closure(seeds, step, limit=100, phase="group closure", space=3 ** 4)
+    gens = [np.diag([1, 2]), e11]
+    for order in (3 ** 4, 1):
+        with pytest.raises(IntegrityError, match="group closure listed 4 codes but marked 3"):
+            fflab._group_codes(gens, 3, limit=100, order=order)
+    assert closure_paths["map"] > 0 and closure_paths["sorted"] > 0
 
 
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 3), ("gl", 4, 2)])
