@@ -88,7 +88,23 @@ smaller, with the same centralizers in B and in G.  So |Z_B(x)| is read off
 that orbit by orbit-stabilizer, |B_w| / |orbit|; borel_centralizer_order,
 a direct commuting scan of B, is its oracle in the tests.
 
-Centralizers in G take one of two routes.  Z_G(g) is the part of G in the
+Centralizers in G of Sp at odd q are read off invariants, and no class is
+built (_classes_met).  The Cayley transform e = (u - 1)(u + 1)^-1 of a
+unipotent u is a nilpotent element of sp with u's Jordan type λ, and
+conjugation carries one to the other.  For each even part size i, the
+symmetric form <x, e^(i-1) y> on a complement of ker e^(i-1) + e ker e^(i+1)
+in ker e^i has a discriminant mod squares, and λ with these discriminants
+names the G(F_q)-class of u (G. E. Wall, "On the conjugacy classes in the
+unitary, symplectic and orthogonal groups", 1963; _sp_class_key).  Then
+|Z_G| = q^(dim Z - dim R) |R(F_q)|, where dim Z = 1/2 sum_j λ'_j^2 + 1/2
+#{odd parts} (Collingwood-McGovern, Nilpotent Orbits in Semisimple Lie
+Algebras, Cor. 6.1.4) and R = prod_{i odd} Sp_{m_i} x prod_{i even} O_{m_i}
+is the reductive part, each orthogonal group split or not as its form's
+discriminant says (_sp_centralizer_order).  Summed over the forms of λ,
+|G| / |Z_G| is the census of the type, which the table checks for Sp as it
+checks GL and SL (_check_type_census).
+
+SL, and Sp at q = 2, take one of two routes.  Z_G(g) is the part of G in the
 commutant {X : X g = g X}, a linear space of some dimension k whose basis
 is one n^2 x n^2 nullspace mod p (GF(p).nullspace); its q^k members
 are enumerated in numpy batches and kept when in G (X^T J X = J for Sp, det
@@ -98,9 +114,10 @@ candidates are no more than |G| / q^k, which bounds the class size from
 below.  Otherwise the class is grown by BFS under conjugation by the
 generators (conjugation_orbit), within the cell budget, and |Z_G| =
 |G| / |class|.  k is a class invariant, so each class takes one route; the
-tests hold the two routes against each other.  In Sp_4 the Coxeter classes
-(k = 4, 187,200 elements at q = 5) go by the commutant, and the classes of
-the longest element (k = 8, 6,240 and 9,360 elements) by BFS.
+tests hold the two routes, and the invariants for Sp, against each other.
+In Sp_4 the Coxeter classes (k = 4, 187,200 elements at q = 5) would go by
+the commutant, and the classes of the longest element (k = 8, 6,240 and
+9,360 elements) by BFS.
 
 This module holds the package's only numpy import, and it imports numpy
 with one OpenBLAS thread: nothing here uses BLAS or floats (every product is
@@ -134,7 +151,7 @@ from .cells import (
 )
 from .errors import IntegrityError, SingularMatrixError, check_budget
 from .exact import ExactMatrix, GF, is_prime
-from .partitions import Partition, dominance_leq, partitions_of
+from .partitions import Partition, dominance_leq, is_symplectic_partition, partitions_of
 from .phimap import PhiRow, phi
 from .weyl import (
     DEFAULT_RANK_CAP,
@@ -597,10 +614,10 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
 
     The closure is told the order from the closed formula, which sizes its
     seen-map (_group_codes).  The element count must reproduce the formula
-    exactly; a mismatch is an integrity failure, not a warning.  For GL and
-    SL the unipotent elements of each Jordan type must be as many as its
-    class has (_check_type_census); for Sp the report checks the total
-    q^(2N).
+    exactly; a mismatch is an integrity failure, not a warning.  The
+    unipotent elements of each Jordan type must be as many as its classes
+    have (_check_type_census), except for Sp at q = 2, where the report
+    checks only the total q^(2N).
     """
     _check_prime(q)
     expected = kind.order(q)
@@ -610,7 +627,7 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
         raise IntegrityError(f"enumerated {len(codes)} elements of {kind}/GF({q}), formula gives {expected}")
     unipotent, stack = _table_unipotents(codes, q, kind.n)
     types, inverse = _distinct_jordan_types(stack, q)
-    if kind.family != "Sp":
+    if kind.family != "Sp" or q % 2:
         counts = np.bincount(inverse, minlength=len(types)).tolist()
         _check_type_census(kind, q, Counter(dict(zip(types, counts))))
     return FiniteGroupTable(kind, q, codes, unipotent, types, inverse)
@@ -1084,6 +1101,101 @@ def _class_by_commutant(kind: GroupKind, q: int, rep: np.ndarray, basis: np.ndar
     return zg, same_class
 
 
+def _sp_class_key(u: np.ndarray, q: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The invariants that name the Sp_n(F_q)-class of a unipotent u, q odd
+    (Wall): its Jordan type, and for each even part size i, the Legendre
+    symbol of the discriminant of a symmetric form on that part's
+    multiplicity space.
+
+    The Cayley transform e = (u - 1)(u + 1)^-1 is nilpotent, in sp, of the
+    Jordan type of u, and conjugating u conjugates e.  On ker e^i the form
+    <x, e^(i-1) y> (with <x, y> = x^T J y) is symmetric for even i, and its
+    radical there is ker e^(i-1) + e ker e^(i+1); on a complement of the
+    radical, of dimension m_i (the number of parts i), it is nondegenerate,
+    and the class of its Gram determinant mod squares names its isometry
+    class.  Returns (parts, ((i, symbol), ...)), the parts decreasing."""
+    n = len(u)
+    field = GF(q)
+    eye = np.eye(n, dtype=np.int64)
+    e = (u - eye) @ _inv_mod_p((u + eye) % q, q) % q
+    powers = [eye]
+    while powers[-1].any():
+        if len(powers) > n:
+            raise IntegrityError(f"a class representative over GF({q}) is not unipotent")
+        powers.append(powers[-1] @ e % q)
+    powers.append(powers[-1])  # e^(h+1) = 0 too, h the largest part
+    kernels = [field.nullspace(power.tolist()) for power in powers]
+    # m_i = (parts >= i) - (parts >= i + 1), parts >= i = dim ker e^i - dim ker e^(i-1)
+    mult = {i: 2 * len(kernels[i]) - len(kernels[i - 1]) - len(kernels[i + 1])
+            for i in range(1, len(powers) - 1)}
+    form = _np(symplectic_form(field, n // 2))
+    symbols = []
+    for i, m in mult.items():
+        if i % 2 or not m:
+            continue
+        radical = kernels[i - 1] + (np.array(kernels[i + 1]) @ e.T % q).tolist()
+        candidates = radical + kernels[i]
+        # the pivot columns of the candidates as columns: each one independent
+        # of those before it, so the pivots past the radical span a complement
+        pivots = field.echelon(np.array(candidates).T.tolist())[2]
+        complement = np.array([candidates[c] for c in pivots if c >= len(radical)])
+        gram = (complement @ form % q) @ (powers[i - 1] @ complement.T % q) % q
+        det = field.echelon(gram.tolist())[1]
+        if len(complement) != m or not det:
+            raise IntegrityError(f"the form of part size {i} over GF({q}) is degenerate")
+        symbols.append((i, 1 if pow(det, (q - 1) // 2, q) == 1 else -1))
+    parts = tuple(i for i in sorted(mult, reverse=True) for _ in range(mult[i]))
+    return parts, tuple(symbols)
+
+
+def _sp_order(n: int, q: int) -> int:
+    """|Sp_n(F_q)| for even n >= 0."""
+    k = n // 2
+    return q ** (k * k) * math.prod(q ** (2 * j) - 1 for j in range(1, k + 1))
+
+
+def _sp_centralizer_order(parts: tuple[int, ...], symbols: tuple[tuple[int, int], ...],
+                          q: int) -> int:
+    """|Z_G(u)(F_q)| of a unipotent u of Sp(F_q), q odd, from its class key
+    (_sp_class_key): q^(dim Z - dim R) |R(F_q)|, where dim Z = 1/2 sum_j
+    λ'_j^2 + 1/2 #{odd parts} (Collingwood-McGovern, Cor. 6.1.4) and R =
+    prod_{i odd} Sp_{m_i} x prod_{i even} O_{m_i} is its reductive part."""
+    mult = Counter(parts)
+    dim_z = (sum(x * x for x in Partition(parts).conjugate()) + sum(x % 2 for x in parts)) // 2
+    dim_r, order = 0, 1
+    for i in mult:
+        if i % 2:
+            dim_r += mult[i] * (mult[i] + 1) // 2
+            order *= _sp_order(mult[i], q)
+    for i, symbol in symbols:
+        dim_r += mult[i] * (mult[i] - 1) // 2
+        order *= _orthogonal_order(mult[i], symbol, q)
+    return q ** (dim_z - dim_r) * order
+
+
+def _orthogonal_order(m: int, symbol: int, q: int) -> int:
+    """|O(Q)(F_q)| for a nondegenerate quadratic form Q in m >= 1 variables,
+    q odd, whose Gram determinant has this Legendre symbol: O^+ (split) when
+    (-1)^(m/2) times the determinant is a square, for even m; odd m has one
+    order."""
+    k = m // 2
+    if m % 2:
+        return 2 * _sp_order(m - 1, q)
+    minus_one = 1 if q % 4 == 1 else -1  # the Legendre symbol of -1
+    return 2 * q ** (k - 1) * (q ** k - symbol * minus_one ** k) * _sp_order(m - 2, q)
+
+
+def _sp_class_keys_of_type(jt: Partition) -> list[tuple]:
+    """The keys (_sp_class_key) of the Sp(F_q)-classes of unipotent type jt,
+    q odd: both symbols for each even part size, none unless jt is
+    symplectic."""
+    if not is_symplectic_partition(jt):
+        return []
+    even = sorted({i for i in jt.parts if i % 2 == 0})
+    return [(jt.parts, tuple(zip(even, signs)))
+            for signs in itertools.product((1, -1), repeat=len(even))]
+
+
 def borel_centralizer_order(kind: GroupKind, q: int, g: np.ndarray) -> int:
     """|Z_B(g)(F_q)| by a direct commuting scan over the Borel grid, one
     _CHUNK batch at a time.  scan_property_d reads |Z_B| off the B_w-orbits
@@ -1371,13 +1483,23 @@ def _growth_exponent(x, y, q: int, q2: int) -> float:
 
 def _classes_met(kind: GroupKind, q: int, reps: np.ndarray,
                  limit: int | None = None) -> tuple[list[int], list[int]]:
-    """|Z_G(F_q)| of each representative in a (k, n, n) stack, and the sizes
-    of the distinct G(F_q)-classes the representatives fall into, in order
-    of their first representative.  Each class takes one route, by the
-    dimension k of the commutant of that representative: the commutant when
-    q^(2k) <= |G|, so that its q^k members are no more than |G| / q^k <=
-    |class|; the conjugation orbit, at most ``limit`` elements, otherwise."""
+    """|Z_G(F_q)| of each unipotent representative in a (k, n, n) stack,
+    and the sizes of the distinct G(F_q)-classes the representatives fall
+    into, in order of their first representative.
+
+    For Sp at odd q each representative's class is named by its invariants
+    (_sp_class_key) and |Z_G| read off the closed form
+    (_sp_centralizer_order); no class is built.  Otherwise each class takes
+    one route, by the dimension k of the commutant of that representative:
+    the commutant when q^(2k) <= |G|, so that its q^k members are no more
+    than |G| / q^k <= |class|; the conjugation orbit, at most ``limit``
+    elements, otherwise."""
     order = kind.order(q)
+    if kind.family == "Sp" and q % 2:
+        keys = [_sp_class_key(rep, q) for rep in reps]
+        by_key = {key: _sp_centralizer_order(*key, q) for key in keys}
+        return [by_key[key] for key in keys], [
+            _cofactor(order, f"|{kind}(F_{q})|", zg, "centralizer order") for zg in by_key.values()]
     zg: list[int | None] = [None] * len(reps)
     sizes = []
     for i, rep in enumerate(reps):
@@ -1405,10 +1527,11 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
     G(F_q)-classes it meets.  One prime suffices here; the report compares
     two or more, and a prime given twice is scanned once.  Only gamma ∩ w_rep
     B is built, split into B_w-orbits (see the module docstring), and |Z_B|
-    is |B_w| / |orbit|.  The cell budget bounds |B| and every class that is
-    grown by BFS.  Every prime and its |B| are checked before the classes
-    are listed; then the primes are scanned in turn, each with one Borel
-    grid that is freed before the next is built."""
+    is |B_w| / |orbit|.  The cell budget bounds |B|, and for SL and for Sp
+    at q = 2 every class that is grown by BFS (_classes_met).  Every prime
+    and its |B| are checked before the classes are listed; then the primes
+    are scanned in turn, each with one Borel grid that is freed before the
+    next is built."""
     if kind.family == "GL":
         raise ValueError(
             "the centralizer-dimension statement is about semisimple groups; "
@@ -1596,16 +1719,25 @@ def _walk(kind: GroupKind, q: int, borel: np.ndarray, minimal=frozenset()
 
 def _check_type_census(kind: GroupKind, q: int, by_type: Counter) -> None:
     """Raise IntegrityError unless the census of each Jordan type λ is the
-    size of the unipotent class of GL_n(F_q) of that type, |GL_n(F_q)| /
-    |Z(u_λ)| with |Z(u_λ)| = q^(sum λ'_i^2 - sum m_i^2) * prod |GL_{m_i}(F_q)|,
-    m_i the multiplicity of the part i.  Each such class lies in SL_n."""
+    sum of the sizes of its unipotent classes.  For GL and SL that is one
+    class of GL_n(F_q), of size |GL_n(F_q)| / |Z(u_λ)| with |Z(u_λ)| =
+    q^(sum λ'_i^2 - sum m_i^2) * prod |GL_{m_i}(F_q)|, m_i the multiplicity
+    of the part i, and it lies in SL_n.  For Sp, q odd, it is |Sp(F_q)| /
+    |Z_G| summed over the rational forms of λ (_sp_class_keys_of_type,
+    _sp_centralizer_order), none unless λ is symplectic; at q = 2 the
+    formula does not apply, and only the total q^(2N) is checked."""
     n = kind.n
-    order = gl_order(n, q)
+    sp = kind.family == "Sp"
+    group, order = (kind, kind.order(q)) if sp else (f"GL_{n}", gl_order(n, q))
     for jt in partitions_of(n):
-        mult = Counter(jt.parts).values()
-        centralizer = (q ** (sum(x * x for x in jt.conjugate()) - sum(m * m for m in mult))
-                       * math.prod(gl_order(m, q) for m in mult))
-        expected = _cofactor(order, f"|GL_{n}(F_{q})|", centralizer, f"centralizer order of {jt}")
+        if sp:
+            centralizers = [_sp_centralizer_order(*key, q) for key in _sp_class_keys_of_type(jt)]
+        else:
+            mult = Counter(jt.parts).values()
+            centralizers = [q ** (sum(x * x for x in jt.conjugate()) - sum(m * m for m in mult))
+                            * math.prod(gl_order(m, q) for m in mult)]
+        expected = sum(_cofactor(order, f"|{group}(F_{q})|", z, f"centralizer order of {jt}")
+                       for z in centralizers)
         if by_type[jt] != expected:
             raise IntegrityError(f"unipotent census of {kind}/GF({q}) has {by_type[jt]} elements "
-                                 f"of Jordan type {jt}, the class has {expected}")
+                                 f"of Jordan type {jt}, its classes have {expected}")

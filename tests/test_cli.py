@@ -321,15 +321,18 @@ def test_verify_budget_message(capsys, monkeypatch):
 
 
 def test_class_bfs_over_the_cell_budget_exits_2(capsys, monkeypatch):
-    # a commutant too large to enumerate sends every class to the BFS, which
-    # the cell budget bounds: a Coxeter class of Sp_4(F_5) has 187,200 elements
+    # a commutant too large to enumerate sends every SL class to the BFS,
+    # which the cell budget bounds: a Coxeter class of SL_3(F_7) has 38,304
+    # elements, over the budget while |B| = 12,348 is within it (Sp at odd q
+    # names its classes by invariants and grows none)
     monkeypatch.setattr(fflab, "_commutant",
                         lambda a, b, p: np.zeros((99, *a.shape), dtype=np.int64))
-    rc, out, err = run(capsys, ["verify", "sp", "4", "--q", "5", "--q", "7", "--no-theorem-a",
-                                "--cell-budget", "100000"])
+    rc, out, err = run(capsys, ["verify", "sl", "3", "--q", "5", "--q", "7", "--no-theorem-a",
+                                "--cell-budget", "20000"])
     assert rc == 2 and not out
     assert err.count("\n") == 1 and "conjugation orbit reached" in err
-    assert "elements, over budget 100000" in err
+    assert "elements, over budget 20000" in err
+    assert err == "error: conjugation orbit reached 32306 elements, over budget 20000\n"
 
 
 def test_closure_past_int64_codes_exits_2(capsys):
@@ -370,6 +373,9 @@ def test_bad_budgets_exit_2_naming_the_source(capsys, monkeypatch, env, args, so
      "a878612f4467d9018d4388094ffa821a7f50319058e88f30b701440ac17351b2"),
     (["sl", "3", "--q", "3", "--q", "5"],
      "ade987cff8c3e138e4d8a8e1517fd323f205e2d6b62c719d2882404f1694638b"),
+    # Sp classes named by their invariants at two larger primes
+    (["sp", "4", "--q", "5", "--q", "7"],
+     "713a9b375546699c9a505407bcaa6f1af4363ec1abd336a5498f9f61eaeb1715"),
 ])
 def test_property_d_report_bytes_are_pinned(capsys, args, digest):
     # SHA-256 of the whole stdout, the same bytes perfbench's digests pin

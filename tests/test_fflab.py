@@ -31,6 +31,8 @@ from bruhatkit.fflab import (
     _roots,
     _slice_borel_generators,
     _slice_unipotents,
+    _sp_centralizer_order,
+    _sp_class_key,
     _torus,
     _weyl_rep,
     borel_centralizer_order,
@@ -199,6 +201,22 @@ def test_table_type_census_catches_a_moved_element(monkeypatch):
     monkeypatch.setattr(fflab, "_distinct_jordan_types", moved)
     with pytest.raises(IntegrityError, match="unipotent census of SL\\(3\\)/GF\\(3\\)"):
         verify_theorem_a(parse_kind("sl", 3), 3, method="table")
+
+
+def test_sp_table_type_census_catches_a_moved_element(monkeypatch):
+    # the same mutant on Sp_4(F_3): each type's census is held to the sum of
+    # its rational classes, so moving one element fails as it does for SL
+    real = fflab._distinct_jordan_types
+
+    def moved(stack, p):
+        types, inverse = real(stack, p)
+        inverse = inverse.copy()
+        inverse[0] = (inverse[0] + 1) % len(types)
+        return types, inverse
+
+    monkeypatch.setattr(fflab, "_distinct_jordan_types", moved)
+    with pytest.raises(IntegrityError, match="unipotent census of Sp\\(4\\)/GF\\(3\\)"):
+        enumerate_group(parse_kind("sp", 4), 3)
 
 
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sp", 4, 3)])
@@ -641,8 +659,8 @@ def test_dropped_hit_fails_the_sp_census_count(monkeypatch):
     ("gl", 3, 3, "table"), ("sl", 3, 5, "table"), ("sp", 4, 3, "table")])
 def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, method, monkeypatch):
     # a mutant e2 prefilter that rejects the first unipotent w_rep b it
-    # sees, on the walk or the table: the type census fails for GL and SL,
-    # the Steinberg count for Sp
+    # sees, on the walk or the table: the type census fails for GL and SL
+    # and for the Sp table, the Steinberg count for the Sp walk
     e2_mask = fflab._e2_mask
     dropped = []
 
@@ -657,7 +675,7 @@ def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, metho
 
     monkeypatch.setattr(fflab, "_e2_mask", lossy)
     kind = parse_kind(name, n)
-    if name == "sp":
+    if name == "sp" and method == "cells":
         report = verify_theorem_a(kind, q, method=method)
         assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
     else:
@@ -1481,6 +1499,7 @@ def test_centralizer_routes_agree(name, n, q, monkeypatch):
     assert captured
     for reps in captured:
         orbits = []  # (orbit codes, their set)
+        class_keys = [_sp_class_key(b, q) for b in reps] if name == "sp" else None
         for rep in reps:
             orbit, keys = next(((o, k) for o, k in orbits if _code(rep, q) in k), (None, None))
             if orbit is None:
@@ -1494,10 +1513,104 @@ def test_centralizer_routes_agree(name, n, q, monkeypatch):
             assert by_commutant[0] == by_orbit[0] == expected_z
             for b in reps:
                 assert by_commutant[1](b) == by_orbit[1](b) == (_code(b, q) in keys)
+            if name == "sp":
+                # and the invariants: one key per class, and its closed form
+                key = _sp_class_key(rep, q)
+                assert _sp_centralizer_order(*key, q) == expected_z
+                assert [k == key for k in class_keys] == [_code(b, q) in keys for b in reps]
         zg, sizes = _classes_met(kind, q, reps)
         assert sizes == [len(o) for o, _ in orbits]
         assert zg == [centralizer_order(kind, q, next(o for o, k in orbits if _code(r, q) in k))
                       for r in reps]
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (2, 5), (2, 7)])
+def test_sp_class_keys_are_the_conjugation_orbits(n, q):
+    # oracle: every unipotent element from the whole-group table, and the
+    # BFS under conjugation.  Each key is one G(F_q)-class, of |G| / |Z_G|
+    # elements, with the table's Jordan type, and every rational form the
+    # closed forms list occurs
+    kind = parse_kind("sp", n)
+    table = enumerate_group(kind, q)
+    gens = group_generators(kind, q)
+    by_key = {}
+    for i, u in zip(table.unipotent.tolist(), table.rows(table.unipotent)):
+        key = _sp_class_key(u, q)
+        assert key[0] == table.unipotent_types[i].parts
+        by_key.setdefault(key, set()).add(int(table.codes[i]))
+    assert sorted(by_key) == sorted(key for jt in partitions_of(n)
+                                    for key in fflab._sp_class_keys_of_type(jt))
+    for key, codes in by_key.items():
+        least = _decode(np.array([min(codes)], dtype=np.int64), q, n)[0]
+        assert set(conjugation_orbit(least, gens, q).tolist()) == codes
+        assert len(codes) * _sp_centralizer_order(*key, q) == kind.order(q)
+
+
+def test_sp_centralizer_orders_in_closed_form():
+    # the w0 forms of Sp_4: 2q^3(q -+ 1), the form of the symbol that makes
+    # -det a square split; the Coxeter forms 2q^2; the identity |Sp_4(q)|
+    for q in (3, 5, 7, 11):
+        minus_one = 1 if q % 4 == 1 else -1
+        assert _sp_centralizer_order((2, 2), ((2, minus_one),), q) == 2 * q ** 3 * (q - 1)
+        assert _sp_centralizer_order((2, 2), ((2, -minus_one),), q) == 2 * q ** 3 * (q + 1)
+        assert _sp_centralizer_order((4,), ((4, 1),), q) == 2 * q * q
+        assert _sp_centralizer_order((1, 1, 1, 1), (), q) == parse_kind("sp", 4).order(q)
+    # a non-symplectic type has no classes
+    assert fflab._sp_class_keys_of_type(Partition([3, 1])) == []
+
+
+def test_sp_classes_at_odd_q_are_named_without_building_one(monkeypatch):
+    # neither the commutant nor the class BFS runs for Sp at odd q, and the
+    # class sizes stay those of acceptance 6
+    for name in ("conjugation_orbit", "_commutant", "_class_by_orbit", "_class_by_commutant"):
+        monkeypatch.setattr(fflab, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    scan = scan_property_d(parse_kind("sp", 4), [3, 5])
+    assert [cell.class_sizes for cell in scan.cells] == [
+        [[2880, 2880], [187200, 187200]], [[2880, 2880], [187200, 187200]],
+        [[240, 480], [9360, 6240]]]
+
+
+def test_sp_at_q2_keeps_the_commutant_and_the_class_bfs(monkeypatch):
+    # Wall's invariants need odd q: the q = 2 representatives go through the
+    # commutant (the Coxeter classes) and the BFS (w0), the q = 3 ones
+    # through neither, and the q = 2 records keep their values
+    calls = []
+    for name in ("_class_by_commutant", "_class_by_orbit"):
+        real = getattr(fflab, name)
+
+        def spy(kind, q, *args, real=real, name=name):
+            calls.append((name, q))
+            return real(kind, q, *args)
+
+        monkeypatch.setattr(fflab, name, spy)
+    scan = scan_property_d(parse_kind("sp", 4), [2, 3], allow_bad_prime=True)
+    assert calls == [("_class_by_commutant", 2), ("_class_by_commutant", 2),
+                     ("_class_by_orbit", 2)]
+    coxeter = {"q": 2, "intersection_size": 16, "orbit_count": 1, "orbit_sizes": [16],
+               "zg": [8], "zb": [1]}
+    assert [(cell.per_q[0], cell.class_sizes[0]) for cell in scan.cells] == [
+        (coxeter, [90]), (coxeter, [90]),
+        ({**coxeter, "zg": [16]}, [45])]
+
+
+def test_property_d_sp6_q3_records_are_pinned():
+    # the records of the commutant and BFS routes (7.4 s on a 2-vCPU VM),
+    # which the invariants reproduce without building a class; per cell: w,
+    # orbit count, orbit size, |Z_G|, |Z_B| and the class sizes
+    expected = [((-3, 1, 2), 2, 78732, 54, 2, [169827840] * 2),
+                ((2, -3, 1), 2, 78732, 54, 2, [169827840] * 2),
+                ((2, 3, -1), 2, 78732, 54, 2, [169827840] * 2),
+                ((3, 1, -2), 2, 78732, 54, 2, [169827840] * 2),
+                ((-3, -2, 1), 4, 39366, 972, 4, [9434880] * 4),
+                ((-2, 1, -3), 4, 39366, 972, 4, [9434880] * 4),
+                ((2, -1, -3), 4, 39366, 972, 4, [9434880] * 4),
+                ((3, -2, -1), 4, 39366, 972, 4, [9434880] * 4),
+                ((-1, -2, -3), 8, 19683, 34992, 8, [262080] * 2)]
+    scan = scan_property_d(parse_kind("sp", 6), [3])
+    assert [(cell.w.window, cell.per_q, cell.class_sizes) for cell in scan.cells] == [
+        (w, [{"q": 3, "intersection_size": 157464, "orbit_count": count,
+              "orbit_sizes": [size] * count, "zg": [zg] * count, "zb": [zb] * count}], [sizes])
+        for w, count, size, zg, zb, sizes in expected]
 
 
 def test_property_d_sp4_at_three_primes():
@@ -1522,11 +1635,11 @@ def test_property_d_sp4_at_three_primes():
 
 
 def test_class_bfs_is_bounded_by_the_cell_budget():
-    # the w0 classes of Sp_4(F_3) (k = 8, so by orbit) have 240 and 480
-    # elements; |B| = 324 fits the budget, the larger class does not
+    # at q = 2 Sp keeps the BFS: the w0 class of Sp_4(F_2) (k = 8, so by
+    # orbit) has 45 elements; |B| = 16 fits the budget, the class does not
     kind = parse_kind("sp", 4)
-    assert scan_property_d(kind, [3], cell_budget=480).cells
+    assert scan_property_d(kind, [2], allow_bad_prime=True, cell_budget=45).cells
     with pytest.raises(BudgetError) as info:
-        scan_property_d(kind, [3], cell_budget=400)
-    assert info.value.budget == 400 and info.value.required > 400
+        scan_property_d(kind, [2], allow_bad_prime=True, cell_budget=40)
+    assert info.value.budget == 40 and info.value.required > 40
     assert "conjugation orbit" in str(info.value)
