@@ -33,8 +33,9 @@ stay out of the verify report, whose format is fixed.
 
 Bulk scans run on int64 numpy arrays with explicit reductions mod p (_mod,
 by floor division), except the Borel grid, which is kept entry-major in the
-narrowest signed dtype that holds q - 1 (borel_grid).  Everything stays
-exact.  A reduced matrix has one key, its int64 code (_codes): its entries
+narrowest signed dtype that holds q - 1 (borel_grid), and decoded codes,
+kept entry-major in the narrowest that holds a code (_decode).  Everything
+stays exact.  A reduced matrix has one key, its int64 code (_codes): its entries
 read row by row as base-p digits.  Groups, orbits and classes are kept as
 codes, and their dedup and membership tests work on them.  A group is listed
 by right cosets of its chain of subgroups <g_1> <= <g_1, g_2> <= ...
@@ -54,15 +55,19 @@ sets keep sorted code arrays, with numpy sorting and binary search.  A group
 closure multiplies on the right, which acts on each row alone: one table per
 matrix maps the code of a row to the code of its image, so a matrix code
 moves by n table lookups on its base-p^n digits.  A conjugation orbit decodes
-each level once and codes its products.  Unipotent elements are found by two
-exact prefilters before the power test (g - 1)^n = 0 decides
-(_unipotent_mask): the trace must be n and e2, the sum of the principal
-2 x 2 minors, C(n, 2) mod p, as the characteristic polynomial (x - 1)^n of a
-unipotent matrix has them.  The table reads each trace off its code, the
-diagonal digits, and decodes only the elements that pass, 74,500 of the
-372,000 of SL_3(F_5); a slice scan sums each trace off the Borel grid's
-contiguous entry rows.  Both then run the one e2 test (_e2_mask) on the trace
-survivors, and hand only its survivors to the power test.  The codes are
+each level once and codes its products.  Unipotent elements are found by
+their characteristic polynomial, which must be (x - 1)^n: e_k, the sum of
+the principal k x k minors, must be C(n, k) mod p.  One kernel (_ek_mask)
+tests e_k for k <= 3, each on the survivors of the last, and that decides
+for SL_n and GL_n with n <= 4 and Sp_2m with m <= 3: det = 1 fixes e_n in SL,
+the polynomial of Sp is palindromic, and GL's walk reads e_n = det off the
+grid's diagonal (_coefficient_tests).  Elsewhere the power test
+(g - 1)^n = 0 (_unipotent_mask) decides the survivors.  The table reads
+each trace off its code, the diagonal digits, and decodes only the elements
+that pass, 74,500 of the 372,000 of SL_3(F_5), entry-major in the code
+dtype; a slice scan sums each trace off the Borel grid's contiguous entry
+rows.  Both run the same kernel on their entry rows, the table with the
+identity for w_rep, and gather only its survivors.  The codes are
 exact only while p^(n^2) <= 2^63, and coding a matrix past that bound raises
 a ValueError.  Under the default budgets only Sp_8 at the bad prime 2 (2^64)
 is past it; a raised cell budget also reaches Sp_4(F_17).  One batched pivot
@@ -193,9 +198,12 @@ _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
 # for one call
 _CHUNK = 200_000
 # codes per batch of the table's unipotent pass, whose trace temporaries
-# are each as long as the batch: on the 372,000 codes of SL_3(F_5) its
-# traced peak is 2.7 MB against 5.6 MB per _CHUNK, in the same 18 ms (best
-# of 9, 2-vCPU VM)
+# are each as long as the batch, and per block of _decode: on the 372,000
+# codes of SL_3(F_5) the pass takes 2.9 ms with a traced peak of 1.6 MB,
+# the same time as per 2^17 codes (2.5 MB), against 3.7 ms and 1.3 MB per
+# 2^15 codes and 3.1 ms and 3.4 MB per _CHUNK (best of 9, 2-vCPU VM); its
+# traces take 1.0 ms of it, against 4.1 ms for int64 traces reduced digit
+# by digit
 _TRACE_CHUNK = 2 ** 16
 # matrices per batch of Jordan ranks: on the 15,625 unipotent elements of
 # SL_3(F_5) the traced peak is 1.6 MB against 4.8 MB in one batch, and the
@@ -376,14 +384,39 @@ def _signed_dtype(bound: int) -> np.dtype:
                 if bound <= np.iinfo(t).max)
 
 
+@functools.cache
+def _code_dtype(p: int, n: int) -> np.dtype:
+    """The narrowest signed dtype that holds every code of n x n matrices
+    mod p, p^(n^2) - 1: int32 for SL_3(F_5), int64 for Sp_4(F_5).  A sum of
+    n products of two residues is below p^(n^2) too, so a product of two
+    stacks in this dtype is exact when it is reduced mod p before the next."""
+    return _signed_dtype(p ** (n * n) - 1)
+
+
 def _decode(codes: np.ndarray, p: int, n: int) -> np.ndarray:
-    """The (k, n, n) stack of the matrices with these codes (_codes), written
-    into one array: each code is divided by the powers of p, then reduced."""
-    stack = np.empty((len(codes), n * n), dtype=np.int64)
-    np.floor_divide(codes[:, None], p ** np.arange(n * n - 1, -1, -1, dtype=np.int64), out=stack)
-    # % in place: _mod would need a stack-sized temporary, and takes longer here
-    stack %= p
-    return stack.reshape(-1, n, n)
+    """The (k, n, n) stack of the matrices with these codes (_codes), in the
+    code dtype (_code_dtype), as the transpose view of one entry-major
+    (n^2, k) array, as borel_grid returns its grid.
+
+    Row j of that array is first codes // p^(n^2 - 1 - j), one scalar divisor
+    per row, which numpy divides on its SIMD path; then digit j is that
+    quotient less p times the quotient of row j - 1, with no reduction.  On
+    the 74,500 trace survivors of SL_3(F_5) this takes 0.57 ms against
+    5.4 ms for the int64 division of every code by every power and a
+    reduction mod p, on 5,000 of them 27 us against 356 us, and on 16 codes
+    (a small orbit level) 6.0 us against 4.7 us (best of 15, 2-vCPU VM).
+    It goes per _TRACE_CHUNK of codes, each narrowed on its own, so that
+    the decode of a whole group holds its int64 codes, the stack and one
+    chunk's temporaries."""
+    dtype = _code_dtype(p, n)
+    powers = p ** np.arange(n * n - 1, -1, -1, dtype=dtype)[:, None]
+    digits = np.empty((n * n, len(codes)), dtype=dtype)
+    for start in range(0, len(codes), _TRACE_CHUNK):
+        block = digits[:, start:start + _TRACE_CHUNK]
+        chunk = codes[start:start + _TRACE_CHUNK].astype(dtype, copy=False)
+        np.floor_divide(chunk, powers, out=block)
+        block[1:] -= block[:-1] * p
+    return digits.reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def _conjugation_step(gens: list[np.ndarray], p: int, n: int):
@@ -523,10 +556,16 @@ def _mulclose(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndar
 
 def _code_traces(codes: np.ndarray, p: int, n: int) -> np.ndarray:
     """tr mod p of the n x n matrices with these codes (_codes), without
-    decoding them: entry (i, i) is the base-p digit of p^(n^2 - 1 - i(n + 1))."""
-    trace = np.zeros(len(codes), dtype=np.int64)
-    for i in range(n):
-        trace += _mod(codes // p ** (n * n - 1 - i * (n + 1)), p)
+    decoding them: entry (i, i) is the base-p digit of p^(n^2 - 1 - i(n + 1)),
+    and code // p^e is that digit plus p times the digits above it, so the
+    trace is the sum of those quotients mod p, reduced once.  The last
+    entry, the digit of p^0, is taken as code mod p, so that the sum stays
+    below p^(n^2 - n) and in the code dtype (_code_dtype), in which the
+    codes are divided."""
+    codes = codes.astype(_code_dtype(p, n), copy=False)
+    trace = codes - codes // p * p
+    for i in range(n - 1):
+        trace += codes // p ** (n * n - 1 - i * (n + 1))
     return _mod(trace, p)
 
 
@@ -540,7 +579,8 @@ class FiniteGroupTable:
     ``unipotent`` holds the indices of the unipotent elements, ascending,
     ``types`` their distinct Jordan types, and ``type_index`` for each of
     them the index of its type in ``types``.  ``mats``, the whole (N, n, n)
-    int64 stack of residues, and ``unipotent_types``, which maps the index
+    stack of residues in the code dtype (_decode, as ``rows`` gives them),
+    and ``unipotent_types``, which maps the index
     of each unipotent element to its Jordan type, are views built on first
     read.  ``windows_of(indices)`` gives the (signed, for Sp) window of the
     Bruhat cell of each given element, and ``cell_windows[i]`` that of
@@ -625,7 +665,7 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     codes = _group_codes(group_generators(kind, q), q, budget, order=expected)
     if len(codes) != expected:
         raise IntegrityError(f"enumerated {len(codes)} elements of {kind}/GF({q}), formula gives {expected}")
-    unipotent, stack = _table_unipotents(codes, q, kind.n)
+    unipotent, stack = _table_unipotents(kind, codes, q)
     types, inverse = _distinct_jordan_types(stack, q)
     if kind.family != "Sp" or q % 2:
         counts = np.bincount(inverse, minlength=len(types)).tolist()
@@ -633,23 +673,31 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     return FiniteGroupTable(kind, q, codes, unipotent, types, inverse)
 
 
-def _table_unipotents(codes: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the unipotent elements among these codes, ascending,
-    and the (k, n, n) stack of them.  Per _TRACE_CHUNK of codes, the traces
-    are read off the codes (_code_traces), and only the elements with trace
-    n mod p, as every unipotent element has, are decoded.  The walk's e2 test
-    (_e2_mask, with the identity for w_rep) runs on those, and only its
-    survivors reach the power test (_unipotent_mask)."""
+def _table_unipotents(kind: GroupKind, codes: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the unipotent elements of the group among these codes,
+    ascending, and the (k, n, n) stack of them in the code dtype.  Per
+    _TRACE_CHUNK of codes, the traces are read off the codes (_code_traces),
+    and only the elements with trace n mod p, as every unipotent element
+    has, are decoded, entry-major.  The walk's other coefficient tests
+    (_coefficient_tests, _ek_survivors, with the identity for w_rep) run on
+    those; the power test (_unipotent_mask) decides their survivors only
+    where the coefficients tested leave one undecided: for SL_3(F_5) the
+    trace and e2 decide."""
+    n = kind.n
+    ks, power = _coefficient_tests(kind, walk=False)
+    identity = np.arange(n), np.ones(n, dtype=np.int64)
     unipotent, stacks = [], []
     for start in range(0, len(codes), _TRACE_CHUNK):
         chunk = codes[start:start + _TRACE_CHUNK]
         passed = np.flatnonzero(_code_traces(chunk, q, n) == n % q)
-        batch = _decode(chunk[passed], q, n)
-        e2 = _e2_mask(batch.transpose(1, 2, 0), np.arange(n), np.ones(n, dtype=np.int64), q)
-        passed, batch = passed[e2], batch[e2]
-        mask = _unipotent_mask(batch, q)
-        unipotent.append(start + passed[mask])
-        stacks.append(batch[mask])
+        entries = _decode(chunk[passed], q, n).transpose(1, 2, 0)
+        passed, entries = _ek_survivors(entries, *identity, q, ks[1:], passed)
+        batch = entries.transpose(2, 0, 1)
+        if power:
+            mask = _unipotent_mask(batch, q)
+            passed, batch = passed[mask], batch[mask]
+        unipotent.append(start + passed)
+        stacks.append(batch)
     return np.concatenate(unipotent), np.concatenate(stacks)
 
 
@@ -919,17 +967,38 @@ def _monomial(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, rep[np.arange(n), cols]
 
 
+def _parity(perm) -> int:
+    """The parity of a permutation given as a sequence: 1 when it has an odd
+    number of inversions."""
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+
+
 def _unipotent_mask(batch: np.ndarray, p: int) -> np.ndarray:
     """Which matrices of a (k, n, n) stack are unipotent mod p: the power
-    test (g - 1)^n = 0 mod p, exact on any input.  Its callers hand over
-    only the survivors of the trace and e2 tests (_table_unipotents,
-    _slice_unipotents)."""
+    test (g - 1)^n = 0 mod p, exact on any input.  The walk and the table
+    run it only where their coefficient tests leave unipotence undecided
+    (_coefficient_tests), and hand it only those tests' survivors."""
     n = batch.shape[1]
     power = _mod(batch - np.eye(n, dtype=np.int64), p)
     # squared until the exponent 2^k is at least n
     for _ in range(max(1, (n - 1).bit_length())):
         power = _mod(power @ power, p)
     return (power == 0).all(axis=(1, 2))
+
+
+def _coefficient_tests(kind: GroupKind, walk: bool) -> tuple[range, bool]:
+    """The k <= 3 whose test e_k = C(n, k) mod p a unipotent search runs
+    (_ek_mask), and whether the power test must follow.  g is unipotent
+    exactly when its characteristic polynomial is (x - 1)^n, that is when
+    e_k(g) = C(n, k) mod p for every k, and fewer k decide in each family:
+    e_1..e_(n-1) in SL, where det = 1 fixes e_n; e_1..e_(n/2) in Sp, whose
+    polynomial is palindromic; e_1..e_n in GL, where the walk reads e_n =
+    det(w_rep) prod_i b_ii off the grid's diagonal rows (_det_mask).  So
+    the power test runs for SL_n and GL_n with n >= 5, Sp_2m with m >= 4,
+    and the GL_n tables with n >= 4."""
+    n = kind.n
+    top = {"SL": n - 1, "Sp": n // 2, "GL": n - 1 if walk else n}[kind.family]
+    return range(1, min(top, 3) + 1), top > 3
 
 
 def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
@@ -939,53 +1008,90 @@ def _slice_unipotents(kind: GroupKind, w, q: int, borel: np.ndarray):
     the prime and the grid's budget.
 
     w_rep is monomial, row i being s_i e_{c_i} with s_i = +-1, so w_rep b is
-    the rows c of b scaled by s.  The two tests every unipotent matrix
-    passes run on the grid's contiguous entry rows (borel_grid) before any
-    matrix is gathered:
-    - tr(w_rep b) = sum_i s_i b[c_i, i] must be n mod p: a signed sum of n
-      rows of the batch;
-    - e2(w_rep b) must be C(n, 2) mod p, on the trace survivors' entries
-      only (_e2_mask).
-    Only the e2 survivors are gathered into int64 products, in grid order,
-    and the power test (_unipotent_mask) decides each of those."""
+    the rows c of b scaled by s.  The coefficient tests (_coefficient_tests)
+    run on the grid's contiguous entry rows (borel_grid) before any matrix
+    is gathered, each on the survivors of the last (_ek_survivors): first
+    the trace, a signed sum of n rows of the batch, then for GL the
+    determinant (_det_mask), then e2 and e3 where they are needed, in the
+    narrow dtypes of _ek_mask.  Only their survivors are gathered into int64
+    products, in grid order; the power test (_unipotent_mask) decides them
+    only where the coefficients leave unipotence undecided."""
     cols, signs = _monomial(_weyl_rep(kind, w, q))
-    n = kind.n
+    ks, power = _coefficient_tests(kind, walk=True)
     entries = borel.transpose(1, 2, 0)
-    # tr(w_rep b) - n lies within n * q of 0
-    trace_dtype = _signed_dtype(n * q)
     for start in range(0, len(borel), _CHUNK):
-        block = entries[:, :, start:start + _CHUNK]
-        trace = np.full(block.shape[2], -n, dtype=trace_dtype)
-        for i, (c, s) in enumerate(zip(cols, signs)):
-            (np.add if s == 1 else np.subtract)(trace, block[c, i], out=trace)
-        passed = np.flatnonzero(_mod(trace, q) == 0)
-        passed = passed[_e2_mask(block[:, :, passed], cols, signs, q)]
-        batch = np.ascontiguousarray(block[:, :, passed][cols].transpose(2, 0, 1), dtype=np.int64)
+        b = _ek_survivors(entries[:, :, start:start + _CHUNK], cols, signs, q, ks[:1])[1]
+        if kind.family == "GL":
+            b = np.compress(_det_mask(b, cols, signs, q), b, axis=2)
+        b = _ek_survivors(b, cols, signs, q, ks[1:])[1]
+        batch = np.ascontiguousarray(b[cols].transpose(2, 0, 1), dtype=np.int64)
         batch *= signs[:, None]
-        yield batch[_unipotent_mask(_mod(batch, q), q)]
+        batch = _mod(batch, q)
+        yield batch[_unipotent_mask(batch, q)] if power else batch
 
 
-def _e2_mask(b: np.ndarray, cols: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
-    """Which matrices b of an entry-major (n, n, k) array have
-    e2(w_rep b) = C(n, 2) mod q, where row i of the monomial w_rep is
-    s_i e_{c_i} with s_i = +-1: a grid slice's w_rep (_slice_unipotents),
-    or the identity for the table's decoded elements (_table_unipotents):
+def _ek_survivors(b: np.ndarray, cols: np.ndarray, signs: np.ndarray, q: int, ks,
+                  index: np.ndarray | None = None) -> tuple[np.ndarray | None, np.ndarray]:
+    """The matrices b of an entry-major (n, n, m) array that pass the test
+    e_k(w_rep b) = C(n, k) mod q for each k in ``ks`` (_ek_mask), gathered
+    entry-major, and the entries of ``index`` that belong to them: each test
+    runs on the last one's survivors alone, on contiguous rows.  (b[:, :,
+    keep] would gather them element-major, and e3 on its strided rows took
+    29 ms against 2.3 ms on the 39,366 e2 survivors of one Sp_6(F_3) slice.)"""
+    for k in ks:
+        keep = np.flatnonzero(_ek_mask(b, cols, signs, q, k))
+        b = np.take(b, keep, axis=2)
+        if index is not None:
+            index = index[keep]
+    return index, b
 
-        e2(w_rep b) = sum_{i<j} s_i s_j (b[c_i,i] b[c_j,j] - b[c_i,j] b[c_j,i]).
 
-    The sum, less C(n, 2), is taken in the narrowest dtype that holds it:
-    each minor lies within (q - 1)^2 of 0, so the sum lies within
-    C(n, 2) ((q - 1)^2 + 1), and its reduction (_mod) goes below that by
-    less than q.  That is int8 for SL_4(F_5) and Sp_6(F_3)."""
+def _ek_mask(b: np.ndarray, cols: np.ndarray, signs: np.ndarray, q: int, k: int) -> np.ndarray:
+    """Which matrices b of an entry-major (n, n, m) array of residues have
+    e_k(w_rep b) = C(n, k) mod q, where e_k is the sum of the principal
+    k x k minors and row i of the monomial w_rep is s_i e_{c_i} with
+    s_i = +-1: a grid slice's w_rep (_slice_unipotents), or the identity
+    for the table's decoded elements (_table_unipotents).  Rows S of w_rep b
+    are the rows c_S of b scaled by s_S, so
+
+        e_k(w_rep b) = sum over k-subsets S of prod_{i in S} s_i det b[c_S, S],
+
+    each minor by Leibniz's expansion.  k = 1 is the trace and k = 2 the
+    sum of s_i s_j (b[c_i,i] b[c_j,j] - b[c_i,j] b[c_j,i]).
+
+    The sum, less C(n, k), is taken in the narrowest dtype that holds it:
+    each minor lies within ceil(k!/2) (q - 1)^k of 0, so the sum, and each
+    partial sum, lies within C(n, k) (ceil(k!/2) (q - 1)^k + 1), and its
+    reduction (_mod) goes below that by less than q.  For e2 that is int8
+    for SL_4(F_5) and Sp_6(F_3), and for e3 int16.  The trace adds the rows
+    themselves; for k > 1 the rows are widened first, once."""
     n = len(cols)
-    dtype = _signed_dtype(math.comb(n, 2) * ((q - 1) ** 2 + 1) + q)
-    b = b.astype(dtype, copy=False)
-    e2 = np.full(b.shape[2], -math.comb(n, 2), dtype=dtype)
-    for i, j in itertools.combinations(range(n), 2):
-        minor = b[cols[i], i] * b[cols[j], j]
-        minor -= b[cols[i], j] * b[cols[j], i]
-        (np.add if signs[i] == signs[j] else np.subtract)(e2, minor, out=e2)
-    return _mod(e2, q) == 0
+    terms = [(perm, _parity(perm)) for perm in itertools.permutations(range(k))]
+    dtype = _signed_dtype(math.comb(n, k) * (-(-math.factorial(k) // 2) * (q - 1) ** k + 1) + q)
+    if k > 1:
+        b = b.astype(dtype, copy=False)
+    e = np.full(b.shape[2], -math.comb(n, k), dtype=dtype)
+    for rows in itertools.combinations(range(n), k):
+        negated = sum(signs[i] != 1 for i in rows)
+        for perm, odd in terms:
+            term = b[cols[rows[0]], rows[perm[0]]]
+            for i, j in zip(rows[1:], perm[1:]):
+                term = term * b[cols[i], rows[j]]
+            (np.subtract if (negated + odd) % 2 else np.add)(e, term, out=e)
+    return _mod(e, q) == 0
+
+
+def _det_mask(b: np.ndarray, cols: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
+    """Which upper triangular matrices b of an entry-major (n, n, m) array
+    have det(w_rep b) = det(w_rep) prod_i b[i, i] = 1 mod q, with w_rep as in
+    _ek_mask: the diagonal rows are multiplied with a reduction after each
+    product, in the narrowest dtype that holds (q - 1)^2."""
+    negated = (_parity(cols) + sum(s != 1 for s in signs)) % 2
+    dtype = _signed_dtype((q - 1) ** 2)
+    det = b[0, 0].astype(dtype)
+    for i in range(1, len(cols)):
+        det = _mod(det * b[i, i], q)
+    return det == (-1 if negated else 1) % q
 
 
 # ---------------------------------------------------------------------------
@@ -1055,8 +1161,7 @@ def _det_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
         term = np.ones(len(stack), dtype=np.int64)
         for i, j in enumerate(perm):
             term = term * stack[:, i, j] % p
-        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
-        det = (det - term if odd else det + term) % p
+        det = (det - term if _parity(perm) else det + term) % p
     return det
 
 

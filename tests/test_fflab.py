@@ -159,7 +159,7 @@ def test_table_route_decodes_only_the_trace_survivors(monkeypatch):
     assert 74_500 <= sum(rows) < 100_000
 
 
-@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 3), ("sp", 4, 3)])
+@pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sl", 3, 3), ("sp", 4, 3), ("sl", 4, 2)])
 def test_table_matches_the_full_stack_computation(name, n, q):
     # oracle: the whole group decoded, every element put to the plain
     # (g - 1)^n = 0 test, and the windows of every element
@@ -330,6 +330,20 @@ def test_decode_inverts_codes(p, n):
     assert _decode(codes[:0], p, n).shape == (0, n, n)
 
 
+@pytest.mark.parametrize("p,dtype", [(211, np.int32), (223, np.int64)])
+def test_decode_takes_the_narrowest_code_dtype(p, dtype):
+    # 211^4 < 2^31 <= 223^4: 2 x 2 codes mod 211 decode to int32, mod 223 to
+    # int64, and a product of two decoded stacks, reduced once, stays exact
+    rng = np.random.default_rng(p)
+    codes = rng.integers(0, p ** 4, size=500)
+    codes[:2] = 0, p ** 4 - 1
+    a = _decode(codes, p, 2)
+    assert a.dtype == dtype and a.max() == p - 1
+    assert np.array_equal(_codes(a, p), codes)
+    b = _decode(rng.permutation(codes), p, 2)
+    assert np.array_equal(a @ b % p, a.astype(np.int64) @ b.astype(np.int64) % p)
+
+
 def test_kernel_rejects_singular_windows_and_non_unipotent_types():
     kind = parse_kind("gl", 3)
     good = np.eye(3, dtype=np.int64)[::-1]
@@ -481,7 +495,7 @@ def _nilpotent_mask(stack, q):
 
 
 @pytest.mark.parametrize("name,n,qs", [("gl", 2, (2,)), ("gl", 3, (3, 5)), ("sl", 3, (3, 5)),
-                                       ("sp", 4, (3, 5))])
+                                       ("sp", 4, (3, 5)), ("sl", 4, (3,))])
 def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
     # oracle: the dense product w_rep @ B, filtered by nilpotence alone
     # and the walk over W: its census, and for every window kept, the types
@@ -508,11 +522,29 @@ def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
         assert np.array_equal(fflab._unipotent_mask(borel, q), _nilpotent_mask(borel, q))
 
 
-def _principal_minor_sum(stack):
-    # e2: the sum of the principal 2 x 2 minors, over the integers
+def _principal_minor_sum(stack, k):
+    # e_k: the sum of the principal k x k minors, over the integers, each
+    # minor written out (k = 3 by the rule of Sarrus)
     n = stack.shape[1]
-    return sum(stack[:, i, i] * stack[:, j, j] - stack[:, i, j] * stack[:, j, i]
-               for i, j in itertools.combinations(range(n), 2))
+    stack = stack.astype(np.int64)
+    total = np.zeros(len(stack), dtype=np.int64)
+    for rows in itertools.combinations(range(n), k):
+        m = stack[:, rows][:, :, rows]
+        if k == 1:
+            total += m[:, 0, 0]
+        elif k == 2:
+            total += m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        else:
+            total += (m[:, 0, 0] * m[:, 1, 1] * m[:, 2, 2] + m[:, 0, 1] * m[:, 1, 2] * m[:, 2, 0]
+                      + m[:, 0, 2] * m[:, 1, 0] * m[:, 2, 1] - m[:, 0, 2] * m[:, 1, 1] * m[:, 2, 0]
+                      - m[:, 0, 0] * m[:, 1, 2] * m[:, 2, 1] - m[:, 0, 1] * m[:, 1, 0] * m[:, 2, 2])
+    return total
+
+
+def _passes_coefficients(stack, p, ks):
+    n = stack.shape[1]
+    return np.logical_and.reduce([(_principal_minor_sum(stack, k) - math.comb(n, k)) % p == 0
+                                  for k in ks])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -525,47 +557,54 @@ def test_unipotent_mask_matches_the_power_oracle(n, p):
     upper = np.triu(rng.integers(0, p, size=(count, n, n)), 1) + np.eye(n, dtype=np.int64)
     perms = np.array([rng.permutation(n) for _ in range(count)])
     unipotent = upper[np.arange(count)[:, None, None], perms[:, :, None], perms[:, None, :]]
-    # companion matrices of x^n - n x^(n-1) + C(n, 2) x^(n-2) + ..., the
-    # lower coefficients random: each passes the trace and e2 tests, and is
-    # unipotent only when its polynomial is (x - 1)^n
+    # companion matrices of x^n - n x^(n-1) + C(n, 2) x^(n-2) - ..., the
+    # coefficients of x^(n-k) for k <= min(3, n - 1) those of (x - 1)^n
+    # and the lower ones random: each passes the tests of e_1..e_min(3, n-1),
+    # and is unipotent only when its polynomial is (x - 1)^n
+    top = min(3, n - 1)
     companion = np.zeros((count, n, n), dtype=np.int64)
     companion[:, np.arange(1, n), np.arange(n - 1)] = 1
     coeffs = rng.integers(0, p, size=(count, n))  # a_0 .. a_(n-1)
-    coeffs[:, n - 1] = -n
-    coeffs[:, n - 2] = math.comb(n, 2)
+    for k in range(1, top + 1):
+        coeffs[:, n - k] = (-1) ** k * math.comb(n, k)
     companion[:, :, n - 1] = -coeffs
     stack = np.concatenate([uniform, unipotent, companion]) % p
     stack = stack[rng.permutation(len(stack))]
     expected = _nilpotent_mask(stack, p)
     assert np.array_equal(fflab._unipotent_mask(stack, p), expected)
     assert expected.sum() >= count
-    passed = ((np.trace(stack, axis1=1, axis2=2) - n) % p == 0) & (
-        (_principal_minor_sum(stack) - math.comb(n, 2)) % p == 0)
+    passed = _passes_coefficients(stack, p, range(1, top + 1))
     assert not (expected & ~passed).any()
-    if n >= 3:
-        assert (passed & ~expected).any()
-    # the one e2 kernel against the minor-sum oracle: w_rep the identity (the
-    # table) and a random signed monomial (a grid slice)
+    assert (passed & ~expected).any()
+    # the one e_k kernel against the minor-sum oracle, k = 1, 2, 3: w_rep
+    # the identity (the table) and a random signed monomial (a grid slice)
     monomials = [(np.arange(n), np.ones(n, dtype=np.int64)),
                  (rng.permutation(n), rng.choice([-1, 1], size=n))]
     for cols, signs in monomials:
         rep = np.zeros((n, n), dtype=np.int64)
         rep[np.arange(n), cols] = signs
-        e2 = (_principal_minor_sum(rep @ stack) - math.comb(n, 2)) % p == 0
-        assert np.array_equal(fflab._e2_mask(stack.transpose(1, 2, 0), cols, signs, p), e2)
+        for k in range(1, min(3, n) + 1):
+            ek = (_principal_minor_sum(rep @ stack, k) - math.comb(n, k)) % p == 0
+            assert np.array_equal(fflab._ek_mask(stack.transpose(1, 2, 0), cols, signs, p, k), ek)
+    # the table route, with the stack taken for elements of GL_n: its
+    # coefficient tests, and the power test where they leave e_4 undecided
+    # (n >= 4), reject every companion matrix that is not unipotent
+    if p ** (n * n) <= 2 ** 63:
+        index, found = fflab._table_unipotents(GroupKind("GL", n), _codes(stack, p), p)
+        assert index.tolist() == np.flatnonzero(expected).tolist()
+        assert np.array_equal(found, stack[expected])
 
 
-def test_power_test_sees_only_trace_and_e2_survivors(monkeypatch):
-    # both routes, the table and the walk (theorem A's cells and property
-    # D's slices), hand the power test only matrices with trace n and
-    # e2 = C(n, 2) mod p
+def test_power_test_runs_only_where_the_coefficients_leave_unipotence_open(monkeypatch):
+    # the trace, e2 and e3 decide on the SL_3 table, the Sp_4 table and
+    # walk and property D's Sp_4 slices, so the power test never runs there;
+    # where e_4 is left open (the SL_5(F_2) walk, the GL_4(F_2) table) it
+    # sees only matrices with e_k = C(n, k) mod p for k = 1, 2, 3
     power_test = fflab._unipotent_mask
     handed = []
 
     def checked(batch, p):
-        n = batch.shape[1]
-        assert ((np.trace(batch, axis1=1, axis2=2) - n) % p == 0).all()
-        assert ((_principal_minor_sum(batch) - math.comb(n, 2)) % p == 0).all()
+        assert _passes_coefficients(batch, p, (1, 2, 3)).all()
         handed.append(len(batch))
         return power_test(batch, p)
 
@@ -575,6 +614,10 @@ def test_power_test_sees_only_trace_and_e2_survivors(monkeypatch):
                   lambda: verify_theorem_a(sp4, 3, method="table", seed=1),
                   lambda: verify_theorem_a(sp4, 3, method="cells", seed=1),
                   lambda: scan_property_d(sp4, [3])):
+        route()
+    assert handed == []
+    for route in (lambda: count_unipotents(parse_kind("sl", 5), 2),
+                  lambda: enumerate_group(parse_kind("gl", 4), 2)):
         handed.clear()
         route()
         assert sum(handed) > 0
@@ -653,27 +696,35 @@ def test_dropped_hit_fails_the_sp_census_count(monkeypatch):
     assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
 
 
+def _lossy_coefficient_test(monkeypatch, name, k=None):
+    # a mutant of the coefficient test ``name`` (at this k, for _ek_mask)
+    # that rejects the first unipotent w_rep b it sees
+    real = getattr(fflab, name)
+    dropped = []
+
+    def lossy(b, cols, signs, q, *args):
+        mask = real(b, cols, signs, q, *args)
+        if args == ((k,) if k else ()) and not dropped:
+            products = b[cols].transpose(2, 0, 1).astype(np.int64) * signs[:, None] % q
+            hits = np.flatnonzero(mask & _nilpotent_mask(products, q))
+            if len(hits):
+                mask[hits[0]] = False
+                dropped.append(hits[0])
+        return mask
+
+    monkeypatch.setattr(fflab, name, lossy)
+    return dropped
+
+
 @pytest.mark.parametrize("name,n,q,method", [
     pytest.param("gl", 3, 3, "cells", id="gl-3-3"), pytest.param("sl", 3, 5, "cells", id="sl-3-5"),
     pytest.param("sp", 4, 3, "cells", id="sp-4-3"),
     ("gl", 3, 3, "table"), ("sl", 3, 5, "table"), ("sp", 4, 3, "table")])
 def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, method, monkeypatch):
-    # a mutant e2 prefilter that rejects the first unipotent w_rep b it
-    # sees, on the walk or the table: the type census fails for GL and SL
-    # and for the Sp table, the Steinberg count for the Sp walk
-    e2_mask = fflab._e2_mask
-    dropped = []
-
-    def lossy(b, cols, signs, q):
-        mask = e2_mask(b, cols, signs, q)
-        products = b[cols].transpose(2, 0, 1).astype(np.int64) * signs[:, None] % q
-        hits = np.flatnonzero(mask & _nilpotent_mask(products, q))
-        if len(hits) and not dropped:
-            mask[hits[0]] = False
-            dropped.append(hits[0])
-        return mask
-
-    monkeypatch.setattr(fflab, "_e2_mask", lossy)
+    # a mutant e2 test (_ek_mask at k = 2) that rejects the first unipotent
+    # w_rep b it sees, on the walk or the table: the type census fails for
+    # GL and SL and for the Sp table, the Steinberg count for the Sp walk
+    dropped = _lossy_coefficient_test(monkeypatch, "_ek_mask", 2)
     kind = parse_kind(name, n)
     if name == "sp" and method == "cells":
         report = verify_theorem_a(kind, q, method=method)
@@ -681,6 +732,20 @@ def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, metho
     else:
         with pytest.raises(IntegrityError, match="unipotent census"):
             verify_theorem_a(kind, q, method=method)
+    assert len(dropped) == 1
+
+
+@pytest.mark.parametrize("name,n,q,method,test,k", [
+    ("gl", 3, 3, "table", "_ek_mask", 3), ("sl", 4, 3, "cells", "_ek_mask", 3),
+    ("gl", 3, 3, "cells", "_det_mask", None)])
+def test_census_catches_a_deciding_test_that_drops_a_unipotent(name, n, q, method, test, k,
+                                                               monkeypatch):
+    # where e3 decides (e3 = det on the GL_3 table, SL_4's walk) and where
+    # GL's walk reads det off the diagonal, a mutant test that drops one
+    # unipotent fails the type census
+    dropped = _lossy_coefficient_test(monkeypatch, test, k)
+    with pytest.raises(IntegrityError, match="unipotent census"):
+        verify_theorem_a(parse_kind(name, n), q, method=method)
     assert len(dropped) == 1
 
 
@@ -800,9 +865,8 @@ def test_borel_generators_generate_the_borel(name, n, q):
     # a proper subgroup for Sp (8 of the 16 elements of B in Sp_4(F_2))
     kind = parse_kind(name, n)
     grid = borel_grid(kind, q)
-    closure = _decode(fflab._group_codes(borel_generators(kind, q), q, len(grid),
-                                         kind.borel_order(q)), q, n)
-    assert {g.tobytes() for g in closure} == {g.astype(np.int64).tobytes() for g in grid}
+    closure = fflab._group_codes(borel_generators(kind, q), q, len(grid), kind.borel_order(q))
+    assert np.array_equal(closure, np.sort(_codes(grid, q)))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1195,7 +1259,7 @@ def test_slices_match_the_table(name, n):
     table = enumerate_group(kind, q)
     cells, types = {}, {}
     for mat, window in zip(table.mats, table.cell_windows):
-        cells.setdefault(window, set()).add(mat.tobytes())
+        cells.setdefault(window, set()).add(mat.astype(np.int64).tobytes())
     for i, jt in table.unipotent_types.items():
         types.setdefault(table.cell_windows[i], Counter())[jt] += 1
     census = Counter()
