@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import IntegrityError, SingularMatrixError, check_budget
 from .exact import GF, ExactMatrix
@@ -74,11 +74,13 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
     f = g.field
     n = g.rows
     cols = [f.integers(col) for col in zip(*g.entries)]
+    g_cols = cols.copy()  # g's own columns, for _reconstructs
+    zero, one, quotient = f.zero, f.one, f.quotient
 
     def entry(x, d):
-        return f.zero if not x else f.one if x == d else f.quotient(x, d)
+        return zero if not x else one if x == d else quotient(x, d)
 
-    b2 = [[f.zero] * n for _ in range(n)]
+    b2 = [[zero] * n for _ in range(n)]
     used = [False] * n
     window = [0] * n
     for j in range(n):
@@ -109,32 +111,32 @@ def bruhat_decompose(g: ExactMatrix) -> BruhatFactorization:
     a = (cols[j] for j in sorted(range(n), key=window.__getitem__))
     b1 = ExactMatrix._reduced(f, tuple(zip(*([entry(x, d) for x in v] for v, d in a))))
     fact = BruhatFactorization(w, w_rep, b1, ExactMatrix._reduced(f, tuple(map(tuple, b2))))
-    if not _reconstructs(fact, g):
+    if not _reconstructs(fact, g_cols):
         raise IntegrityError("factorization failed to reconstruct the input")
     return fact
 
 
-def _reconstructs(fact: BruhatFactorization, g: ExactMatrix) -> bool:
-    """Whether b1 * w_rep * b2 == g, with w_rep the permutation matrix of w.
+def _reconstructs(fact: BruhatFactorization, g_columns) -> bool:
+    """Whether b1 * w_rep * b2 == g, with w_rep the permutation matrix of w
+    and g given by its columns in the field's integer form.
 
-    No field element is made: in the field's integer form, row i of
-    b1 * w_rep (row i of b1 with its columns put in window order) is
-    v1 / d1, column j of b2 is v2 / d2 and row i of g is gn / dg, so entry
-    (i, j) holds when the field takes gn[j] * d1 * d2 and dg * (v1 . v2) for
-    the same element.
+    No field element is made: row i of b1 * w_rep (row i of b1 with its
+    columns put in window order) is v1 / d1, column j of b2 is v2 / d2 and
+    column j of g is gv / dg, so entry (i, j) holds when the field takes
+    gv[i] * d1 * d2 and dg * (v1 . v2) for the same element.  The emitted
+    b1 and b2 are read in full, and the columns compared one at a time.
     """
-    f = g.field
+    f = fact.b1.field
     window = fact.w.window
     rows1 = []
     for row in fact.b1.entries:
         v, d = f.integers(row)
         rows1.append(([v[k - 1] for k in window], d))
-    cols2 = [f.integers(col) for col in zip(*fact.b2.entries)]
-    return all(
-        f.same(gn[j] * d1 * d2, dg * sum(map(mul, v1, v2)))
-        for (gn, dg), (v1, d1) in zip(map(f.integers, g.entries), rows1)
-        for j, (v2, d2) in enumerate(cols2)
-    )
+    for (gv, dg), (v2, d2) in zip(g_columns, map(f.integers, zip(*fact.b2.entries))):
+        if not all(map(f.same, [x * d1 * d2 for x, (_, d1) in zip(gv, rows1)],
+                       [dg * sum(map(mul, v1, v2)) for v1, _ in rows1])):
+            return False
+    return True
 
 
 def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:
@@ -144,22 +146,35 @@ def bruhat_cell_rank_profile(g: ExactMatrix) -> WeylElement:
     columns 1..j equals #{k <= j : w(k) >= i}; the permutation positions are
     where the second difference of that table is 1.
 
-    Each row start i takes one echelon of rows i..n, left to right, which
-    gives every rank of that row block at once: the rank of its leading j
-    columns is the number of pivot columns before column j.  The rows of g
-    are put in the field's integer form once, which scales each by a nonzero
-    number and so keeps the rank of every submatrix, and each echelon is the
-    field's echelon of integer rows.
+    One pass gives the whole table: rows n, n-1, .., 1 go in turn into a
+    basis keyed by leading column (the column of a row's first nonzero
+    entry).  A row is reduced by the basis row of its leading column until
+    that column is new, and it joins the basis there, or it reduces to 0.
+    The basis stays in echelon form, so rank(rows i..n, columns 1..j) is the
+    number of its leading columns below j once row i is in.  Rows are held
+    in the field's integer form v / d, a basis row as u / pu with pu its
+    leading entry, and a reduction v / d - (c / d) * (u / pu), c = v[lead],
+    is (v * pu - c * u) / (d * pu), normalized by the field as the column
+    pass of bruhat_decompose does.  This loop is the oracle's own: it shares
+    no code with that column pass or with the exact module's elimination.
     """
     if not g.is_square():
         raise ValueError("rank profile needs a square matrix")
     n = g.rows
     f = g.field
-    rows = [f.integers(row)[0] for row in g.entries]
+    basis = {}
     ranks = [[0] * (n + 1) for _ in range(n + 2)]
     for i in range(n, 0, -1):
-        cols = f.echelon(rows[i - 1:])[2]
-        ranks[i] = [sum(c < j for c in cols) for j in range(n + 1)]
+        v, d = f.integers(g.entries[i - 1])
+        lead = next(filter(v.__getitem__, range(n)), n)
+        while lead in basis:
+            u, pu = basis[lead]
+            c = v[lead]
+            v, d = f.normalized([x * pu - c * y for x, y in zip(v, u)], d * pu)
+            lead = next(filter(v.__getitem__, range(lead + 1, n)), n)
+        if lead < n:
+            basis[lead] = v, v[lead]
+        ranks[i] = [r + (j > lead) for j, r in enumerate(ranks[i + 1])]
     if ranks[1][n] != n:
         raise SingularMatrixError("matrix is singular: full rank profile missing")
     window = []
@@ -366,7 +381,10 @@ def gl_free_positions(window: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def gl_borel_matrices(field, n: int):
-    """Every element of the GL Borel over a prime field, exactly once."""
+    """Every element of the GL Borel over a prime field, exactly once, in
+    itertools.product order: the diagonal over (F_q^*)^n outermost, then
+    the strict upper entries, row by row, over F_q.  The entries are
+    residues already, so each element is made by ExactMatrix._reduced."""
     q = field.p
     uppers = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for diag in itertools.product(range(1, q), repeat=n):
@@ -376,21 +394,38 @@ def gl_borel_matrices(field, n: int):
                 mat[i][i] = d
             for (i, j), v in zip(uppers, strict):
                 mat[i][j] = v
-            yield ExactMatrix(field, mat)
+            yield ExactMatrix._reduced(field, tuple(map(tuple, mat)))
 
 
 def _root_products(field, n: int, starts, roots):
-    # each start times one element of each root subgroup in roots, in that
-    # order, for every choice of parameters; each root element is built once
+    """Each start times one element of each root subgroup in roots, in that
+    order, for every choice of parameters, in itertools.product order.
+
+    Each element is the product already made for its parameter prefix
+    times one root element.  prods[k] is the start times the root elements
+    of the first k parameters; the next parameters in product order change
+    parameter k and zero those after it, so only prods[k + 1] is made anew,
+    and the later prefixes equal it (a parameter 0 multiplies by nothing).
+    So each element costs one matrix product, not up to len(roots), and the
+    stream keeps only len(roots) + 1 products.  Each root element is built
+    once per call.
+    """
     q = field.p
-    elements = {(root, t): c_root_element(field, n, root, t) for root in roots for t in range(1, q)}
+    r = len(roots)
+    steps = [[None] + [c_root_element(field, n, root, t) for t in range(1, q)] for root in roots]
     for start in starts:
-        for params in itertools.product(range(q), repeat=len(roots)):
-            b = start
-            for root, t in zip(roots, params):
-                if t:
-                    b = b * elements[root, t]
-            yield b
+        prods = [start] * (r + 1)
+        params = [0] * r
+        while True:
+            yield prods[r]
+            k = r - 1
+            while k >= 0 and params[k] == q - 1:
+                params[k] = 0
+                k -= 1
+            if k < 0:
+                break
+            params[k] += 1
+            prods[k + 1:] = [prods[k] * steps[k][params[k]]] * (r - k)
 
 
 def sp_borel_matrices(field, n: int):
@@ -408,13 +443,19 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
     as u * w_rep * b with u running over the free unipotent coordinates
     (one per positive root inverted by w) and b over the whole Borel, which
     is streamed once: the q^length(w) <= sqrt(budget) prefixes are kept.
+    The order is the prefixes' order for each b in the Borel's stream order.
 
     Row i of u * w_rep * b is (row i of u * w_rep) * b, and the prefixes
     share few rows (40 distinct rows among the 81 prefixes of the w0 cell of
     BC_2 at q = 3).  So each prefix is kept as the ids of its rows among the
-    distinct rows of all prefixes; for each b, every distinct row is
-    multiplied by b once, mod q, and each element is assembled from those
-    images.
+    distinct rows of all prefixes, and as one operator.itemgetter of those
+    ids, which gathers an element's rows in C.  For each b, every distinct
+    row is multiplied by b once, and each element is gathered from those
+    images.  A row's image takes one integer dot product (Kronecker
+    substitution): row k of b is read as the integer
+    sum_c b[k][c] * 2^(width * c), and an entry of r * b is at most
+    m (q - 1)^2 < 2^width for m x m matrices, so r . (those integers) holds
+    each entry of r * b in its own width bits, with no carry between them.
     """
     field = GF(q)
     size = cell_order(w, q)
@@ -442,9 +483,18 @@ def enumerate_cell(w: WeylElement, q: int, budget: int = DEFAULT_CELL_BUDGET):
     else:
         raise ValueError("no matrix group wired for family D")
     rows = {}
-    prefix_rows = [tuple(rows.setdefault(r, len(rows)) for r in uw.entries) for uw in prefixes]
+    prefix_rows = [[rows.setdefault(r, len(rows)) for r in uw.entries] for uw in prefixes]
+    # itemgetter of one id gives the row, not a 1-tuple of it
+    gathers = [itemgetter(*ids) if len(ids) > 1 else lambda images, i=ids[0]: (images[i],)
+               for ids in prefix_rows]
+    m = w_rep.rows
+    width = (m * (q - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * m, width)
+    reduced = ExactMatrix._reduced
     for b in borel:
-        cols = list(zip(*b.entries))
-        images = [tuple([sum(map(mul, r, c)) % q for c in cols]) for r in rows]
-        for ids in prefix_rows:
-            yield ExactMatrix._reduced(field, tuple([images[i] for i in ids]))
+        packed = [sum([x << s for x, s in zip(row, shifts)]) for row in b.entries]
+        images = [tuple([(v >> s & mask) % q for s in shifts])
+                  for v in [sum(map(mul, r, packed)) for r in rows]]
+        for gather in gathers:
+            yield reduced(field, gather(images))

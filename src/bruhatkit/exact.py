@@ -42,6 +42,7 @@ nonzero number keeps the rank of every submatrix.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -127,11 +128,25 @@ class RationalField(_Field):
     name = "Q"
 
     def coerce(self, x) -> Fraction:
+        """x as a Fraction: a Fraction itself, an int, or a string.
+
+        A string in the wire form -?[0-9]+(/[0-9]+)? (ASCII digits, at most
+        one leading -) is read with int and Fraction(int, int), which raises
+        ZeroDivisionError for x/0 as Fraction does.  Any other string goes
+        to Fraction(x), so values and error messages are Fraction's, with
+        one bound: a value whose numerator or denominator in lowest terms
+        has more than sys.get_int_max_str_digits() digits is refused with a
+        ValueError naming the string (_bounded_fraction).  A wire-form
+        string longer than that limit is refused by int, with int's message.
+        """
+        if isinstance(x, str):
+            num, slash, den = x.partition("/")
+            if x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return _bounded_fraction(x)
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
@@ -168,17 +183,21 @@ class RationalField(_Field):
         return str(a)
 
     def entry_to_json(self, a):
-        return int(a) if a.denominator == 1 else str(a)
+        num, den = a.as_integer_ratio()
+        return num if den == 1 else f"{num}/{den}"
 
     def to_json(self):
         return "Q"
 
     # the integer form (module docstring)
     def integers(self, xs) -> tuple[list[int], int]:
-        d = lcm(*(x.denominator for x in xs))
+        """(v, d) for the Fractions xs: d the lcm of their denominators and
+        v = d * xs, from each one's as_integer_ratio()."""
+        ratios = [x.as_integer_ratio() for x in xs]
+        d = lcm(*[b for _, b in ratios])
         if d == 1:
-            return [x.numerator for x in xs], 1
-        return [x.numerator * (d // x.denominator) for x in xs], d
+            return [a for a, _ in ratios], 1
+        return [a * (d // b) for a, b in ratios], d
 
     def normalized(self, v, d) -> tuple[list[int], int]:
         k = gcd(d, *v)
@@ -267,6 +286,51 @@ class PrimeField(_Field):
 
 
 QQ = RationalField()
+
+
+def _bounded_fraction(text: str) -> Fraction:
+    """Fraction(text), refused with a ValueError naming text when the value's
+    numerator or denominator has more than sys.get_int_max_str_digits()
+    digits, the bound Python puts on its int and str conversions.  A limit
+    of 0, Python's "no limit", lifts this bound too.
+
+    A decimal exponent is bounded before Fraction raises 10 to it.  Let m
+    be the length of the text before the exponent e.  When e >= 0 a value
+    other than 0 is at least 10^(e - m), and when e < 0 its denominator
+    exceeds 10^(-e - m); so |e| - m >= limit refuses the text outright.  Any
+    other text costs Fraction no more than its length and the limit allow,
+    and its value is checked.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return Fraction(text)
+    body = text.strip()
+    e = max(body.rfind("e"), body.rfind("E"))
+    if e > 0:
+        head, exponent = body[:e], body[e + 1:]
+        digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+        # Fraction's grammar: a decimal head, then E[-+]?\d+(_\d+)* at the end
+        if ("/" not in head and "e" not in head and "E" not in head and head == head.rstrip()
+                and all(map(str.isdecimal, digits.split("_")))):
+            try:
+                mantissa, power = Fraction(head), int(exponent)
+            except ValueError:
+                pass  # Fraction(text) raises its own error
+            else:
+                if not mantissa:
+                    return Fraction(0)
+                if abs(power) - len(head) >= limit:
+                    raise _too_many_digits(text, limit)
+    value = Fraction(text)
+    bound = 10**limit
+    if abs(value.numerator) >= bound or value.denominator >= bound:
+        raise _too_many_digits(text, limit)
+    return value
+
+
+def _too_many_digits(text: str, limit: int) -> ValueError:
+    return ValueError(f"{text!r} has more than {limit} digits in its numerator or denominator "
+                      f"(sys.get_int_max_str_digits())")
 
 
 def GF(p: int) -> PrimeField:
@@ -447,7 +511,7 @@ class ExactMatrix:
             "field": self.field.to_json(),
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[self.field.entry_to_json(x) for x in row] for row in self.entries],
+            "entries": [list(map(self.field.entry_to_json, row)) for row in self.entries],
         }
 
 

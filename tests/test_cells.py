@@ -413,6 +413,19 @@ def _rebuilt_sp_borel(field, n):
             yield b
 
 
+def _built_gl_borel(field, n):
+    # the GL Borel with each element built through the coercing constructor
+    uppers = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in itertools.product(range(1, field.p), repeat=n):
+        for strict in itertools.product(range(field.p), repeat=len(uppers)):
+            mat = [[0] * n for _ in range(n)]
+            for i, d in enumerate(diag):
+                mat[i][i] = d
+            for (i, j), v in zip(uppers, strict):
+                mat[i][j] = v
+            yield ExactMatrix(field, mat)
+
+
 def _reference_cell(w, q):
     field = GF(q)
     if w.spec.family == "A":
@@ -425,7 +438,7 @@ def _reference_cell(w, q):
             for (i, j), t in zip(free, params):
                 mat[i][j] = t
             prefixes.append(ExactMatrix(field, mat) * w_rep)
-        borel = gl_borel_matrices(field, n)
+        borel = _built_gl_borel(field, n)
     else:
         n = w.spec.rank
         w_rep = sp_weyl_matrix(w, field)
@@ -550,12 +563,13 @@ def test_reconstruction_check_agrees_with_the_product(seed):
         for _ in range(10):
             g = random_invertible(field, 5, rng)
             fact = bruhat_decompose(g)
-            assert _reconstructs(fact, g) and fact.product() == g
+            columns = [field.integers(col) for col in zip(*g.entries)]
+            assert _reconstructs(fact, columns) and fact.product() == g
             factor = rng.choice(("b1", "b2"))
             i = rng.randrange(5)
             mutant = dataclasses.replace(fact, **{factor: _bumped(getattr(fact, factor), i,
                                                                    rng.randrange(i, 5), delta)})
-            assert not _reconstructs(mutant, g)
+            assert not _reconstructs(mutant, columns)
             assert mutant.product() != g
 
 
@@ -569,9 +583,60 @@ def test_enumerate_cell_matches_the_product_loop(family, rank, q):
             assert ours == ref, (w, k)
 
 
-@pytest.mark.parametrize("rank, q", [(1, 3), (1, 5), (2, 3)])
+@pytest.mark.parametrize("rank, q", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)])
 def test_sp_borel_stream_matches_the_per_element_rebuild(rank, q):
     field = GF(q)
     got = list(sp_borel_matrices(field, rank))
     assert got == list(_rebuilt_sp_borel(field, rank))
     assert len(got) == len(set(got)) == borel_order("BC", rank, q)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (3, 2), (3, 3)])
+def test_gl_borel_stream_matches_the_per_element_build(n, q):
+    field = GF(q)
+    got = list(gl_borel_matrices(field, n))
+    assert got == list(_built_gl_borel(field, n))
+    assert len(got) == len(set(got)) == borel_order("A", n - 1, q)
+
+
+def _definitional_rank_profile(g):
+    # the window off the rank of every lower-left block, each block's rank
+    # from ExactMatrix.rank: w(j) = i where the second difference is 1
+    n = g.rows
+    ranks = [[g.submatrix(range(i - 1, n), range(j)).rank() if i <= n and j else 0
+              for j in range(n + 1)] for i in range(n + 2)]
+    if ranks[1][n] != n:
+        raise SingularMatrixError("matrix is singular")
+    window = []
+    for j in range(1, n + 1):
+        (i,) = [i for i in range(1, n + 1)
+                if ranks[i][j] - ranks[i + 1][j] - ranks[i][j - 1] + ranks[i + 1][j - 1] == 1]
+        window.append(i)
+    return WeylElement(GroupSpec("A", n - 1), tuple(window))
+
+
+def _rank_profile_cases():
+    yield from invertible_matrices(GF(2), 3)
+    yield from invertible_matrices(GF(3), 2)
+    rng = random.Random(8)
+    for field, n in [(QQ, 6)] * 300 + [(GF(7), 5)] * 300:
+        yield random_invertible(field, n, rng)
+
+
+def test_rank_profile_matches_the_block_ranks_and_the_column_pass():
+    cases = 0
+    for g in _rank_profile_cases():
+        w = bruhat_cell_rank_profile(g)
+        assert w == _definitional_rank_profile(g) == bruhat_decompose(g).w
+        cases += 1
+    assert cases == 168 + 48 + 600
+
+
+def test_rank_profile_rejects_every_singular_2x2_over_gf3():
+    singular = [m for m in enumerate_matrices(GF(3), 2) if m.det() == 0]
+    assert len(singular) == 81 - 48
+    for g in singular:
+        with pytest.raises(SingularMatrixError):
+            bruhat_cell_rank_profile(g)
+        with pytest.raises(SingularMatrixError):
+            _definitional_rank_profile(g)

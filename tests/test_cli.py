@@ -154,6 +154,20 @@ def test_decompose_rejects_malformed_entries(field, entries):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("entry", ["1e5000", "1e50000000"])
+def test_decompose_refuses_an_entry_over_the_digit_limit(entry):
+    # 10^5000 has more digits than Python prints (4300 by default), and
+    # building 10^50000000 and eliminating on it would run for minutes
+    matrix = json.dumps({"field": "Q", "rows": 2, "cols": 2, "entries": [[entry, 1], [1, 0]]})
+    proc = subprocess.run([sys.executable, "-m", "bruhatkit", "decompose", matrix],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(entry) in lines[0] and "digits in its numerator or denominator" in lines[0]
+
+
 ONE_BY_ONE = json.dumps({"field": "Q", "rows": 1, "cols": 1, "entries": [[2]]})
 
 

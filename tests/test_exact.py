@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, prod
 
@@ -369,3 +370,77 @@ def test_the_integer_form_keeps_each_value(case):
             m.inverse()
         assert info.value.column == next(
             j for j in range(1, m.cols + 1) if _minor_rank(field, [row[:j] for row in m.entries]) < j)
+
+
+# ---------------------------------------------------------------------------
+# QQ.coerce reads strings as Fraction does
+
+PARSE_CORPUS = [
+    " 3/4 ", "+3", "--3", "-0/5", "1_000", "٣", "3/-4", "1/0", "0.5", "1e3", "", "/", "3/",
+    "-", "-3/0", "0/0", "-0", "007", "-007/014", "1.5e-3", ".5e1", "5.", "1e", "1e+", "1e_5",
+    "1e5_", "1 e5", "3/4e5", "1e5e5", "1__0", "_1", "inf", "nan", "١/٢", "1²", "3 / 4",
+    "\t-12/8\n", "1/2/3", "0x10", "1" * 4300, "-" + "1" * 4300, "1" * 4301, "1/" + "1" * 4301,
+]
+
+
+def _parse_outcome(parse, text):
+    """The value parse gives for text, or the type and message it raises."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def _bounded(text):
+    """Fraction(text), or the refusal of a value over the int string digit limit."""
+    outcome = _parse_outcome(Fraction, text)
+    bound = 10 ** sys.get_int_max_str_digits()
+    if outcome[0] is Fraction and max(abs(outcome[1].numerator), outcome[1].denominator) >= bound:
+        return ValueError, (f"{text!r} has more than {sys.get_int_max_str_digits()} digits in its "
+                            f"numerator or denominator (sys.get_int_max_str_digits())")
+    return outcome
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS)
+def test_coerce_reads_the_corpus_as_fraction_does(text):
+    assert _parse_outcome(QQ.coerce, text) == _parse_outcome(Fraction, text)
+
+
+# decimal-looking text, with exponents short enough for Fraction to build
+_NUMERIC_TEXT = st.from_regex(r"\A\s?[-+]{0,2}[0-9_٣]{0,6}([./][0-9_]{0,6})?([eE][-+]?[0-9_]{0,4})?\s?\Z")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _NUMERIC_TEXT))
+def test_coerce_reads_any_text_as_fraction_does(text):
+    assert _parse_outcome(QQ.coerce, text) == _bounded(text)
+
+
+@pytest.fixture
+def digit_limit():
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+def test_coerce_bounds_the_digits_of_a_value(digit_limit):
+    limit = sys.get_int_max_str_digits()
+    assert QQ.coerce(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert QQ.coerce(f"5e-{limit}") == Fraction(1, 2 * 10 ** (limit - 1))
+    # the exponent alone decides these, before any power of 10 is made
+    for text in (f"1e{limit}", f"1e-{limit}", "1e50000000", "-2.5E-50000000", " 1_0e+5_0000_000 "):
+        with pytest.raises(ValueError, match="digits in its numerator or denominator") as info:
+            QQ.coerce(text)
+        assert repr(text) in str(info.value)
+    # a value of 0 has no digits to bound, however large its exponent
+    assert QQ.coerce("0.00e99999999") == 0
+    # a long decimal without an exponent is checked on its value
+    with pytest.raises(ValueError, match="digits in its numerator or denominator"):
+        QQ.coerce("1" * 3000 + "." + "1" * 3000)
+    digit_limit(640)  # the smallest limit Python accepts, besides 0
+    assert QQ.coerce("1e639") == 10**639
+    with pytest.raises(ValueError, match="more than 640 digits"):
+        QQ.coerce("1e640")
+    digit_limit(0)  # Python's "no limit" lifts the bound too
+    assert QQ.coerce("1e5000") == 10**5000

@@ -101,6 +101,20 @@ def test_cells_leaves_the_field_to_exact():
     assert not leaks, f"cells.py uses field types or private names of exact: {leaks}"
 
 
+def test_the_exact_path_imports_no_numpy():
+    # cells and exact are the lab's independent oracle: no numpy, and no
+    # import of the lab's kernels in fflab
+    for name in ("cells.py", "exact.py"):
+        modules = []
+        for node in ast.walk(ast.parse((SRC / "bruhatkit" / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        hits = [m for m in modules if {"numpy", "fflab"} & set(m.split("."))]
+        assert not hits, f"{name} imports {hits}"
+
+
 def test_fflab_and_weyl_leave_the_field_to_exact():
     # the commutant nullspace and the elliptic determinant go through GF(p)
     # and QQ, not through exact's elimination itself
