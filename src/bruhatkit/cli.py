@@ -245,6 +245,17 @@ def _emit(payload: dict, fmt: str, table_lines) -> None:
             print(line)
 
 
+def _check_printable(values) -> None:
+    """Raise ValueError naming the first of the (name, number) pairs whose
+    number str() refuses: it has more digits than sys.get_int_max_str_digits()."""
+    for name, value in values:
+        try:
+            str(value)
+        except ValueError:
+            raise ValueError(f"cannot print {name}: it has more than {sys.get_int_max_str_digits()} "
+                             f"digits, Python's limit; PYTHONINTMAXSTRDIGITS raises it") from None
+
+
 def _aligned(rows: list[list[str]]) -> list[str]:
     if not rows:
         return []
@@ -282,6 +293,8 @@ def _cmd_decompose(args) -> int:
     fact = bruhat_decompose(g)
     if fact.product() != g:  # re-verified before printing
         raise IntegrityError("reconstruction b1 * w_rep * b2 != input")
+    _check_printable((f"{name}[{i}][{j}]", x) for name in ("w_rep", "b1", "b2")
+                     for i, row in enumerate(getattr(fact, name).entries) for j, x in enumerate(row))
     payload = _factorization_json(fact)
 
     def table():
@@ -405,6 +418,7 @@ def _cmd_order(args) -> int:
     else:
         value = chevalley_order(spec, args.q)
         group = f"Chevalley({spec})"
+    _check_printable([("order", value)])
     payload = {"family": spec.family, "rank": spec.rank, "q": args.q,
                "gl": bool(args.gl), "group": group, "order": value}
     _emit(payload, args.format, lambda: [str(value)])
@@ -458,6 +472,7 @@ def _cmd_cell_count(args) -> int:
         "borel_order": borel_order(spec.family, spec.rank, args.q),
         "cell_order": size,
     }
+    _check_printable((key, payload[key]) for key in ("borel_order", "cell_order"))
     if args.do_enumerate:
         count = sum(1 for _ in enumerate_cell(w, args.q, budget=cell_budget))
         payload["enumerated"] = count

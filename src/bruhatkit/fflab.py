@@ -41,23 +41,27 @@ codes, and their dedup and membership tests work on them.  A group is listed
 by right cosets of its chain of subgroups <g_1> <= <g_1, g_2> <= ...
 (_group_codes, Dimino's algorithm): each coset of the subgroup listed so far
 is made whole, from one representative, so each element's code is made about
-once and membership is tested only for the representatives.  Orbits are
-listed by a breadth-first closure, _closure, which takes a whole level at a
-time.  Both run on 1-D code arrays and return codes, ascending, so that
-tables and orbits depend only on the set generated, not on its generators,
-and each caller decodes (_decode) only the rows it reads: the group table
-decodes rows on demand, and a property-D scan the least element of each
-B_w-orbit.  A group closure is told the group order, and marks the codes it
-has listed in a byte map of all q^(n^2) codes when that map holds at most 8
-codes per element (q^(n^2) <= 8 * |G|), so that it is no larger than the
-int64 codes of the group; larger code spaces, orbits and the other member
-sets keep sorted code arrays, with numpy sorting and binary search.  A group
-closure multiplies on the right, which acts on each row alone: one table per
+once and membership is tested only for the representatives.  An orbit is
+grown breadth-first, a whole level at a time (conjugation_orbit), the only
+orbit BFS here; a conjugation-stable set is split into its orbits in one
+pass that grows none (_partition_into_orbits): each generator becomes a
+permutation of the set's sorted codes, and each member is labelled by the
+least member joined to it.  All of them run on 1-D code arrays and return
+codes, ascending, so that tables and orbits depend only on the set
+generated, not on its generators, and each caller decodes (_decode) only
+the rows it reads: the group table decodes rows on demand, and a
+property-D scan the least element of each B_w-orbit.  A group closure is
+told the group order, and marks the codes it has listed in a byte map of
+all q^(n^2) codes when that map holds at most 8 codes per element (q^(n^2)
+<= 8 * |G|), so that it is no larger than the int64 codes of the group;
+larger code spaces, orbits and the other member sets keep sorted code
+arrays, with numpy sorting and binary search.  A group closure multiplies
+on the right, which acts on each row alone: one table per
 matrix maps the code of a row to the code of its image, so a matrix code
-moves by n table lookups on its base-p^n digits.  A conjugation orbit decodes
-each level once and codes its products.  Unipotent elements are found by
-their characteristic polynomial, which must be (x - 1)^n: e_k, the sum of
-the principal k x k minors, must be C(n, k) mod p.  One kernel (_ek_mask)
+moves by n table lookups on its base-p^n digits.  Conjugation decodes the
+codes once and codes the products (_conjugates).  Unipotent elements are
+found by their characteristic polynomial, which must be (x - 1)^n: e_k, the
+sum of the principal k x k minors, must be C(n, k) mod p.  One kernel (_ek_mask)
 tests e_k for k <= 3, each on the survivors of the last, and that decides
 for SL_n and GL_n with n <= 4 and Sp_2m with m <= 3: det = 1 fixes e_n in SL,
 the polynomial of Sp is palindromic, and GL's walk reads e_n = det off the
@@ -300,36 +304,6 @@ def group_generators(kind: GroupKind, q: int) -> list[np.ndarray]:
     return gens
 
 
-def _closure(seeds: np.ndarray, step, limit: int | None = None) -> np.ndarray:
-    """Breadth-first closure of int64 matrix codes (_codes) under a step, as
-    the set of the codes found: a 1-D array, ascending, which depends only
-    on the set the seeds generate, not on the moves or their order.  It
-    lists conjugation orbits; a group is listed by its cosets
-    (_group_codes).
-
-    ``step`` maps the codes of a level to their images move by move: it
-    yields one block of codes per move, the images of the whole level under
-    the first move, then under the second, and so on.  The BFS goes one
-    level at a time, and the next level is the images not yet seen: the
-    level's joined blocks are sorted and binary-searched against the seen
-    codes, kept as a sorted array (_fresh_in_sorted).  With ``limit``,
-    holding more elements than that raises a BudgetError naming the
-    conjugation orbit.
-    """
-    seen = np.empty(0, dtype=np.int64)
-    total = 0
-    blocks = [seeds]
-    while True:
-        images = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
-        frontier, seen = _fresh_in_sorted(images, seen)
-        if not len(frontier):
-            return seen
-        total += len(frontier)
-        if limit is not None:
-            check_budget(total, limit, f"conjugation orbit reached {total} elements")
-        blocks = step(frontier)
-
-
 def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct images not in the sorted ``seen``, ascending, and
     ``seen`` with them inserted: the images are sorted, their repeats
@@ -419,18 +393,12 @@ def _decode(codes: np.ndarray, p: int, n: int) -> np.ndarray:
     return digits.reshape(n, n, -1).transpose(2, 0, 1)
 
 
-def _conjugation_step(gens: list[np.ndarray], p: int, n: int):
-    """The closure step conjugating by each generator, x -> g x g^-1 mod p:
-    the level is decoded once, and the codes of its products are yielded
-    one generator at a time."""
-    pairs = [(g, _inv_mod_p(g, p)) for g in gens]
-
-    def step(codes):
-        batch = _decode(codes, p, n)
-        for g, ginv in pairs:
-            yield _codes(_mod(_mod(g @ batch, p) @ ginv, p), p)
-
-    return step
+def _conjugates(codes: np.ndarray, pairs, p: int, n: int) -> list[np.ndarray]:
+    """The codes of g x g^-1 mod p for the n x n matrices x with these codes
+    (_codes), one array per pair (g, g^-1) of ``pairs``: the codes are
+    decoded once."""
+    batch = _decode(codes, p, n)
+    return [_codes(_mod(_mod(g @ batch, p) @ ginv, p), p) for g, ginv in pairs]
 
 
 def _row_codes(codes: np.ndarray, p: int, n: int) -> list[np.ndarray]:
@@ -656,8 +624,7 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     seen-map (_group_codes).  The element count must reproduce the formula
     exactly; a mismatch is an integrity failure, not a warning.  The
     unipotent elements of each Jordan type must be as many as its classes
-    have (_check_type_census), except for Sp at q = 2, where the report
-    checks only the total q^(2N).
+    have (_check_type_census).
     """
     _check_prime(q)
     expected = kind.order(q)
@@ -667,9 +634,8 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
         raise IntegrityError(f"enumerated {len(codes)} elements of {kind}/GF({q}), formula gives {expected}")
     unipotent, stack = _table_unipotents(kind, codes, q)
     types, inverse = _distinct_jordan_types(stack, q)
-    if kind.family != "Sp" or q % 2:
-        counts = np.bincount(inverse, minlength=len(types)).tolist()
-        _check_type_census(kind, q, Counter(dict(zip(types, counts))))
+    counts = np.bincount(inverse, minlength=len(types)).tolist()
+    _check_type_census(kind, q, Counter(dict(zip(types, counts))))
     return FiniteGroupTable(kind, q, codes, unipotent, types, inverse)
 
 
@@ -1122,9 +1088,19 @@ def conjugation_orbit(start: np.ndarray, gens: list[np.ndarray], p: int,
                       limit: int | None = None) -> np.ndarray:
     """The orbit of a matrix under conjugation by the group the generators
     produce (closure under the generators alone suffices in a finite group),
-    as the 1-D int64 codes (_codes) of its elements, ascending."""
-    return _closure(_codes((start % p)[None], p), _conjugation_step(gens, p, len(start)),
-                    limit=limit)
+    as the 1-D int64 codes (_codes) of its elements, ascending.  Breadth
+    first: each level is the conjugates of the last not yet seen, and the
+    seen codes are kept as a sorted array (_fresh_in_sorted).  Holding more
+    than ``limit`` elements raises BudgetError."""
+    n = len(start)
+    pairs = [(g, _inv_mod_p(g, p)) for g in gens]
+    level = seen = _codes((start % p)[None], p)
+    while len(level):
+        if limit is not None:
+            check_budget(len(seen), limit, f"conjugation orbit reached {len(seen)} elements")
+        images = np.concatenate([np.empty(0, dtype=np.int64), *_conjugates(level, pairs, p, n)])
+        level, seen = _fresh_in_sorted(images, seen)
+    return seen
 
 
 def centralizer_order(kind: GroupKind, q: int, orbit: np.ndarray) -> int:
@@ -1152,19 +1128,6 @@ def _commutant(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.array(basis, dtype=np.int64).reshape(-1, n, n)
 
 
-def _det_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
-    """det mod p of each matrix in a (B, n, n) stack: the Leibniz sum, with
-    a reduction after every product, so int64 stays exact."""
-    n = stack.shape[1]
-    det = np.zeros(len(stack), dtype=np.int64)
-    for perm in itertools.permutations(range(n)):
-        term = np.ones(len(stack), dtype=np.int64)
-        for i, j in enumerate(perm):
-            term = term * stack[:, i, j] % p
-        det = (det - term if _parity(perm) else det + term) % p
-    return det
-
-
 def _group_span(kind: GroupKind, q: int, basis: np.ndarray):
     """Per _CHUNK batch of combinations of a (k, n, n) basis mod q, the ones
     in G: X^T J X = J for Sp, det 1 for SL."""
@@ -1178,7 +1141,9 @@ def _group_span(kind: GroupKind, q: int, basis: np.ndarray):
         if form is not None:
             keep = ((batch.transpose(0, 2, 1) @ form % q) @ batch % q == form).all(axis=(1, 2))
         else:
-            keep = _det_mod_p(batch, q) == 1
+            # e_n is the determinant, and C(n, n) = 1
+            keep = _ek_mask(batch.transpose(1, 2, 0), np.arange(n), np.ones(n, dtype=np.int64),
+                            q, n)
         yield batch[keep]
 
 
@@ -1345,28 +1310,42 @@ def _slice_borel_generators(kind: GroupKind, w, q: int) -> list[np.ndarray]:
 def _partition_into_orbits(members: np.ndarray, gens: list[np.ndarray],
                            p: int) -> list[np.ndarray]:
     """Split a conjugation-stable (k, n, n) stack into orbits under the
-    generated group, as one 1-D code array (_codes) per orbit.  Each orbit
-    is grown from the least code not yet placed, so the orbits come in order
-    of their least code, and that code is the first of each.  With no
-    generators every matrix is its own orbit.  The members must be
-    distinct; a repeated matrix raises IntegrityError."""
+    generated group, as one 1-D code array (_codes) per orbit, ascending,
+    the orbits in order of their least code.  With no generators every
+    matrix is its own orbit.  The members must be distinct, and a repeated
+    matrix raises IntegrityError; so does a conjugate outside the set.
+
+    No orbit is grown.  The codes are sorted, and each generator becomes a
+    permutation of their indices, i -> the index of g x_i g^-1, found by
+    binary search, a _CHUNK of members at a time.  Every index starts
+    labelled by itself.  Each pass lowers every label to the least label
+    across its moves, in both directions, and then to the label of its
+    label, until no label moves.  Labels only fall, and each stays an index
+    inside its own orbit, so the passes end; then the labels are constant
+    along every move, so each index is labelled by the least index of its
+    orbit, which is its least code.  A stable argsort of the labels groups
+    the orbits."""
     n = members.shape[1]
-    step = _conjugation_step(gens, p, n)
+    pairs = [(g, _inv_mod_p(g, p)) for g in gens]
     codes = np.sort(_codes(members, p))
     if (codes[1:] == codes[:-1]).any():
         raise IntegrityError("a matrix is listed twice in the scanned set")
-    unplaced = np.ones(len(codes), dtype=bool)
-    orbits = []
-    for i in range(len(codes)):
-        if not unplaced[i]:
-            continue
-        found = _closure(codes[i:i + 1], step)
-        at = np.searchsorted(codes, found)
-        if not _found(codes, found, at).all():
-            raise IntegrityError("conjugation left the scanned set")
-        unplaced[at] = False
-        orbits.append(found)
-    return orbits
+    moves = np.empty((len(pairs), len(codes)), dtype=np.int64)
+    for start in range(0, len(codes), _CHUNK):
+        for move, images in zip(moves, _conjugates(codes[start:start + _CHUNK], pairs, p, n)):
+            at = np.searchsorted(codes, images)
+            if not _found(codes, images, at).all():
+                raise IntegrityError("conjugation left the scanned set")
+            move[start:start + len(images)] = at
+    label, last = np.arange(len(codes)), None
+    while not np.array_equal(label, last):
+        last, label = label, label.copy()
+        for move in moves:
+            np.minimum(label, label[move], out=label)
+            label[move] = np.minimum(label[move], label)
+        label = label[label]
+    order = np.argsort(label, kind="stable")
+    return np.split(codes[order], np.flatnonzero(np.diff(label[order])) + 1) if len(codes) else []
 
 
 # ---------------------------------------------------------------------------
@@ -1830,9 +1809,12 @@ def _check_type_census(kind: GroupKind, q: int, by_type: Counter) -> None:
     of the part i, and it lies in SL_n.  For Sp, q odd, it is |Sp(F_q)| /
     |Z_G| summed over the rational forms of λ (_sp_class_keys_of_type,
     _sp_centralizer_order), none unless λ is symplectic; at q = 2 the
-    formula does not apply, and only the total q^(2N) is checked."""
+    formula does not apply, nothing is checked here, and the report checks
+    only the total q^(2N)."""
     n = kind.n
     sp = kind.family == "Sp"
+    if sp and q == 2:
+        return
     group, order = (kind, kind.order(q)) if sp else (f"GL_{n}", gl_order(n, q))
     for jt in partitions_of(n):
         if sp:

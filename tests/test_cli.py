@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bruhatkit import fflab
-from bruhatkit.cli import main
+from bruhatkit.cli import _check_printable, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -166,6 +166,51 @@ def test_decompose_refuses_an_entry_over_the_digit_limit(entry):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert repr(entry) in lines[0] and "digits in its numerator or denominator" in lines[0]
+
+
+SEVENS = "7" * 2000  # within the digit limit, as are its factors' entries but one
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("args,name", [
+    # b2[1][1] of this factorization has 6000 digits
+    (["decompose", json.dumps({"field": "Q", "rows": 2, "cols": 2, "entries": [
+        [f"1/{SEVENS}", 1], [SEVENS, f"1/{SEVENS}"]]})], "b2[1][1]"),
+    (["order", "BC", "20", "--q", "10000000000000000000009"], "order"),
+    (["cell-count", "A", "40", "--word", "1", "--q", "10000000000000000000009"], "borel_order"),
+], ids=["decompose", "order", "cell-count"])
+def test_a_value_too_long_to_print_exits_2_naming_it(capsys, fmt, args, name):
+    rc, out, err = run(capsys, ["--format", fmt, *args])
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot print {name}: ")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "PYTHONINTMAXSTRDIGITS" in err
+
+
+def test_a_limit_of_0_prints_the_long_factorization(capsys):
+    matrix = json.dumps({"field": "Q", "rows": 2, "cols": 2,
+                         "entries": [[f"1/{SEVENS}", 1], [SEVENS, f"1/{SEVENS}"]]})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rc, payload, err = run_json(capsys, ["decompose", matrix])
+        assert rc == 0 and err == "" and payload["verified"] is True
+        assert max(len(str(x)) for row in payload["b2"]["entries"] for x in row) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_the_print_check_is_pythons_digit_limit():
+    # a value is refused exactly when str() would refuse it
+    limit = sys.get_int_max_str_digits()
+    for value in (10 ** limit - 1, -(10 ** limit - 1)):
+        _check_printable([("x", value)])
+        assert len(str(abs(value))) == limit
+    for value in (10 ** limit, -(10 ** limit)):
+        with pytest.raises(ValueError, match="cannot print x: "):
+            _check_printable([("x", value)])
+        with pytest.raises(ValueError):
+            str(value)
 
 
 ONE_BY_ONE = json.dumps({"field": "Q", "rows": 1, "cols": 1, "entries": [[2]]})

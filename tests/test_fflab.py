@@ -24,7 +24,7 @@ from bruhatkit.fflab import (
     _codes,
     _commutant,
     _decode,
-    _det_mod_p,
+    _ek_mask,
     _jordan_types_mod_p,
     _partition_into_orbits,
     _root_family,
@@ -1292,10 +1292,28 @@ def test_slices_match_exact_cells_f2(name, n):
         assert _scaled_slice_types(kind, w, q) == expected
 
 
+def _orbits_by_bfs(members, gens, p):
+    """The split into orbits one orbit at a time, each grown by BFS
+    (conjugation_orbit) from the least member not yet placed and held
+    inside the set: the oracle of the one-pass _partition_into_orbits."""
+    codes = np.sort(_codes(members, p))
+    placed, orbits = set(), []
+    for code in codes.tolist():
+        if code in placed:
+            continue
+        start = _decode(np.array([code], dtype=np.int64), p, members.shape[1])[0]
+        orbit = conjugation_orbit(start.astype(np.int64), gens, p)
+        assert set(orbit.tolist()) <= set(codes.tolist())
+        placed.update(orbit.tolist())
+        orbits.append(orbit)
+    return orbits
+
+
 @pytest.mark.parametrize("name,n,q", [("sl", 3, 3), ("sp", 4, 3), ("sl", 2, 2), ("sp", 4, 2)])
 def test_property_d_slice_records_match_full_cell_orbits(name, n, q):
-    # oracle: gamma ∩ BwB taken whole from the table, split into B-orbits;
-    # B is generated by its torus and x_b(1) for every positive root b (at
+    # oracle: gamma ∩ BwB taken whole from the table, split into B-orbits
+    # by BFS (_orbits_by_bfs), sharing no code with the one-pass split; B is
+    # generated by its torus and x_b(1) for every positive root b (at
     # q = 2 the simple ones do not generate U of Sp_4).  At q = 2 the slice
     # group B_w of w0 has no generators at all
     kind = parse_kind(name, n)
@@ -1307,9 +1325,7 @@ def test_property_d_slice_records_match_full_cell_orbits(name, n, q):
     for cell in scan.cells:
         members = table.mats[[i for i, jt in table.unipotent_types.items()
                               if jt == cell.target and table.cell_windows[i] == cell.w.window]]
-        orbits = _partition_into_orbits(members, borel_gens, q)
-        # each orbit starts at its least member
-        assert all(orbit.min() == orbit[0] for orbit in orbits)
+        orbits = _orbits_by_bfs(members, borel_gens, q)
         reps = _decode(np.array([orbit[0] for orbit in orbits], dtype=np.int64), q, n)
         expected = {
             "q": q,
@@ -1488,6 +1504,54 @@ def test_partition_into_orbits_rejects_a_repeated_matrix():
             _partition_into_orbits(np.concatenate([b_orbit, b_orbit[1:]]), gens, 5)
 
 
+def _assert_split_matches_the_bfs(members, gens, p):
+    split = _partition_into_orbits(members, gens, p)
+    expected = _orbits_by_bfs(members, gens, p)
+    assert len(split) == len(expected)
+    for orbit, oracle in zip(split, expected):
+        assert orbit.dtype == np.int64 and np.array_equal(orbit, oracle)
+    return split
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("name,n", [("sl", 3), ("sp", 4)])
+def test_one_pass_split_matches_the_orbit_bfs_on_scanned_slices(name, n, q, monkeypatch):
+    # the member sets and B_w generators scan_property_d splits
+    captured = []
+
+    def spy(members, gens, p):
+        captured.append((members, gens))
+        return _partition_into_orbits(members, gens, p)
+
+    monkeypatch.setattr(fflab, "_partition_into_orbits", spy)
+    scan_property_d(parse_kind(name, n), [q])
+    assert captured and all(len(gens) for _, gens in captured)
+    for members, gens in captured:
+        _assert_split_matches_the_bfs(members, gens, q)
+
+
+def test_one_pass_split_joins_long_cycles_and_unions_of_cycles():
+    # x -> d x d^-1 for d = diag(a, 1) sends [[1, t], [0, 1]] to [[1, a t], [0, 1]];
+    # the members come in no particular order
+    rng = np.random.default_rng(3)
+
+    def unitriangular(p):
+        return np.array([[[1, t], [0, 1]] for t in rng.permutation(p)], dtype=np.int64)
+
+    def ts(split, p):
+        return [_decode(orbit, p, 2)[:, 0, 1].tolist() for orbit in split]
+
+    # 2 has order 100 mod 101: the orbits are {I} and one 100-cycle
+    split = _assert_split_matches_the_bfs(unitriangular(101), [np.diag([2, 1])], 101)
+    assert [len(orbit) for orbit in split] == [1, 100]
+    # 5 has order 4 mod 13: {I} and three 4-cycles, in order of least code
+    split = _assert_split_matches_the_bfs(unitriangular(13), [np.diag([5, 1])], 13)
+    assert ts(split, 13) == [[0], [1, 5, 8, 12], [2, 3, 10, 11], [4, 6, 7, 9]]
+    # no generators: every matrix is its own orbit
+    split = _assert_split_matches_the_bfs(unitriangular(13), [], 13)
+    assert ts(split, 13) == [[t] for t in range(13)]
+
+
 def test_conjugation_orbit_limit():
     kind = parse_kind("sl", 2)
     gens = group_generators(kind, 5)
@@ -1526,12 +1590,22 @@ def test_echelon_nullspace_matches_brute_force_2x2_f3():
         assert all(sum(r * x for r, x in zip(row, vec)) % q == 0 for row in rows for vec in basis)
 
 
-def test_det_mod_p_matches_exact_det():
+def test_ek_mask_at_k_n_is_the_determinant_test():
+    # e_n is the determinant and C(n, n) = 1, so _ek_mask at k = n with the
+    # identity for w_rep keeps exactly the det-1 matrices, which the
+    # commutant route keeps as the members of SL; oracle: ExactMatrix.det
     rng = np.random.default_rng(11)
     for n, p in [(2, 3), (3, 5), (4, 7), (5, 3)]:
         stack = rng.integers(0, p, size=(60, n, n))
-        expected = [ExactMatrix(GF(p), m.tolist()).det() for m in stack]
-        assert _det_mod_p(stack, p).tolist() == expected
+        # a third of the rows scaled to det 1: the first row times det^-1
+        for m in stack[::3]:
+            det = int(ExactMatrix(GF(p), m.tolist()).det())
+            if det:
+                m[0] = m[0] * pow(det, -1, p) % p
+        expected = [ExactMatrix(GF(p), m.tolist()).det() == 1 for m in stack]
+        assert sum(expected) >= 15
+        mask = _ek_mask(stack.transpose(1, 2, 0), np.arange(n), np.ones(n, dtype=np.int64), p, n)
+        assert mask.tolist() == expected
 
 
 def _code(mat, q):
