@@ -53,7 +53,8 @@ the rows it reads: the group table decodes rows on demand, and a
 property-D scan the least element of each B_w-orbit.  A group closure is
 told the group order, and marks the codes it has listed in a byte map of
 all q^(n^2) codes when that map holds at most 8 codes per element (q^(n^2)
-<= 8 * |G|), so that it is no larger than the int64 codes of the group;
+<= 8 * |G|), so that it takes at most 8 bytes per element, and hands back
+its codes in the narrowest signed dtype that holds one (_code_dtype);
 larger code spaces, orbits and the other member sets keep sorted code
 arrays, with numpy sorting and binary search.  A group closure multiplies
 on the right, which acts on each row alone: one table per
@@ -202,7 +203,8 @@ _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
 # for one call
 _CHUNK = 200_000
 # codes per batch of the table's unipotent pass, whose trace temporaries
-# are each as long as the batch, and per block of _decode: on the 372,000
+# are each as long as the batch, per block of _decode and per block a
+# closure marks in its byte map (_mark): on the 372,000
 # codes of SL_3(F_5) the pass takes 2.9 ms with a traced peak of 1.6 MB,
 # the same time as per 2^17 codes (2.5 MB), against 3.7 ms and 1.3 MB per
 # 2^15 codes and 3.1 ms and 3.4 MB per _CHUNK (best of 9, 2-vCPU VM); its
@@ -308,11 +310,20 @@ def _fresh_in_sorted(images: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, 
     """The distinct images not in the sorted ``seen``, ascending, and
     ``seen`` with them inserted: the images are sorted, their repeats
     dropped, and the rest looked up by binary search."""
-    codes = np.sort(images)
-    codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0
+    codes = _distinct(np.sort(images))
     at = np.searchsorted(seen, codes)
     fresh = ~_found(seen, codes, at)
     return codes[fresh], np.insert(seen, at[fresh], codes[fresh])
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """These sorted codes with their repeats dropped, compared in their own
+    dtype (np.diff with a prepended Python int would widen narrow codes to
+    int64)."""
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def _marked(seen: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -353,9 +364,12 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _signed_dtype(bound: int) -> np.dtype:
-    """The narrowest signed integer dtype that holds -bound..bound."""
-    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
-                if bound <= np.iinfo(t).max)
+    """The narrowest signed integer dtype that holds -bound..bound; past
+    int64 this raises a ValueError."""
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(t).max:
+            return np.dtype(t)
+    raise ValueError(f"no signed integer dtype holds -{bound}..{bound}, past int64")
 
 
 @functools.cache
@@ -379,9 +393,9 @@ def _decode(codes: np.ndarray, p: int, n: int) -> np.ndarray:
     5.4 ms for the int64 division of every code by every power and a
     reduction mod p, on 5,000 of them 27 us against 356 us, and on 16 codes
     (a small orbit level) 6.0 us against 4.7 us (best of 15, 2-vCPU VM).
-    It goes per _TRACE_CHUNK of codes, each narrowed on its own, so that
-    the decode of a whole group holds its int64 codes, the stack and one
-    chunk's temporaries."""
+    It goes per _TRACE_CHUNK of codes, each narrowed on its own where it is
+    int64 (orbit codes), so that the decode of a whole group holds its
+    codes, the stack and one chunk's temporaries."""
     dtype = _code_dtype(p, n)
     powers = p ** np.arange(n * n - 1, -1, -1, dtype=dtype)[:, None]
     digits = np.empty((n * n, len(codes)), dtype=dtype)
@@ -421,12 +435,13 @@ def _right_multiplication_step(gens, p: int, n: int):
     x -> x g acts on each row of x alone, so one table per matrix g, of
     the p^n row codes r -> code of r g mod p, moves a matrix code: each of
     its row codes is looked up, and the images are put back together by
-    Horner's rule, one gather and one multiply-add per row (an int64 matrix
-    product has no BLAS path).  The tables of all the matrices are made by
-    one product."""
+    Horner's rule, one gather and one multiply-add per row (an integer
+    matrix product has no BLAS path).  The tables of all the matrices are
+    made by one int64 product and kept in the code dtype (_code_dtype), and
+    so are the images: each partial Horner value is below p^(n^2)."""
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
-    tables = rows @ np.asarray(gens, dtype=np.int64) % p @ digits
+    tables = (rows @ np.asarray(gens, dtype=np.int64) % p @ digits).astype(_code_dtype(p, n))
     base = p ** n
 
     def step(row_codes):
@@ -439,11 +454,36 @@ def _right_multiplication_step(gens, p: int, n: int):
     return step
 
 
+def _mark(seen: np.ndarray, codes: np.ndarray):
+    """Marks these codes in a byte map of the code space, a _TRACE_CHUNK of
+    them at a time cast to intp, the index type numpy indexes by: the
+    closure of SL_4(F_3), 12,130,560 int32 codes into a map of 3^16 bytes,
+    spends 0.24 s marking so against 0.34 s with the codes as they are, and
+    that of SL_3(F_5) 3.1 ms against 2.8 ms (2-vCPU VM)."""
+    flat = codes.ravel()
+    for start in range(0, len(flat), _TRACE_CHUNK):
+        seen[flat[start:start + _TRACE_CHUNK].astype(np.intp)] = True
+
+
+def _listed(seen: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The codes a byte map of the code space marks, ascending, in this
+    dtype: the map is listed _CHUNK bytes at a time into one array, so no
+    int64 listing of the whole map is made.  Each block's positions are
+    offset straight into that array, all below the map's length."""
+    codes = np.empty(np.count_nonzero(seen), dtype=dtype)
+    at = 0
+    for start in range(0, len(seen), _CHUNK):
+        block = np.flatnonzero(seen[start:start + _CHUNK])
+        np.add(block, start, out=codes[at:at + len(block)], casting="unsafe")
+        at += len(block)
+    return codes
+
+
 def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.ndarray:
     """The codes (_codes) of the group of this order that the generators
-    produce, ascending, listed by right cosets of its chain of subgroups
-    (Dimino's algorithm; G. Butler, Fundamental Algorithms for Permutation
-    Groups, LNCS 559, 1991).
+    produce, ascending and in the code dtype (_code_dtype), listed by right
+    cosets of its chain of subgroups (Dimino's algorithm; G. Butler,
+    Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
 
     With H = <g_1..g_(k-1)> listed, g_k is skipped when it lies in H, and
     otherwise <g_1..g_k> is walked coset by coset out from H: the
@@ -458,8 +498,10 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
 
     Listed codes are marked in a byte map of the code space, p^(n^2) codes,
     when that holds at most 8 codes per element, p^(n^2) <= 8 * order: then
-    the map is no larger than the int64 codes of the group.  Otherwise they
-    are kept as a sorted array, which each chunk's cosets are sorted into.
+    the map takes at most 8 bytes per element.  A chunk's cosets are marked
+    whole there, a coset met twice marking the same bytes again, and the map
+    is listed a block at a time (_listed).  Otherwise the codes are kept as
+    a sorted array, which each chunk's distinct cosets are sorted into.
     The order picks nothing else.  Distinct cosets are disjoint, so the
     distinct codes marked must be as many as the codes listed; if they are
     not, a generator is singular, and this raises IntegrityError.  Listing
@@ -467,7 +509,9 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
     more than ``limit`` entries: they hold p^n, as many as the group has at
     least elements."""
     n = gens[0].shape[0]
-    identity = _codes(np.eye(n, dtype=np.int64)[None], p)
+    identity = _codes(np.eye(n, dtype=np.int64)[None], p)  # past int64 this names the matrices
+    dtype = _code_dtype(p, n)
+    identity = identity.astype(dtype)
     check_budget(p ** n, limit, f"group closure row tables hold {p}^{n} = {p ** n} entries")
     space = p ** (n * n)
     in_map = space <= 8 * order
@@ -477,16 +521,16 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
     else:
         seen = identity
     total = 1
-    for k, g in enumerate(_codes(np.asarray(gens, dtype=np.int64) % p, p)[:, None], 1):
+    gen_codes = _codes(np.asarray(gens, dtype=np.int64) % p, p).astype(dtype)
+    for k, g in enumerate(gen_codes[:, None], 1):
         if _marked(seen, g)[0]:
             continue
         moves = _right_multiplication_step(gens[:k], p, n)
-        subgroup = _row_codes(np.flatnonzero(seen) if in_map else seen, p, n)
+        subgroup = _row_codes(_listed(seen, dtype) if in_map else seen, p, n)
         per_chunk = max(1, _CHUNK // max(len(subgroup[0]), n * p ** n))
         frontier = identity
         while len(frontier):
-            candidates = np.sort(moves(_row_codes(frontier, p, n)), axis=None)
-            candidates = candidates[np.diff(candidates, prepend=-1) != 0]  # codes are >= 0
+            candidates = _distinct(np.sort(moves(_row_codes(frontier, p, n)), axis=None))
             candidates = candidates[~_marked(seen, candidates)]
             reps = []
             for start in range(0, len(candidates), per_chunk):
@@ -496,18 +540,17 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
                     continue
                 cosets = _right_multiplication_step(_decode(chunk, p, n), p, n)(subgroup)
                 _, first = np.unique(cosets.min(axis=1), return_index=True)
-                cosets = cosets[first]
-                total += cosets.size
+                total += len(first) * cosets.shape[1]
                 check_budget(total, limit, f"group closure reached {total} elements")
                 if in_map:
-                    seen[cosets] = True
+                    _mark(seen, cosets)
                 else:
-                    seen = np.concatenate([seen, cosets.ravel()])
+                    seen = np.concatenate([seen, cosets[first].ravel()])
                     seen.sort()
                 reps.append(chunk[first])
-            frontier = np.concatenate([np.empty(0, dtype=np.int64), *reps])
+            frontier = np.concatenate([np.empty(0, dtype=dtype), *reps])
         del subgroup  # n arrays as long as H, not to be held while the group is listed
-    codes = np.flatnonzero(seen) if in_map else seen[np.diff(seen, prepend=-1) != 0]
+    codes = _listed(seen, dtype) if in_map else _distinct(seen)
     if len(codes) != total:
         raise IntegrityError(f"group closure listed {total} codes but marked {len(codes)}: "
                              f"a generator is not invertible")
@@ -528,9 +571,8 @@ def _code_traces(codes: np.ndarray, p: int, n: int) -> np.ndarray:
     and code // p^e is that digit plus p times the digits above it, so the
     trace is the sum of those quotients mod p, reduced once.  The last
     entry, the digit of p^0, is taken as code mod p, so that the sum stays
-    below p^(n^2 - n) and in the code dtype (_code_dtype), in which the
-    codes are divided."""
-    codes = codes.astype(_code_dtype(p, n), copy=False)
+    below p^(n^2 - n), in the dtype of the codes: for a group closure's
+    codes the code dtype (_code_dtype), which they are divided in, uncopied."""
     trace = codes - codes // p * p
     for i in range(n - 1):
         trace += codes // p ** (n * n - 1 - i * (n + 1))
@@ -541,7 +583,8 @@ class FiniteGroupTable:
     """The fully enumerated group, kept as codes, with its unipotent data;
     matrices and cell windows on demand.
 
-    ``codes`` holds the int64 code (_codes) of each element, ascending, so
+    ``codes`` holds the code (_codes) of each element in the code dtype
+    (_code_dtype), as _group_codes lists them, ascending, so
     element i is the same whichever generators listed the group, and
     ``rows(indices)`` decodes only those elements.
     ``unipotent`` holds the indices of the unipotent elements, ascending,

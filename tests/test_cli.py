@@ -467,6 +467,7 @@ def test_sl4_property_d_report_bytes_are_pinned(capsys):
     # the cell walk's reach: a rank-3 symplectic group and a rank-5 linear one
     (["sp", "6", "--q", "3"], "c8dfdab0ad87b9cdd1a1b34535581e9d886aef76b620af457e1261697733682f"),
     (["sl", "5", "--q", "2"], "79e17027687235113e0d05bb1fa4c712094f26158d810c74c7014f5fe20a4a5d"),
+    (["gl", "5", "--q", "2"], "707ddad79533bfa470ddaa8d3c3f209f127a35c6af8262d55de9395e10f2e57a"),
 ])
 def test_theorem_a_report_bytes_are_pinned(capsys, args, digest):
     # SHA-256 of the whole stdout of the theorem-A run

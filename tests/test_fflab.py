@@ -344,6 +344,17 @@ def test_decode_takes_the_narrowest_code_dtype(p, dtype):
     assert np.array_equal(a @ b % p, a.astype(np.int64) @ b.astype(np.int64) % p)
 
 
+def test_code_dtype_past_int64_raises_a_value_error():
+    # 17^16 - 1 > 2^63 - 1: no signed dtype holds the codes of 4 x 4 matrices
+    # mod 17, and the error names the bound rather than ending in a bare
+    # StopIteration (a RuntimeError inside a generator)
+    assert fflab._signed_dtype(2 ** 63 - 1) == np.int64
+    with pytest.raises(ValueError, match=str(2 ** 63)):
+        fflab._signed_dtype(2 ** 63)
+    with pytest.raises(ValueError, match=str(17 ** 16 - 1)):
+        fflab._code_dtype(17, 4)
+
+
 def test_kernel_rejects_singular_windows_and_non_unipotent_types():
     kind = parse_kind("gl", 3)
     good = np.eye(3, dtype=np.int64)[::-1]
@@ -1010,13 +1021,16 @@ def test_sorted_closure_peak_stays_near_its_codes():
     finally:
         tracemalloc.stop()
     assert len(codes) == kind.order(3)
-    assert peak < 3.5 * codes.nbytes, peak / codes.nbytes
+    # the sorted array and its copy with one chunk sorted in, here of at
+    # most 41 cosets of 648 codes, all in the narrow code dtype
+    assert peak < 2 * 51840 * fflab._code_dtype(3, 4).itemsize + 2 ** 18, peak
 
 
 def test_map_closure_peak_stays_near_its_codes():
     # SL_3(F_5): the byte map of 5^9 codes, one chunk of cosets and the row
     # codes of the subgroup they are cosets of, and the codes listed at the
-    # end; no per-level images of every element
+    # end, in the narrow code dtype; no per-level images of every element,
+    # and no int64 listing of the map
     kind = parse_kind("sl", 3)
     gens = group_generators(kind, 5)
     tracemalloc.start()
@@ -1026,7 +1040,7 @@ def test_map_closure_peak_stays_near_its_codes():
     finally:
         tracemalloc.stop()
     assert len(codes) == kind.order(5)
-    assert peak < 2.25 * codes.nbytes, peak / codes.nbytes
+    assert peak < 5**9 + 372000 * fflab._code_dtype(5, 3).itemsize + 2**20, peak
 
 
 def test_group_codes_make_each_code_about_once(monkeypatch):
@@ -1138,7 +1152,9 @@ def test_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths, name, n,
     by_sort = fflab._group_codes(gens, q, 10**6, order=1)
     assert closure_paths["sorted"] > 0
     assert len(by_map) == kind.order(q)
+    assert by_map.dtype == by_sort.dtype == fflab._code_dtype(q, n)
     assert np.array_equal(by_map, by_sort)
+    assert np.array_equal(by_map, _codes(_decode(by_map, q, n), q))
 
 
 def test_borel_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths):
@@ -1151,7 +1167,9 @@ def test_borel_closure_bitmap_path_lists_the_sorted_path_codes(closure_paths):
     by_sort = fflab._group_codes(gens, 3, 1000, order=kind.borel_order(3))
     assert closure_paths["sorted"] > 0
     assert len(by_map) == kind.borel_order(3) == 108
+    assert by_map.dtype == by_sort.dtype == fflab._code_dtype(3, 3)
     assert np.array_equal(by_map, by_sort)
+    assert np.array_equal(by_map, _codes(_decode(by_map, 3, 3), 3))
 
 
 def test_group_codes_takes_the_map_path_only_within_8_codes_per_element(closure_paths):
