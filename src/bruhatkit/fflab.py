@@ -194,7 +194,7 @@ DEFAULT_ENUM_BUDGET = 10**8
 # counts as within tolerance; every row prints it
 EXPONENT_TOLERANCE = 0.25
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
-# matrices per numpy batch in slice scans, the table's window pass, the
+# matrices per numpy batch in slice scans, the table's windows_of, the
 # Borel centralizer scan and the commutant enumeration, and codes per chunk
 # of cosets in a group closure; it keeps the temporaries of a whole-group
 # run (372,000 elements of SL_3(F_5)) or of a scan over a Borel grid (10^6
@@ -211,10 +211,13 @@ _CHUNK = 200_000
 # traces take 1.0 ms of it, against 4.1 ms for int64 traces reduced digit
 # by digit
 _TRACE_CHUNK = 2 ** 16
-# matrices per batch of Jordan ranks: on the 15,625 unipotent elements of
-# SL_3(F_5) the traced peak is 1.6 MB against 4.8 MB in one batch, and the
-# time 5.7 ms against 7.2 ms (best of 15, 2-vCPU VM), as the powers of
-# g - 1 and their batch-last copies stay in cache
+# matrices per batch of Jordan typing (_jordan_labels) and of a table's
+# window pass (FiniteGroupTable.types_by_window), the two passes over the
+# unipotent elements: on the 15,625 of SL_3(F_5) typing traces 0.80 MB
+# against 1.4 MB in one batch, and the window pass 1.2 MB against 3.6 MB
+# and takes 4.2–4.9 ms against 3.8–5.8 ms in one batch (best of 15, 2-vCPU
+# VM); batched, the powers of g - 1 and the kernel's batch-last copies stay
+# in cache
 _JORDAN_CHUNK = 4096
 
 KIND_NAMES = ("GL", "SL", "Sp")
@@ -436,19 +439,23 @@ def _right_multiplication_step(gens, p: int, n: int):
     the p^n row codes r -> code of r g mod p, moves a matrix code: each of
     its row codes is looked up, and the images are put back together by
     Horner's rule, one gather and one multiply-add per row (an integer
-    matrix product has no BLAS path).  The tables of all the matrices are
-    made by one int64 product and kept in the code dtype (_code_dtype), and
-    so are the images: each partial Horner value is below p^(n^2)."""
+    matrix product has no BLAS path).  The gather is ndarray.take, not
+    tables[:, row]: numpy's general fancy-index path took 18.1 ms against
+    16.7 ms for the closure of SL_3(F_5), and 586 ms against 508 ms for
+    SL_4(F_3) (medians of 7 best-of-5 rounds, 2-vCPU VM).  The tables of
+    all the matrices are made by one int64 product and kept in the code
+    dtype (_code_dtype), and so are the images: each partial Horner value
+    is below p^(n^2)."""
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.arange(p ** n, dtype=np.int64)[:, None] // digits % p
     tables = (rows @ np.asarray(gens, dtype=np.int64) % p @ digits).astype(_code_dtype(p, n))
     base = p ** n
 
     def step(row_codes):
-        out = tables[:, row_codes[0]]
+        out = tables.take(row_codes[0], axis=1)
         for row in row_codes[1:]:
             out *= base
-            out += tables[:, row]
+            out += tables.take(row, axis=1)
         return out
 
     return step
@@ -644,14 +651,14 @@ class FiniteGroupTable:
     def types_by_window(self) -> dict[tuple[int, ...], set[Partition]]:
         """The Jordan types of the unipotent elements of each cell met, by
         window.  Only the unipotent elements are decoded and windowed, one
-        kernel call (_distinct_cell_windows) per _CHUNK of them, and each
-        distinct (window, type) pair is found by one np.bincount."""
+        kernel call (_distinct_cell_windows) per _JORDAN_CHUNK of them, and
+        each distinct (window, type) pair is found by one np.bincount."""
         met: dict[tuple[int, ...], set[Partition]] = {}
         width = len(self.types)
-        for start in range(0, len(self.unipotent), _CHUNK):
+        for start in range(0, len(self.unipotent), _JORDAN_CHUNK):
             windows, inverse = _distinct_cell_windows(
-                self.kind, self.rows(self.unipotent[start:start + _CHUNK]), self.q)
-            pairs = np.bincount(inverse * width + self.type_index[start:start + _CHUNK],
+                self.kind, self.rows(self.unipotent[start:start + _JORDAN_CHUNK]), self.q)
+            pairs = np.bincount(inverse * width + self.type_index[start:start + _JORDAN_CHUNK],
                                 minlength=len(windows) * width)
             for pair in np.flatnonzero(pairs).tolist():
                 met.setdefault(windows[pair // width], set()).add(self.types[pair % width])
@@ -662,6 +669,9 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     """BFS the whole group and find and type its unipotent elements; the
     table keeps the codes, ascending, and matrices and cell windows are
     left to FiniteGroupTable, which decodes and computes them on demand.
+    Each chunk's unipotent stack (_table_unipotents) is typed as it is found
+    and only its rank rows (_jordan_ranks) are kept, so no stack of all the
+    unipotent elements is held.
 
     The closure is told the order from the closed formula, which sizes its
     seen-map (_group_codes).  The element count must reproduce the formula
@@ -675,17 +685,21 @@ def enumerate_group(kind: GroupKind, q: int, budget: int = DEFAULT_ENUM_BUDGET) 
     codes = _group_codes(group_generators(kind, q), q, budget, order=expected)
     if len(codes) != expected:
         raise IntegrityError(f"enumerated {len(codes)} elements of {kind}/GF({q}), formula gives {expected}")
-    unipotent, stack = _table_unipotents(kind, codes, q)
-    types, inverse = _distinct_jordan_types(stack, q)
+    unipotent, ranks = [], []
+    for index, stack in _table_unipotents(kind, codes, q):
+        unipotent.append(index)
+        ranks.append(_jordan_ranks(stack, q))
+    types, inverse = _distinct_types(np.concatenate(ranks))
     counts = np.bincount(inverse, minlength=len(types)).tolist()
     _check_type_census(kind, q, Counter(dict(zip(types, counts))))
-    return FiniteGroupTable(kind, q, codes, unipotent, types, inverse)
+    return FiniteGroupTable(kind, q, codes, np.concatenate(unipotent), types, inverse)
 
 
-def _table_unipotents(kind: GroupKind, codes: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the unipotent elements of the group among these codes,
-    ascending, and the (k, n, n) stack of them in the code dtype.  Per
-    _TRACE_CHUNK of codes, the traces are read off the codes (_code_traces),
+def _table_unipotents(kind: GroupKind, codes: np.ndarray, q: int):
+    """Per _TRACE_CHUNK of these codes, the indices of the unipotent
+    elements of the group among them, ascending, and the (k, n, n) stack of
+    them in the code dtype, so that a caller holds one chunk's stack at a
+    time.  In each chunk the traces are read off the codes (_code_traces),
     and only the elements with trace n mod p, as every unipotent element
     has, are decoded, entry-major.  The walk's other coefficient tests
     (_coefficient_tests, _ek_survivors, with the identity for w_rep) run on
@@ -695,7 +709,6 @@ def _table_unipotents(kind: GroupKind, codes: np.ndarray, q: int) -> tuple[np.nd
     n = kind.n
     ks, power = _coefficient_tests(kind, walk=False)
     identity = np.arange(n), np.ones(n, dtype=np.int64)
-    unipotent, stacks = [], []
     for start in range(0, len(codes), _TRACE_CHUNK):
         chunk = codes[start:start + _TRACE_CHUNK]
         passed = np.flatnonzero(_code_traces(chunk, q, n) == n % q)
@@ -705,9 +718,7 @@ def _table_unipotents(kind: GroupKind, codes: np.ndarray, q: int) -> tuple[np.nd
         if power:
             mask = _unipotent_mask(batch, q)
             passed, batch = passed[mask], batch[mask]
-        unipotent.append(start + passed)
-        stacks.append(batch)
-    return np.concatenate(unipotent), np.concatenate(stacks)
+        yield start + passed, batch
 
 
 def _column_pivots(stack: np.ndarray, p: int) -> np.ndarray:
@@ -777,35 +788,123 @@ def _jordan_types_mod_p(stack: np.ndarray, p: int) -> list[Partition]:
 
 def _distinct_jordan_types(stack: np.ndarray, p: int) -> tuple[list[Partition], np.ndarray]:
     """The distinct Jordan types of the unipotent matrices in a (B, n, n)
-    stack mod p, and for each matrix the index of its type among them.
+    stack mod p, and for each matrix the index of its type among them
+    (_jordan_ranks, _distinct_types)."""
+    return _distinct_types(_jordan_ranks(stack, p))
 
-    With N = g - 1, the types are read off the ranks of N^k for k = 1..n-1,
-    _JORDAN_CHUNK matrices and one power at a time, so that besides the
-    ranks only one batch of N, one power and its batch-last copy are alive.
-    The ranks of N^k for k < n - 1 take one kernel call (_column_pivots)
-    each.  N^(n-1) of a nilpotent N has rank 1 when N is one Jordan block
-    and 0 otherwise, so its rank is whether it is nonzero.  N^n = 0 is
-    checked by one more product, which never enters the kernel; a matrix
-    that fails it is not unipotent and raises ValueError.  One Partition is
-    built per distinct rank sequence, once all the ranks are in."""
-    count, n = stack.shape[:2]
-    ranks = np.empty((count, n - 1), dtype=np.int64)
-    for start in range(0, count, _JORDAN_CHUNK):
-        nil = _mod(stack[start:start + _JORDAN_CHUNK] - np.eye(n, dtype=np.int64), p)
-        block = ranks[start:start + _JORDAN_CHUNK]
-        power = nil
-        for k in range(n - 1):
-            if k < n - 2:
-                block[:, k] = (_column_pivots(power, p) >= 0).sum(axis=1)
-            else:
-                block[:, k] = power.any(axis=(1, 2))
-            power = _mod(power @ nil, p)
-        if power.any():
-            raise ValueError("matrix is not unipotent mod p")
+
+def _distinct_types(ranks: np.ndarray) -> tuple[list[Partition], np.ndarray]:
+    """The distinct Jordan types of these rank rows (_jordan_ranks), in the
+    lexicographic order of the rows, and for each row the index of its type
+    among them: one Partition per distinct row."""
+    n = ranks.shape[1] + 1
     distinct, inverse = _distinct_rows(ranks)
     types = [Partition(a - b for a, b in zip([n] + row, row + [0]) if a != b).conjugate()
              for row in distinct.tolist()]
     return types, inverse
+
+
+def _jordan_ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """The rank row of each unipotent matrix in a (B, n, n) stack mod p, the
+    ranks of (g - 1)^k for k = 1..n-1 as int8, read off its Jordan type
+    (_jordan_labels, each partition its own label)."""
+    rows = _rank_rows(stack.shape[1])
+    return rows[_jordan_labels(stack, p, tuple(range(len(rows))))]
+
+
+@functools.cache
+def _rank_rows(n: int) -> np.ndarray:
+    """The rank row of each partition λ of n, in the order of partitions_of:
+    rank N^k = sum_i max(λ_i - k, 0) for k = 1..n-1, N nilpotent of type λ."""
+    return np.array([[sum(max(part - k, 0) for part in lam) for k in range(1, n)]
+                     for lam in partitions_of(n)], dtype=np.int8)
+
+
+@functools.cache
+def _label_fits(labels: tuple[int, ...], n: int) -> dict[tuple[int, ...], set[int]]:
+    """For labels of the partitions of n, in the order of partitions_of, the
+    labels of the partitions that fit each prefix (s, r_1, ..., r_j),
+    j = 0..n-1, of the invariants _jordan_labels reads."""
+    fits = {}
+    for lam, row, label in zip(partitions_of(n), _rank_rows(n).tolist(), labels):
+        for j in range(n):
+            fits.setdefault((lam[0], *row[:j]), set()).add(label)
+    return fits
+
+
+def _jordan_labels(stack: np.ndarray, p: int, labels: tuple[int, ...]) -> np.ndarray:
+    """The label of the Jordan type of each unipotent matrix in a (B, n, n)
+    stack of residues mod p, labels[i] being that of partitions_of(n)[i]:
+    the type itself when every partition has its own label (_jordan_ranks),
+    or whether it is one target type (_of_type).
+
+    With N = g - 1, the type λ is read in steps, _JORDAN_CHUNK matrices at a
+    time, and each step goes only to the matrices whose invariants so far
+    fit partitions of two or more labels (_label_fits).  First comes the
+    nilpotency index s, the least s with N^s = 0, which is λ_1
+    (_nilpotency_index); then r_k = rank N^k = sum_i max(λ_i - k, 0) for
+    k = 1, 2, ..., one kernel call (_column_pivots) each.  s and rank N,
+    which is n less the number of parts, decide λ for n <= 6; the first
+    pair they leave open is (3,3,1) against (3,2,2) at n = 7, which rank N^2
+    tells apart.  So the regular elements (s = n) and every element of SL_3
+    need no kernel call.  Besides N and the power chain of s, only the power
+    of N of the matrices ranked and the kernel's batch-last copy of it are
+    alive."""
+    count, n = stack.shape[:2]
+    fits = _label_fits(labels, n)
+    out = np.empty(count, dtype=np.intp)
+    for start in range(0, count, _JORDAN_CHUNK):
+        chunk = stack[start:start + _JORDAN_CHUNK]
+        out[start:start + len(chunk)] = _chunk_labels(chunk, p, fits)
+    return out
+
+
+def _chunk_labels(chunk: np.ndarray, p: int, fits: dict) -> np.ndarray:
+    """_jordan_labels of one chunk, given _label_fits; its arrays are freed
+    when it returns, before the next chunk's are made.  N = g - 1 is not
+    reduced: its entries, -1..p - 2, are zero exactly where those of N mod p
+    are, and each product is reduced.  N and its powers are made and kept
+    in the narrowest signed dtype that holds n (p - 1)^2, which bounds each
+    entry of a product of two matrices with entries in -(p - 1)..p - 1: int8
+    for Sp_6(F_3) and SL_4(F_5), where the power chain then runs 1.2-1.3x
+    faster than in int64 (typing every slice of Sp_6(F_3): 0.72 s against
+    0.91 s, in-process)."""
+    n = chunk.shape[1]
+    dtype = _signed_dtype(n * (p - 1) ** 2)
+    nil = chunk.astype(dtype)
+    nil -= np.eye(n, dtype=dtype)
+    known = _nilpotency_index(nil, p)[:, None]
+    out = np.empty(len(nil), dtype=np.intp)
+    at = np.arange(len(nil))
+    power = nil
+    while True:
+        codes = known @ (n + 1) ** np.arange(known.shape[1], dtype=np.int64)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        found = [fits[tuple(row)] for row in known[first].tolist()]
+        decided = np.array([len(f) == 1 for f in found])[inverse]
+        out[at[decided]] = np.array([min(f) for f in found])[inverse[decided]]
+        if decided.all():
+            return out
+        at, known, power = at[~decided], known[~decided], power[~decided]
+        if known.shape[1] > 1:
+            power = _mod(power @ nil[at], p)
+        known = np.column_stack([known, (_column_pivots(power, p) >= 0).sum(axis=1)])
+
+
+def _nilpotency_index(nil: np.ndarray, p: int) -> np.ndarray:
+    """The least s with N^s = 0 mod p for each N of a (B, n, n) stack with
+    entries in -(p - 1)..p - 1, as int64: powers are taken and reduced one
+    product at a time until all of them are zero.  If N^n is not zero,
+    g = N + 1 is not unipotent, and this raises ValueError."""
+    index = np.ones(len(nil), dtype=np.int64)
+    power = nil
+    for _ in range(nil.shape[1]):
+        nonzero = power.any(axis=(1, 2))
+        if not nonzero.any():
+            return index
+        index += nonzero
+        power = _mod(power @ nil, p)
+    raise ValueError("matrix is not unipotent mod p")
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1705,9 +1804,11 @@ def scan_property_d(kind: GroupKind, q_list: list[int], *, allow_bad_prime: bool
 
 
 def _of_type(hits: np.ndarray, q: int, target: Partition) -> np.ndarray:
-    """The matrices of a unipotent stack whose Jordan type is the target."""
-    types, inverse = _distinct_jordan_types(hits, q)
-    return hits[inverse == (types.index(target) if target in types else -1)]
+    """The matrices of a unipotent stack whose Jordan type is the target:
+    each type is labelled by whether it is the target (_jordan_labels), so
+    only s and the ranks that tell the target from the rest are read."""
+    labels = tuple(int(lam == target) for lam in partitions_of(hits.shape[1]))
+    return hits[_jordan_labels(hits, q, labels) == 1]
 
 
 def property_d_report(scan: PropertyDScan) -> dict:

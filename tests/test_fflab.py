@@ -51,7 +51,7 @@ from bruhatkit.fflab import (
     verify_theorem_a,
 )
 from bruhatkit.partitions import Partition, partitions_of
-from bruhatkit.weyl import GroupSpec, gl_order, signed_window_from_symmetric
+from bruhatkit.weyl import GroupSpec, conjugacy_classes, gl_order, signed_window_from_symmetric
 from bruhatkit.cells import (
     bruhat_decompose,
     c_positive_roots,
@@ -190,15 +190,15 @@ def test_code_traces_match_the_decoded_traces(name, n, q):
 def test_table_type_census_catches_a_moved_element(monkeypatch):
     # one table element moved to another Jordan type: the census of both
     # types is off its class size
-    real = fflab._distinct_jordan_types
+    real = fflab._distinct_types
 
-    def moved(stack, p):
-        types, inverse = real(stack, p)
+    def moved(ranks):
+        types, inverse = real(ranks)
         inverse = inverse.copy()
         inverse[0] = (inverse[0] + 1) % len(types)
         return types, inverse
 
-    monkeypatch.setattr(fflab, "_distinct_jordan_types", moved)
+    monkeypatch.setattr(fflab, "_distinct_types", moved)
     with pytest.raises(IntegrityError, match="unipotent census of SL\\(3\\)/GF\\(3\\)"):
         verify_theorem_a(parse_kind("sl", 3), 3, method="table")
 
@@ -206,15 +206,15 @@ def test_table_type_census_catches_a_moved_element(monkeypatch):
 def test_sp_table_type_census_catches_a_moved_element(monkeypatch):
     # the same mutant on Sp_4(F_3): each type's census is held to the sum of
     # its rational classes, so moving one element fails as it does for SL
-    real = fflab._distinct_jordan_types
+    real = fflab._distinct_types
 
-    def moved(stack, p):
-        types, inverse = real(stack, p)
+    def moved(ranks):
+        types, inverse = real(ranks)
         inverse = inverse.copy()
         inverse[0] = (inverse[0] + 1) % len(types)
         return types, inverse
 
-    monkeypatch.setattr(fflab, "_distinct_jordan_types", moved)
+    monkeypatch.setattr(fflab, "_distinct_types", moved)
     with pytest.raises(IntegrityError, match="unipotent census of Sp\\(4\\)/GF\\(3\\)"):
         enumerate_group(parse_kind("sp", 4), 3)
 
@@ -244,6 +244,129 @@ def test_distinct_jordan_types_match_the_exact_oracle(name, n, q):
     mixed = np.insert(stack, len(stack) // 2, mats[~mask][-1], axis=0)
     with pytest.raises(ValueError, match="not unipotent"):
         fflab._distinct_jordan_types(mixed, q)
+
+
+def _all_ranks_jordan_types(stack, p):
+    # oracle: rank N^k of N = g - 1 for every k = 1..n-1, one kernel call
+    # each, and one Partition per distinct rank row, in the rows' order
+    count, n = stack.shape[:2]
+    nil = (stack - np.eye(n, dtype=np.int64)) % p
+    ranks = np.empty((count, n - 1), dtype=np.int64)
+    power = nil
+    for k in range(n - 1):
+        ranks[:, k] = (_column_pivots(power, p) >= 0).sum(axis=1)
+        power = power @ nil % p
+    assert not power.any()
+    distinct, inverse = fflab._distinct_rows(ranks)
+    types = [Partition(a - b for a, b in zip([n] + row, row + [0]) if a != b).conjugate()
+             for row in distinct.tolist()]
+    return types, inverse
+
+
+def _jordan_form(lam):
+    n = lam.size
+    form = np.eye(n, dtype=np.int64)
+    at = 0
+    for part in lam:
+        form[np.arange(at, at + part - 1), np.arange(at + 1, at + part)] = 1
+        at += part
+    return form
+
+
+def _conjugated_jordan_forms(n, p, rng, each):
+    # each partition's Jordan form conjugated by ``each`` random invertible
+    # matrices mod p, shuffled, with the partition of each
+    stack, forms = [], []
+    for lam in partitions_of(n):
+        for _ in range(each):
+            g = rng.integers(0, p, size=(n, n))
+            while (_column_pivots(g[None], p) < 0).any():
+                g = rng.integers(0, p, size=(n, n))
+            stack.append(g @ _jordan_form(lam) @ fflab._inv_mod_p(g, p) % p)
+            forms.append(lam)
+    order = rng.permutation(len(stack))
+    return np.array(stack)[order], [forms[i] for i in order]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_jordan_types_of_conjugated_jordan_forms(monkeypatch, n, p):
+    # every partition of n, conjugated: the types and their order against
+    # the all-ranks oracle, and each type against jordan_type on
+    # ExactMatrix; n = 7 holds (3,3,1) and (3,2,2), which only rank N^2
+    # tells apart.  Chunks of 5 matrices cross types and chunk boundaries.
+    stack, forms = _conjugated_jordan_forms(n, p, np.random.default_rng(100 * n + p), each=2)
+    types, inverse = fflab._distinct_jordan_types(stack, p)
+    oracle_types, oracle_inverse = _all_ranks_jordan_types(stack, p)
+    assert types == oracle_types
+    assert np.array_equal(inverse, oracle_inverse)
+    found = [types[i] for i in inverse.tolist()]
+    assert found == forms == [jordan_type(ExactMatrix(GF(p), g.tolist())) for g in stack]
+    monkeypatch.setattr(fflab, "_JORDAN_CHUNK", 5)
+    types, small = fflab._distinct_jordan_types(stack, p)
+    assert types == oracle_types and np.array_equal(small, oracle_inverse)
+
+
+def test_jordan_types_rank_only_what_s_leaves_open(monkeypatch):
+    # s decides every type of SL_3, on the table and on the walk; for n = 4
+    # only the s = 2 matrices are ranked, (2,2) against (2,1,1); for n = 7
+    # rank N goes to the s that several partitions share, and rank N^2 to
+    # (3,3,1) and (3,2,2) alone, which share s and the number of parts
+    real = fflab._column_pivots
+    calls = []
+
+    def counted(stack, p):
+        calls.append(len(stack))
+        return real(stack, p)
+
+    monkeypatch.setattr(fflab, "_column_pivots", counted)
+    enumerate_group(parse_kind("sl", 3), 5)
+    count_unipotents(parse_kind("sl", 3), 5)
+    assert calls == []
+    rng = np.random.default_rng(4)
+    stack, forms = _conjugated_jordan_forms(4, 5, rng, each=3)
+    fflab._distinct_jordan_types(stack, 5)
+    assert calls == [sum(lam[0] == 2 for lam in forms)] == [6]
+    calls.clear()
+    stack, forms = _conjugated_jordan_forms(7, 3, rng, each=2)
+    fflab._distinct_jordan_types(stack, 3)
+    firsts = Counter(lam[0] for lam in partitions_of(7))
+    shapes = Counter((lam[0], len(lam)) for lam in partitions_of(7))
+    assert calls == [sum(firsts[lam[0]] > 1 for lam in forms),
+                     sum(shapes[lam[0], len(lam)] > 1 for lam in forms)]
+    assert calls[1] == 4
+
+
+@pytest.mark.parametrize("name,n,q", [("sp", 6, 3), ("sl", 4, 5)])
+def test_of_type_keeps_the_rows_full_typing_keeps(name, n, q):
+    # property D's slices, every target: the one-type test against the
+    # rows whose full type is the target
+    kind = parse_kind(name, n)
+    borel = borel_grid(kind, q)
+    ws = [w for cls in conjugacy_classes(kind.weyl_spec) if cls.elliptic for w in cls.min_elements]
+    scanned = 0
+    for w in ws:
+        for hits in _slice_unipotents(kind, w, q, borel):
+            types, inverse = fflab._distinct_jordan_types(hits, q)
+            for target in partitions_of(n):
+                full = np.array([jt == target for jt in types], dtype=bool)[inverse]
+                assert np.array_equal(fflab._of_type(hits, q, target), hits[full])
+            scanned += len(hits)
+    assert scanned > 0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_a_matrix_that_is_not_unipotent_raises_at_every_n(n):
+    # the regular Jordan block with its last eigenvalue 2: N^n != 0, among
+    # unipotent matrices of every type
+    stack, _ = _conjugated_jordan_forms(n, 3, np.random.default_rng(n), each=1)
+    bad = _jordan_form(Partition([n]))
+    bad[-1, -1] = 2
+    mixed = np.insert(stack, len(stack) // 2, bad, axis=0)
+    with pytest.raises(ValueError, match="not unipotent"):
+        fflab._distinct_jordan_types(mixed, 3)
+    with pytest.raises(ValueError, match="not unipotent"):
+        fflab._of_type(mixed, 3, Partition([n]))
 
 
 @pytest.mark.parametrize("p", [2, 3, 1048573])
@@ -601,7 +724,8 @@ def test_unipotent_mask_matches_the_power_oracle(n, p):
     # coefficient tests, and the power test where they leave e_4 undecided
     # (n >= 4), reject every companion matrix that is not unipotent
     if p ** (n * n) <= 2 ** 63:
-        index, found = fflab._table_unipotents(GroupKind("GL", n), _codes(stack, p), p)
+        index, found = map(np.concatenate, zip(
+            *fflab._table_unipotents(GroupKind("GL", n), _codes(stack, p), p)))
         assert index.tolist() == np.flatnonzero(expected).tolist()
         assert np.array_equal(found, stack[expected])
 
@@ -1041,6 +1165,22 @@ def test_map_closure_peak_stays_near_its_codes():
         tracemalloc.stop()
     assert len(codes) == kind.order(5)
     assert peak < 5**9 + 372000 * fflab._code_dtype(5, 3).itemsize + 2**20, peak
+
+
+def test_window_pass_peak_stays_near_one_jordan_chunk():
+    # SL_3(F_5): the window pass decodes and windows its 15,625 unipotent
+    # elements _JORDAN_CHUNK at a time.  One batch of all of them, with its
+    # batch-last int64 copy and the kernel's temporaries, traced 3.6 MB;
+    # per 4,096 elements the pass traces 1.2 MB
+    table = enumerate_group(parse_kind("sl", 3), 5)
+    tracemalloc.start()
+    try:
+        met = table.types_by_window()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, met.values())) > len(met) > 1
+    assert peak < 2 * 2**20, peak
 
 
 def test_group_codes_make_each_code_about_once(monkeypatch):
