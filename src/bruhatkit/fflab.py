@@ -53,8 +53,9 @@ the rows it reads: the group table decodes rows on demand, and a
 property-D scan the least element of each B_w-orbit.  A group closure is
 told the group order, and marks the codes it has listed in a byte map of
 all q^(n^2) codes when that map holds at most 8 codes per element (q^(n^2)
-<= 8 * |G|), so that it takes at most 8 bytes per element, and hands back
-its codes in the narrowest signed dtype that holds one (_code_dtype);
+<= 8 * |G|), so that it takes at most 8 bytes per element, packs the map to
+bits before it lists them, and hands back its codes in the narrowest
+signed dtype that holds one (_code_dtype);
 larger code spaces, orbits and the other member sets keep sorted code
 arrays, with numpy sorting and binary search.  A group closure multiplies
 on the right, which acts on each row alone: one table per
@@ -195,26 +196,27 @@ DEFAULT_ENUM_BUDGET = 10**8
 EXPONENT_TOLERANCE = 0.25
 _MAX_NUMPY_PRIME = 2**20  # int64 stays exact with huge margin below this
 # matrices per numpy batch in slice scans, the table's windows_of, the
-# Borel centralizer scan and the commutant enumeration, and codes per chunk
-# of cosets in a group closure; it keeps the temporaries of a whole-group
-# run (372,000 elements of SL_3(F_5)) or of a scan over a Borel grid (10^6
-# elements of SL_4(F_5), whose int8 grid holds 16 MB) small.  The grid
-# itself is whole: theorem A and property D build one per prime and hold it
-# for one call
+# Borel centralizer scan and the commutant enumeration; it keeps the
+# temporaries of a whole-group run (372,000 elements of SL_3(F_5)) or of a
+# scan over a Borel grid (10^6 elements of SL_4(F_5), whose int8 grid holds
+# 16 MB) small.  The grid itself is whole: theorem A and property D build
+# one per prime and hold it for one call
 _CHUNK = 200_000
 # codes per batch of the table's unipotent pass, whose trace temporaries
-# are each as long as the batch, per block of _decode and per block a
-# closure marks in its byte map (_mark): on the 372,000
+# are each as long as the batch, per block of _decode, per chunk of cosets
+# a group closure makes, per block it marks in its byte map (_mark) and
+# bits per block it lists (_listed_bits): on the 372,000
 # codes of SL_3(F_5) the pass takes 2.9 ms with a traced peak of 1.6 MB,
 # the same time as per 2^17 codes (2.5 MB), against 3.7 ms and 1.3 MB per
 # 2^15 codes and 3.1 ms and 3.4 MB per _CHUNK (best of 9, 2-vCPU VM); its
 # traces take 1.0 ms of it, against 4.1 ms for int64 traces reduced digit
-# by digit
+# by digit.  A closure's chunks of 2^16 codes make fewer cosets twice
+# than chunks of _CHUNK: 1.13 against 1.25 |G| codes on SL_3(F_5)
 _TRACE_CHUNK = 2 ** 16
 # matrices per batch of Jordan typing (_jordan_labels) and of a table's
 # window pass (FiniteGroupTable.types_by_window), the two passes over the
 # unipotent elements: on the 15,625 of SL_3(F_5) typing traces 0.80 MB
-# against 1.4 MB in one batch, and the window pass 1.2 MB against 3.6 MB
+# against 1.4 MB in one batch, and the window pass 1.0 MB against 3.6 MB
 # and takes 4.2–4.9 ms against 3.8–5.8 ms in one batch (best of 15, 2-vCPU
 # VM); batched, the powers of g - 1 and the kernel's batch-last copies stay
 # in cache
@@ -361,8 +363,13 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     division by a scalar has a SIMD path and % has not: on 160,000 int64
     values (numpy 2.4.6, 2-vCPU VM) % takes 0.73 ms against 0.40 ms for
     this, and 1.7 ms against 0.37 ms on negative values.  For arrays the
-    caller owns; the quotient is one temporary of a's size."""
-    a -= a // p * p
+    caller owns; the quotient, scaled by p in place, is the one temporary
+    of a's size.  a // p * p makes a second wherever numpy does not elide
+    it (it does so only for some large arrays): with it, the window pass of
+    the SL_3(F_5) table rose 0.5 MB above the group closure in RSS."""
+    quotient = a // p
+    quotient *= p
+    a -= quotient
     return a
 
 
@@ -472,16 +479,23 @@ def _mark(seen: np.ndarray, codes: np.ndarray):
         seen[flat[start:start + _TRACE_CHUNK].astype(np.intp)] = True
 
 
-def _listed(seen: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """The codes a byte map of the code space marks, ascending, in this
-    dtype: the map is listed _CHUNK bytes at a time into one array, so no
-    int64 listing of the whole map is made.  Each block's positions are
-    offset straight into that array, all below the map's length."""
-    codes = np.empty(np.count_nonzero(seen), dtype=dtype)
+def _listed_bits(bits: np.ndarray, count: int, dtype: np.dtype) -> np.ndarray:
+    """The ``count`` codes a bit map of the code space marks, ascending, in
+    this dtype: ``bits`` is the byte map packed by np.packbits with
+    bitorder="little", so code c is bit c % 8 of byte c // 8, and it is
+    listed a _TRACE_CHUNK of bits at a time into one array.  Each block is
+    unpacked as bool, which np.flatnonzero scans faster than uint8: the
+    5^9-bit map of SL_3(F_5) lists in 1.9-2.0 ms, against 4.6 ms with
+    uint8 blocks and 1.8-1.9 ms from the byte map (best of 15, 2-vCPU VM).
+    Each block's positions are offset straight into that array.  The bits
+    that pad the last byte are never set, so no position past the code
+    space is listed."""
+    codes = np.empty(count, dtype=dtype)
     at = 0
-    for start in range(0, len(seen), _CHUNK):
-        block = np.flatnonzero(seen[start:start + _CHUNK])
-        np.add(block, start, out=codes[at:at + len(block)], casting="unsafe")
+    width = _TRACE_CHUNK // 8
+    for start in range(0, len(bits), width):
+        block = np.flatnonzero(np.unpackbits(bits[start:start + width], bitorder="little").view(bool))
+        np.add(block, 8 * start, out=codes[at:at + len(block)], casting="unsafe")
         at += len(block)
     return codes
 
@@ -501,15 +515,23 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
     code.  So each code is made once, but for the cosets met twice in one
     chunk of candidates, and membership is tested for the candidates alone.
     The candidates are taken a chunk at a time, so that the cosets and the
-    row tables of a chunk hold at most _CHUNK entries.
+    row tables of a chunk hold at most _TRACE_CHUNK entries: on SL_3(F_5)
+    the last stage takes 21 cosets of 3,000 codes at a time, and the cosets
+    come to 1.13 |G| codes, against 1.25 |G| in chunks of 66 cosets.  The
+    next stage's H is the union of the cosets walked, H c for c the
+    identity and each representative: the sorted path reads it off its
+    seen array, and the map path makes it by one step from the last H's
+    row codes instead of listing the map.  The last stage makes none.
 
     Listed codes are marked in a byte map of the code space, p^(n^2) codes,
     when that holds at most 8 codes per element, p^(n^2) <= 8 * order: then
     the map takes at most 8 bytes per element.  A chunk's cosets are marked
-    whole there, a coset met twice marking the same bytes again, and the map
-    is listed a block at a time (_listed).  Otherwise the codes are kept as
-    a sorted array, which each chunk's distinct cosets are sorted into.
-    The order picks nothing else.  Distinct cosets are disjoint, so the
+    whole there, a coset met twice marking the same bytes again.  At the
+    end the map is counted, packed to bits and dropped, and the bits are
+    listed a block at a time (_listed_bits), so the map and the codes
+    listed are never held together.  Otherwise the codes are kept as a
+    sorted array, which each chunk's distinct cosets are sorted into.  The
+    order picks nothing else.  Distinct cosets are disjoint, so the
     distinct codes marked must be as many as the codes listed; if they are
     not, a generator is singular, and this raises IntegrityError.  Listing
     more than ``limit`` codes raises BudgetError, and so do row tables of
@@ -528,18 +550,23 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
     else:
         seen = identity
     total = 1
+    subgroup, reps = _row_codes(identity, p, n), identity
     gen_codes = _codes(np.asarray(gens, dtype=np.int64) % p, p).astype(dtype)
     for k, g in enumerate(gen_codes[:, None], 1):
         if _marked(seen, g)[0]:
             continue
+        if not in_map:  # the sorted seen array is H
+            subgroup = _row_codes(seen, p, n)
+        elif len(reps) > 1:  # H grew in the last stage walked: H c for each representative c
+            subgroup = _right_multiplication_step(_decode(reps, p, n), p, n)(subgroup)
+            subgroup = _row_codes(subgroup.ravel(), p, n)
         moves = _right_multiplication_step(gens[:k], p, n)
-        subgroup = _row_codes(_listed(seen, dtype) if in_map else seen, p, n)
-        per_chunk = max(1, _CHUNK // max(len(subgroup[0]), n * p ** n))
-        frontier = identity
+        per_chunk = max(1, _TRACE_CHUNK // max(len(subgroup[0]), n * p ** n))
+        frontier, reps = identity, [identity]
         while len(frontier):
             candidates = _distinct(np.sort(moves(_row_codes(frontier, p, n)), axis=None))
             candidates = candidates[~_marked(seen, candidates)]
-            reps = []
+            level = []
             for start in range(0, len(candidates), per_chunk):
                 chunk = candidates[start:start + per_chunk]
                 chunk = chunk[~_marked(seen, chunk)]
@@ -554,10 +581,17 @@ def _group_codes(gens: list[np.ndarray], p: int, limit: int, order: int) -> np.n
                 else:
                     seen = np.concatenate([seen, cosets[first].ravel()])
                     seen.sort()
-                reps.append(chunk[first])
-            frontier = np.concatenate([np.empty(0, dtype=dtype), *reps])
-        del subgroup  # n arrays as long as H, not to be held while the group is listed
-    codes = _listed(seen, dtype) if in_map else _distinct(seen)
+                level.append(chunk[first])
+            frontier = np.concatenate([np.empty(0, dtype=dtype), *level])
+            reps.append(frontier)
+        reps = np.concatenate(reps)
+    subgroup = cosets = None  # not to be held while the group is listed
+    if in_map:
+        count = int(np.count_nonzero(seen))
+        seen = np.packbits(seen, bitorder="little")
+        codes = _listed_bits(seen, count, dtype)
+    else:
+        codes = _distinct(seen)
     if len(codes) != total:
         raise IntegrityError(f"group closure listed {total} codes but marked {len(codes)}: "
                              f"a generator is not invertible")
