@@ -435,6 +435,9 @@ def test_bad_budgets_exit_2_naming_the_source(capsys, monkeypatch, env, args, so
     # Sp classes named by their invariants at two larger primes
     (["sp", "4", "--q", "5", "--q", "7"],
      "713a9b375546699c9a505407bcaa6f1af4363ec1abd336a5498f9f61eaeb1715"),
+    # SL_5 slices, decided by e_1..e_4 of the characteristic polynomial
+    (["sl", "5", "--q", "2", "--q", "3"],
+     "33629db8377d91de8c8593c3a2dd8436983e4178e53876cfd58d43279f3024ea"),
 ])
 def test_property_d_report_bytes_are_pinned(capsys, args, digest):
     # SHA-256 of the whole stdout, the same bytes perfbench's digests pin

@@ -192,8 +192,8 @@ def test_table_type_census_catches_a_moved_element(monkeypatch):
     # types is off its class size
     real = fflab._distinct_types
 
-    def moved(ranks):
-        types, inverse = real(ranks)
+    def moved(*args):
+        types, inverse = real(*args)
         inverse = inverse.copy()
         inverse[0] = (inverse[0] + 1) % len(types)
         return types, inverse
@@ -208,8 +208,8 @@ def test_sp_table_type_census_catches_a_moved_element(monkeypatch):
     # its rational classes, so moving one element fails as it does for SL
     real = fflab._distinct_types
 
-    def moved(ranks):
-        types, inverse = real(ranks)
+    def moved(*args):
+        types, inverse = real(*args)
         inverse = inverse.copy()
         inverse[0] = (inverse[0] + 1) % len(types)
         return types, inverse
@@ -217,6 +217,31 @@ def test_sp_table_type_census_catches_a_moved_element(monkeypatch):
     monkeypatch.setattr(fflab, "_distinct_types", moved)
     with pytest.raises(IntegrityError, match="unipotent census of Sp\\(4\\)/GF\\(3\\)"):
         enumerate_group(parse_kind("sp", 4), 3)
+
+
+def test_table_types_are_read_off_the_labels_without_a_sort(monkeypatch):
+    # the table keeps one partition label per unipotent element, and its
+    # distinct types come from one np.bincount over them: on the 15,625 of
+    # SL_3(F_5) that step traces little more than the index it returns; a
+    # sort of int64 codes per element (np.unique) would trace 0.77 MB
+    real = fflab._distinct_types
+    steps = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = real(*args)
+        steps.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(fflab, "_distinct_types", traced)
+    tracemalloc.start()
+    try:
+        table = enumerate_group(parse_kind("sl", 3), 5)
+    finally:
+        tracemalloc.stop()
+    assert table.unipotent_count() == 5 ** 6 and len(steps) == 1
+    assert steps[0] < table.type_index.nbytes + 2 ** 14, steps
 
 
 @pytest.mark.parametrize("name,n,q", [("gl", 3, 3), ("sp", 4, 3)])
@@ -629,11 +654,14 @@ def _nilpotent_mask(stack, q):
 
 
 @pytest.mark.parametrize("name,n,qs", [("gl", 2, (2,)), ("gl", 3, (3, 5)), ("sl", 3, (3, 5)),
-                                       ("sp", 4, (3, 5)), ("sl", 4, (3,))])
+                                       ("sp", 4, (3, 5)), ("sl", 4, (3,)), ("sl", 5, (2,)),
+                                       ("gl", 5, (2,))])
 def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
     # oracle: the dense product w_rep @ B, filtered by nilpotence alone
     # and the walk over W: its census, and for every window kept, the types
-    # met and the first hit in grid order
+    # met and the first hit in grid order.  SL_5 and GL_5 are decided by
+    # e_4 and e_5, which only the characteristic polynomial's full range
+    # reaches
     kind = parse_kind(name, n)
     for q in qs:
         borel = borel_grid(kind, q)
@@ -656,29 +684,73 @@ def test_trace_prefilter_keeps_every_unipotent_in_grid_order(name, n, qs):
         assert np.array_equal(fflab._unipotent_mask(borel, q), _nilpotent_mask(borel, q))
 
 
+@pytest.mark.parametrize("name,n", [("gl", 6), ("sp", 8)])
+def test_rank_five_and_sp8_slices_keep_every_unipotent(name, n):
+    # w0 and two other slices of GL_6(F_2) and Sp_8(F_2), decided by e_1..e_6
+    # and e_1..e_4 on their live terms: in grid order against the dense
+    # product filtered by nilpotence alone, and the types of a few hits
+    # against jordan_type on ExactMatrix
+    kind = parse_kind(name, n)
+    borel = borel_grid(kind, 2)
+    elements = sorted(kind.weyl_spec.elements(), key=lambda w: w.window)
+    longest = max(elements, key=lambda w: w.length())
+    for w in (longest, elements[len(elements) // 3], elements[2 * len(elements) // 3]):
+        dense = _weyl_rep(kind, w, 2) @ borel % 2
+        expected = dense[_nilpotent_mask(dense, 2)]
+        found = np.concatenate(list(_slice_unipotents(kind, w, 2, borel)))
+        assert len(expected) and np.array_equal(found, expected), w
+        sample = found[:: max(1, len(found) // 5)]
+        assert _jordan_types_mod_p(sample, 2) == [jordan_type(ExactMatrix(GF(2), g.tolist()))
+                                                  for g in sample]
+
+
+def _exact_det(stack):
+    # the determinant of each matrix of an integer (m, k, k) stack, exact in
+    # int64 at these sizes, by Bareiss's fraction-free elimination: every
+    # entry stays a minor of the input and every division is exact.  A zero
+    # pivot is swapped with a nonzero entry below it; a matrix with none is
+    # singular, and its determinant 0
+    a = stack.astype(np.int64)
+    m, k = a.shape[:2]
+    sign = np.ones(m, dtype=np.int64)
+    last = np.ones(m, dtype=np.int64)
+    at = np.arange(m)
+    for j in range(k):
+        r = j + np.argmax(a[:, j:, j] != 0, axis=1)
+        sign[r != j] *= -1
+        a[at, j], a[at, r] = a[at, r], a[at, j]
+        pivot = a[:, j, j].copy()
+        for i in range(j + 1, k):
+            a[:, i, j + 1:] = (pivot[:, None] * a[:, i, j + 1:]
+                               - a[:, i, j, None] * a[:, j, j + 1:]) // last[:, None]
+        sign[pivot == 0] = 0
+        last = np.where(pivot == 0, 1, pivot)
+    return sign * a[:, k - 1, k - 1]
+
+
 def _principal_minor_sum(stack, k):
     # e_k: the sum of the principal k x k minors, over the integers, each
-    # minor written out (k = 3 by the rule of Sarrus)
+    # minor an exact determinant
     n = stack.shape[1]
-    stack = stack.astype(np.int64)
-    total = np.zeros(len(stack), dtype=np.int64)
-    for rows in itertools.combinations(range(n), k):
-        m = stack[:, rows][:, :, rows]
-        if k == 1:
-            total += m[:, 0, 0]
-        elif k == 2:
-            total += m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        else:
-            total += (m[:, 0, 0] * m[:, 1, 1] * m[:, 2, 2] + m[:, 0, 1] * m[:, 1, 2] * m[:, 2, 0]
-                      + m[:, 0, 2] * m[:, 1, 0] * m[:, 2, 1] - m[:, 0, 2] * m[:, 1, 1] * m[:, 2, 0]
-                      - m[:, 0, 0] * m[:, 1, 2] * m[:, 2, 1] - m[:, 0, 1] * m[:, 1, 0] * m[:, 2, 2])
-    return total
+    return sum(_exact_det(stack[:, rows][:, :, rows]) for rows in itertools.combinations(range(n), k))
 
 
 def _passes_coefficients(stack, p, ks):
     n = stack.shape[1]
     return np.logical_and.reduce([(_principal_minor_sum(stack, k) - math.comb(n, k)) % p == 0
                                   for k in ks])
+
+
+def test_exact_det_matches_exact_matrix_det():
+    # the oracle's own oracle: ExactMatrix.det over GF(p), on random and on
+    # singular matrices, whose zero pivots need a swap or have none
+    rng = np.random.default_rng(12)
+    for k, p in [(1, 5), (2, 3), (3, 7), (4, 2), (5, 5), (6, 3)]:
+        stack = rng.integers(-p + 1, p, size=(40, k, k))
+        stack[::4, :, 0] = 0
+        stack[1::4, 0] = stack[1::4, -1]
+        expected = [int(ExactMatrix(GF(p), (m % p).tolist()).det()) for m in stack]
+        assert (_exact_det(stack) % p).tolist() == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -710,19 +782,29 @@ def test_unipotent_mask_matches_the_power_oracle(n, p):
     passed = _passes_coefficients(stack, p, range(1, top + 1))
     assert not (expected & ~passed).any()
     assert (passed & ~expected).any()
-    # the one e_k kernel against the minor-sum oracle, k = 1, 2, 3: w_rep
-    # the identity (the table) and a random signed monomial (a grid slice)
+    # the one e_k kernel against the minor-sum oracle, for every k <= n:
+    # with all its terms on the stack, and with only the live ones on upper
+    # triangular b, as the walk runs it; w_rep the identity (the table) and
+    # a random signed monomial (a grid slice)
+    triangular = np.triu(rng.integers(0, p, size=(count, n, n)))
     monomials = [(np.arange(n), np.ones(n, dtype=np.int64)),
                  (rng.permutation(n), rng.choice([-1, 1], size=n))]
     for cols, signs in monomials:
         rep = np.zeros((n, n), dtype=np.int64)
         rep[np.arange(n), cols] = signs
-        for k in range(1, min(3, n) + 1):
+        for k in range(1, n + 1):
             ek = (_principal_minor_sum(rep @ stack, k) - math.comb(n, k)) % p == 0
             assert np.array_equal(fflab._ek_mask(stack.transpose(1, 2, 0), cols, signs, p, k), ek)
+            live = fflab._leibniz_terms(cols, signs, k, upper=True)
+            assert len(live) <= math.comb(n, k) * math.factorial(k)
+            ek = (_principal_minor_sum(rep @ triangular, k) - math.comb(n, k)) % p == 0
+            assert np.array_equal(fflab._ek_mask(triangular.transpose(1, 2, 0), cols, signs, p, k,
+                                                 live), ek)
+        # e_n has one live term on upper triangular b, the diagonal product
+        assert [len(factors) for factors, _ in fflab._leibniz_terms(cols, signs, n, upper=True)] == [n]
     # the table route, with the stack taken for elements of GL_n: its
-    # coefficient tests, and the power test where they leave e_4 undecided
-    # (n >= 4), reject every companion matrix that is not unipotent
+    # coefficient tests, e_1..e_n with every term, reject every companion
+    # matrix that is not unipotent, with no power test
     if p ** (n * n) <= 2 ** 63:
         index, found = map(np.concatenate, zip(
             *fflab._table_unipotents(GroupKind("GL", n), _codes(stack, p), p)))
@@ -731,31 +813,21 @@ def test_unipotent_mask_matches_the_power_oracle(n, p):
 
 
 def test_power_test_runs_only_where_the_coefficients_leave_unipotence_open(monkeypatch):
-    # the trace, e2 and e3 decide on the SL_3 table, the Sp_4 table and
-    # walk and property D's Sp_4 slices, so the power test never runs there;
-    # where e_4 is left open (the SL_5(F_2) walk, the GL_4(F_2) table) it
-    # sees only matrices with e_k = C(n, k) mod p for k = 1, 2, 3
-    power_test = fflab._unipotent_mask
-    handed = []
+    # the coefficients of the characteristic polynomial decide unipotence
+    # on every route, so the power test runs on none: the tables of SL_3,
+    # Sp_4 and GL_4 (decided by e_4), the Sp_4 walk, property D's Sp_4
+    # slices and the SL_5(F_2) walk (decided by e_4)
+    def power_test(batch, p):
+        raise AssertionError("a production route ran the power test")
 
-    def checked(batch, p):
-        assert _passes_coefficients(batch, p, (1, 2, 3)).all()
-        handed.append(len(batch))
-        return power_test(batch, p)
-
-    monkeypatch.setattr(fflab, "_unipotent_mask", checked)
+    monkeypatch.setattr(fflab, "_unipotent_mask", power_test)
     sp4 = parse_kind("sp", 4)
-    for route in (lambda: enumerate_group(parse_kind("sl", 3), 5),
-                  lambda: verify_theorem_a(sp4, 3, method="table", seed=1),
-                  lambda: verify_theorem_a(sp4, 3, method="cells", seed=1),
-                  lambda: scan_property_d(sp4, [3])):
-        route()
-    assert handed == []
-    for route in (lambda: count_unipotents(parse_kind("sl", 5), 2),
-                  lambda: enumerate_group(parse_kind("gl", 4), 2)):
-        handed.clear()
-        route()
-        assert sum(handed) > 0
+    enumerate_group(parse_kind("sl", 3), 5)
+    verify_theorem_a(sp4, 3, method="table", seed=1)
+    verify_theorem_a(sp4, 3, method="cells", seed=1)
+    scan_property_d(sp4, [3])
+    assert count_unipotents(parse_kind("sl", 5), 2) == 2 ** 20
+    assert enumerate_group(parse_kind("gl", 4), 2).unipotent_count() == 2 ** 12
 
 
 def test_weyl_rep_must_be_monomial():
@@ -831,15 +903,16 @@ def test_dropped_hit_fails_the_sp_census_count(monkeypatch):
     assert not report["integrity"]["unipotent_count_check"]["ok"] and not report["ok"]
 
 
-def _lossy_coefficient_test(monkeypatch, name, k=None):
-    # a mutant of the coefficient test ``name`` (at this k, for _ek_mask)
-    # that rejects the first unipotent w_rep b it sees
+def _lossy_coefficient_test(monkeypatch, name, k):
+    # a mutant of the coefficient test ``name`` at this k that rejects the
+    # first unipotent w_rep b it sees; the terms the walk passes are
+    # forwarded
     real = getattr(fflab, name)
     dropped = []
 
-    def lossy(b, cols, signs, q, *args):
-        mask = real(b, cols, signs, q, *args)
-        if args == ((k,) if k else ()) and not dropped:
+    def lossy(b, cols, signs, q, at, *terms):
+        mask = real(b, cols, signs, q, at, *terms)
+        if at == k and not dropped:
             products = b[cols].transpose(2, 0, 1).astype(np.int64) * signs[:, None] % q
             hits = np.flatnonzero(mask & _nilpotent_mask(products, q))
             if len(hits):
@@ -872,11 +945,13 @@ def test_census_catches_an_e2_prefilter_that_drops_a_unipotent(name, n, q, metho
 
 @pytest.mark.parametrize("name,n,q,method,test,k", [
     ("gl", 3, 3, "table", "_ek_mask", 3), ("sl", 4, 3, "cells", "_ek_mask", 3),
-    ("gl", 3, 3, "cells", "_det_mask", None)])
+    ("gl", 3, 3, "cells", "_ek_mask", 3), ("sl", 5, 2, "cells", "_ek_mask", 4),
+    ("gl", 5, 2, "cells", "_ek_mask", 5)])
 def test_census_catches_a_deciding_test_that_drops_a_unipotent(name, n, q, method, test, k,
                                                                monkeypatch):
-    # where e3 decides (e3 = det on the GL_3 table, SL_4's walk) and where
-    # GL's walk reads det off the diagonal, a mutant test that drops one
+    # where the last coefficient decides (e3 = det on the GL_3 table and
+    # walk, e3 on SL_4's walk, e4 on SL_5's and e5 = det on GL_5's, whose
+    # one live term is the diagonal product), a mutant test that drops one
     # unipotent fails the type census
     dropped = _lossy_coefficient_test(monkeypatch, test, k)
     with pytest.raises(IntegrityError, match="unipotent census"):
